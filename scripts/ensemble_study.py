@@ -14,7 +14,6 @@ Example:
 """
 
 import argparse
-import json
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +21,7 @@ import numpy as np
 from weakbeam.beamfem import FemMesh
 from weakbeam.ensemble import run_ensemble
 from weakbeam.material import BeamModel, CrossSection, modulus_from_alpha, smape
+from weakbeam.pipeline import write_csv, write_json
 from weakbeam.synth import BurstSpec, generate_beam_data
 
 SECTION = CrossSection.circle(6.35e-3)
@@ -72,7 +72,7 @@ def main() -> int:
             e_run = modulus_from_alpha(alpha, beam) if alpha > 0 else float("nan")
             if np.isfinite(e_run):
                 moduli.append(e_run)
-            rows.append([seed, run.d, run.offset, "ok", repr(alpha), repr(e_run)])
+            rows.append([seed, run.d, run.offset, "ok", alpha, e_run])
         moduli = np.array(moduli)
         stats = ens.stats.get("w_xxxx")
         summaries[str(seed)] = {
@@ -92,13 +92,8 @@ def main() -> int:
         )
 
     header = ["seed", "d", "offset", "status", "alpha", "youngs_modulus"]
-    lines = [",".join(header)] + [",".join(str(v) for v in r) for r in rows]
-    (args.out / "runs.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (args.out / "summary.json").write_text(
-        json.dumps({"nominal_modulus": MODULUS, "seeds": summaries}, indent=2)
-        + "\n",
-        encoding="utf-8",
-    )
+    write_csv(args.out / "runs.csv", header, rows)
+    write_json(args.out / "summary.json", {"nominal_modulus": MODULUS, "seeds": summaries})
     print(f"wrote {args.out / 'runs.csv'} and {args.out / 'summary.json'}")
     return 0
 

@@ -18,7 +18,8 @@ from scipy.linalg import cho_solve_banded, cholesky_banded, eigh
 
 from .errors import DegenerateDataError, DimensionError, ParameterError
 from .grid import FieldGrid, window_time
-from .material import BeamModel, section_properties
+from .material import BeamModel
+from .weakform import mean_power_spectrum
 
 __all__ = [
     "FemMesh",
@@ -101,8 +102,10 @@ def _element_matrices(stiffness: float, mass: float, ell: float):
 def assemble_matrices(mesh: FemMesh, beam: BeamModel) -> tuple[np.ndarray, np.ndarray]:
     """(M, K) global consistent mass and stiffness, dense symmetric."""
     modulus = beam.require_modulus()
-    area, second = section_properties(beam.section)
-    ke, me = _element_matrices(modulus * second, beam.density * area, mesh.dx)
+    section = beam.section
+    ke, me = _element_matrices(
+        modulus * section.second_moment, beam.density * section.area, mesh.dx
+    )
     n = mesh.n_dof
     K = np.zeros((n, n))
     M = np.zeros((n, n))
@@ -147,51 +150,36 @@ def second_difference(series: np.ndarray, dt: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundaryHistory:
-    """Prescribed edge motion: deflection, rotation, and their accelerations.
+    """Prescribed edge motion: deflections, rotations, and their accelerations.
 
-    A free far end is expressed by ``right_w is None`` (then every right
-    series must be absent); otherwise all eight series share the length
-    of ``t``.
+    ``displacement`` and ``acceleration`` hold one row per sample of ``t``
+    and one column per boundary dof, ordered as the mesh numbers them:
+    left w, left w_x, then right w, right w_x.  Two columns mean the far
+    end is free.
     """
 
     t: np.ndarray
-    left_w: np.ndarray
-    left_rot: np.ndarray
-    left_w_acc: np.ndarray = field(repr=False, default=None)
-    left_rot_acc: np.ndarray = field(repr=False, default=None)
-    right_w: np.ndarray | None = None
-    right_rot: np.ndarray | None = None
-    right_w_acc: np.ndarray | None = field(repr=False, default=None)
-    right_rot_acc: np.ndarray | None = field(repr=False, default=None)
+    displacement: np.ndarray
+    acceleration: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         if t.ndim != 1 or t.size < 4:
             raise ParameterError("boundary history needs >= 4 time samples")
+        d = np.asarray(self.displacement, dtype=float)
+        a = np.asarray(self.acceleration, dtype=float)
+        if d.shape not in ((t.size, 2), (t.size, 4)) or a.shape != d.shape:
+            raise ParameterError(
+                f"displacement and acceleration must both be ({t.size}, 2) or "
+                f"({t.size}, 4), got {d.shape} and {a.shape}"
+            )
         object.__setattr__(self, "t", t)
-        left = ("left_w", "left_rot", "left_w_acc", "left_rot_acc")
-        right = ("right_w", "right_rot", "right_w_acc", "right_rot_acc")
-        for name in left:
-            arr = getattr(self, name)
-            if arr is None:
-                raise ParameterError(f"{name} is required")
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape != t.shape:
-                raise ParameterError(f"{name} length must match t")
-            object.__setattr__(self, name, arr)
-        present = [getattr(self, name) is not None for name in right]
-        if any(present) != all(present):
-            raise ParameterError("right-end series must be all present or all absent")
-        if all(present):
-            for name in right:
-                arr = np.asarray(getattr(self, name), dtype=float)
-                if arr.shape != t.shape:
-                    raise ParameterError(f"{name} length must match t")
-                object.__setattr__(self, name, arr)
+        object.__setattr__(self, "displacement", d)
+        object.__setattr__(self, "acceleration", a)
 
     @property
     def free_right(self) -> bool:
-        return self.right_w is None
+        return self.displacement.shape[1] == 2
 
     @property
     def dt(self) -> float:
@@ -206,25 +194,20 @@ class BoundaryHistory:
         right_w: np.ndarray | None = None,
         right_rot: np.ndarray | None = None,
     ) -> "BoundaryHistory":
-        """Build a history from deflection/rotation series; accelerations
-        are filled in by second differencing."""
+        """Build a history from deflection/rotation series (no right series
+        for a free far end); accelerations come from second differencing."""
         t = np.asarray(t, dtype=float)
         dt = float((t[-1] - t[0]) / (t.size - 1))
-        kw = {}
+        ends = [left_w, left_rot]
         if right_w is not None:
-            kw = dict(
-                right_w=right_w,
-                right_rot=right_rot,
-                right_w_acc=second_difference(right_w, dt),
-                right_rot_acc=second_difference(right_rot, dt),
-            )
+            ends += [right_w, right_rot]
+        series = [np.asarray(s, dtype=float) for s in ends]
+        if any(s.shape != t.shape for s in series):
+            raise ParameterError("every edge series must match the length of t")
         return cls(
             t=t,
-            left_w=left_w,
-            left_rot=left_rot,
-            left_w_acc=second_difference(left_w, dt),
-            left_rot_acc=second_difference(left_rot, dt),
-            **kw,
+            displacement=np.column_stack(series),
+            acceleration=np.column_stack([second_difference(s, dt) for s in series]),
         )
 
 
@@ -260,8 +243,7 @@ def extract_boundaries(
         raise ParameterError(f"n_fit={n_fit} exceeds {data.n_x} spatial samples")
     dx = data.dx
     if fit_frequency is None:
-        power = np.abs(np.fft.rfft(data.values, axis=0)) ** 2
-        power = power.mean(axis=1)[1 : data.n_x // 2 + 1]
+        power = mean_power_spectrum(data.values, axis=0)
         k_peak = int(np.argmax(power)) + 1 if power.size and power.max() > 0 else 1
         w0 = 2.0 * np.pi * k_peak / (data.n_x * dx)
     else:
@@ -376,33 +358,21 @@ def newmark_solve(
     bdofs = _boundary_dofs(mesh, bc.free_right)
     idofs = np.setdiff1d(np.arange(mesh.n_dof), bdofs)
 
-    if bc.free_right:
-        db = np.column_stack([bc.left_w, bc.left_rot])
-        ab = np.column_stack([bc.left_w_acc, bc.left_rot_acc])
-    else:
-        db = np.column_stack([bc.left_w, bc.left_rot, bc.right_w, bc.right_rot])
-        ab = np.column_stack(
-            [bc.left_w_acc, bc.left_rot_acc, bc.right_w_acc, bc.right_rot_acc]
-        )
-
     Mib = M[np.ix_(idofs, bdofs)]
     Kib = K[np.ix_(idofs, bdofs)]
-    forces = -ab @ Mib.T - db @ Kib.T
+    forces = -bc.acceleration @ Mib.T - bc.displacement @ Kib.T
 
     d_hist, _ = newmark_march(
         M[np.ix_(idofs, idofs)], K[np.ix_(idofs, idofs)], forces, dt, d0=d0, v0=v0
     )
 
     deflection = np.empty((mesh.n_nodes, bc.t.size))
+    edge_nodes = bdofs[::2] // 2
+    interior_nodes = np.setdiff1d(np.arange(mesh.n_nodes), edge_nodes)
     # interior deflection dofs sit at even positions of the interior vector
-    interior_nodes = np.setdiff1d(
-        np.arange(mesh.n_nodes), np.array([0] if bc.free_right else [0, mesh.n_nodes - 1])
-    )
     w_cols = np.searchsorted(idofs, 2 * interior_nodes)
     deflection[interior_nodes, :] = d_hist[:, w_cols].T
-    deflection[0, :] = bc.left_w
-    if not bc.free_right:
-        deflection[-1, :] = bc.right_w
+    deflection[edge_nodes, :] = bc.displacement[:, ::2].T
     return FieldGrid(mesh.node_positions, bc.t, deflection)
 
 

@@ -27,7 +27,14 @@ from .material import (
     smape,
 )
 from .beamfem import FemMesh
-from .pipeline import PipelineConfig, StageError, run_pipeline
+from .pipeline import (
+    PipelineConfig,
+    StageError,
+    run_pipeline,
+    write_ensemble_csv,
+    write_json,
+    write_sweep_csv,
+)
 from .preprocess import bandpass_time, downsample_time
 from .synth import BurstSpec, generate_beam_data
 
@@ -49,10 +56,11 @@ def _parse_section(text: str) -> CrossSection:
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParameterError(f"expected 'a,b', got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        a, b = (float(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'a,b', got {text!r}") from None
+    return a, b
 
 
 def _emit(payload: dict) -> None:
@@ -199,9 +207,7 @@ def _cmd_discover(args) -> int:
     result = discover(data, tau=args.tau, tau_hat=args.tau_hat)
     report = result.as_report()
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.json_out, report)
     _emit(
         {
             "pde": report["pde"],
@@ -216,39 +222,11 @@ def _cmd_discover(args) -> int:
 def _cmd_ensemble(args) -> int:
     data = load_field(args.infile)
     result = run_ensemble(data, max_ds=args.max_ds, tau=args.tau)
-    payload = {
-        "n_runs": len(result.runs),
-        "n_success": result.n_success,
-        "modal_support": list(result.modal_support),
-        "support_agreement": result.support_agreement,
-        "stats": {
-            name: {
-                "n_active": s.n_active,
-                "mean": s.mean,
-                "median": s.median,
-                "std": s.std,
-                "min": s.min,
-                "max": s.max,
-            }
-            for name, s in sorted(result.stats.items())
-        },
-    }
+    payload = result.as_report()
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.json_out, payload)
     if args.csv_out:
-        lines = ["d,offset,status,alpha,relative_residual"]
-        for r in result.runs:
-            if r.ok:
-                lines.append(
-                    f"{r.d},{r.offset},ok,{-r.result.coefficient('w_xxxx')!r},"
-                    f"{r.result.relative_residual!r}"
-                )
-            else:
-                lines.append(f"{r.d},{r.offset},failed,{r.error},")
-        with open(args.csv_out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_ensemble_csv(args.csv_out, result)
     _emit(payload)
     return 0
 
@@ -317,10 +295,7 @@ def _cmd_sweep_e(args) -> int:
         window=args.window,
     )
     if args.csv_out:
-        lines = ["youngs_modulus,frobenius_rel"]
-        lines += [f"{m!r},{e!r}" for m, e in zip(result.moduli, result.errors)]
-        with open(args.csv_out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_sweep_csv(args.csv_out, result)
     _emit(
         {
             "best_modulus": result.best_modulus,

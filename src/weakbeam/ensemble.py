@@ -85,6 +85,32 @@ class EnsembleResult:
                 vals.append(r.result.coefficient(name))
         return np.array(vals)
 
+    def as_report(self) -> dict:
+        """JSON-ready summary: run counts, modal support, per-term
+        statistics, and every failed run with its error message."""
+        return {
+            "n_runs": len(self.runs),
+            "n_success": self.n_success,
+            "modal_support": list(self.modal_support),
+            "support_agreement": self.support_agreement,
+            "stats": {
+                name: {
+                    "n_active": s.n_active,
+                    "mean": s.mean,
+                    "median": s.median,
+                    "std": s.std,
+                    "min": s.min,
+                    "max": s.max,
+                }
+                for name, s in sorted(self.stats.items())
+            },
+            "failures": [
+                {"d": r.d, "offset": r.offset, "error": r.error}
+                for r in self.runs
+                if not r.ok
+            ],
+        }
+
 
 def run_ensemble(
     grid: FieldGrid,

@@ -19,7 +19,6 @@ from .errors import ParameterError
 __all__ = [
     "CrossSection",
     "BeamModel",
-    "section_properties",
     "modulus_from_alpha",
     "alpha_from_modulus",
     "frequency_roots",
@@ -77,11 +76,6 @@ class CrossSection:
         return self.width * self.thickness**3 / 12.0
 
 
-def section_properties(section: CrossSection) -> tuple[float, float]:
-    """(area, second moment of area) of a cross section."""
-    return section.area, section.second_moment
-
-
 @dataclass(frozen=True)
 class BeamModel:
     """Uniform prismatic beam: geometry, density, optional modulus."""
@@ -115,15 +109,13 @@ def modulus_from_alpha(alpha: float, beam: BeamModel) -> float:
     """
     if not (alpha > 0):
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    area, second = section_properties(beam.section)
-    return alpha * beam.density * area / second
+    return alpha * beam.density * beam.section.area / beam.section.second_moment
 
 
 def alpha_from_modulus(modulus: float, beam: BeamModel) -> float:
     if not (modulus > 0):
         raise ParameterError(f"modulus must be positive, got {modulus}")
-    area, second = section_properties(beam.section)
-    return modulus * second / (beam.density * area)
+    return modulus * beam.section.second_moment / (beam.density * beam.section.area)
 
 
 def _sech(x: float) -> float:
@@ -158,10 +150,10 @@ def natural_frequencies(
 ) -> np.ndarray:
     """Analytic bending natural frequencies in Hz, ascending."""
     modulus = beam.require_modulus()
-    area, second = section_properties(beam.section)
+    section = beam.section
     roots = frequency_roots(boundary, n_modes)
     scale = math.sqrt(
-        modulus * second / (beam.density * area * beam.length**4)
+        modulus * section.second_moment / (beam.density * section.area * beam.length**4)
     ) / (2.0 * math.pi)
     return roots**2 * scale
 

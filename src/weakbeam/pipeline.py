@@ -8,23 +8,34 @@ a bad file from a bad regression from a bad simulation.
 
 from __future__ import annotations
 
+import csv
 import json
+import numbers
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .beamfem import simulate_measured, sweep_modulus
+from .beamfem import SweepResult, simulate_measured, sweep_modulus
 from .discovery import discover, render_pde
-from .ensemble import run_ensemble
+from .ensemble import EnsembleResult, run_ensemble
 from .errors import DegenerateDataError, ParameterError, WeakbeamError
 from .grid import FieldGrid, load_field, window_time
 from .material import BeamModel, CrossSection, modulus_from_alpha
 from .preprocess import bandpass_time, downsample_time
 from .weakform import default_library
 
-__all__ = ["PipelineConfig", "StageError", "STAGE_EXIT_CODES", "run_pipeline"]
+__all__ = [
+    "PipelineConfig",
+    "StageError",
+    "STAGE_EXIT_CODES",
+    "run_pipeline",
+    "write_json",
+    "write_csv",
+    "write_ensemble_csv",
+    "write_sweep_csv",
+]
 
 STAGE_EXIT_CODES = {
     "ingest": 2,
@@ -47,6 +58,25 @@ class StageError(WeakbeamError):
     @property
     def exit_code(self) -> int:
         return STAGE_EXIT_CODES[self.stage]
+
+
+_REAL, _INT = numbers.Real, numbers.Integral
+
+# JSON kind of every config key: a type, or n for a list of n numbers
+_CONFIG_KINDS = dict(
+    field_path=str, downsample=_INT, band=2, taper_frac=_REAL, window=2, tau=_REAL,
+    tau_hat=2, max_ds=_INT, section=(dict, CrossSection), density=_REAL,
+    nominal_modulus=_REAL, simulate=bool, sweep=3, n_fit=_INT, fourier_order=_INT,
+)
+
+
+def _has_kind(value, kind) -> bool:
+    if isinstance(kind, int):
+        return isinstance(value, (list, tuple)) and len(value) == kind and all(
+            _has_kind(v, _REAL) for v in value
+        )
+    # true/false is an int to Python, but never a number in a config
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -72,22 +102,34 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:
+                raise ParameterError(f"pipeline config {str(path)!r}: {exc}") from None
         return cls.from_dict(raw)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
+        if not isinstance(raw, dict):
+            raise ParameterError("pipeline config must be a JSON object")
+        unknown = set(raw) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ParameterError(f"unknown pipeline config keys: {sorted(unknown)}")
         raw = dict(raw)
-        section = raw.get("section")
-        if isinstance(section, dict):
-            raw["section"] = CrossSection(**section)
+        for key, value in raw.items():
+            nullable = cls.__dataclass_fields__[key].default is None
+            if not (value is None and nullable or _has_kind(value, _CONFIG_KINDS[key])):
+                raise ParameterError(
+                    f"pipeline config key {key!r} has invalid value {value!r}"
+                )
+        if isinstance(raw.get("section"), dict):
+            try:
+                raw["section"] = CrossSection(**raw["section"])
+            except (TypeError, ParameterError) as exc:
+                raise ParameterError(f"pipeline config key 'section': {exc}") from None
         for key in ("band", "window", "tau_hat", "sweep"):
             if raw.get(key) is not None:
                 raw[key] = tuple(raw[key])
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
-        if unknown:
-            raise ParameterError(f"unknown pipeline config keys: {sorted(unknown)}")
         return cls(**raw)
 
     def to_dict(self) -> dict:
@@ -106,15 +148,41 @@ class PipelineConfig:
         return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def write_json(path: str | Path, payload: dict) -> None:
+    """Indented, key-sorted JSON file with a trailing newline."""
+    Path(path).write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """CSV with ``\\n`` line ends; NumPy scalars are written as Python
+    numbers, and cells holding a comma or quote are quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [v.item() if isinstance(v, np.generic) else v for v in row] for row in rows
+        )
+
+
+def write_ensemble_csv(path: str | Path, ensemble: EnsembleResult) -> None:
+    """One row per ensemble run: the stiffness alpha = -(w_xxxx coefficient)
+    and residual, or the error message of a failed run."""
+    write_csv(
+        path,
+        ["d", "offset", "status", "alpha", "relative_residual"],
+        (
+            [r.d, r.offset, "ok", -r.result.coefficient("w_xxxx"), r.result.relative_residual]
+            if r.ok
+            else [r.d, r.offset, "failed", r.error, ""]
+            for r in ensemble.runs
+        ),
+    )
+
+
+def write_sweep_csv(path: str | Path, sweep: SweepResult) -> None:
+    write_csv(path, ["youngs_modulus", "frobenius_rel"], zip(sweep.moduli, sweep.errors))
 
 
 def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> dict:
@@ -202,28 +270,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
             )
         except WeakbeamError as exc:
             raise StageError("ensemble", exc) from exc
-        report["ensemble"] = {
-            "n_runs": len(ensemble.runs),
-            "n_success": ensemble.n_success,
-            "modal_support": list(ensemble.modal_support),
-            "support_agreement": ensemble.support_agreement,
-            "stats": {
-                name: {
-                    "n_active": s.n_active,
-                    "mean": s.mean,
-                    "median": s.median,
-                    "std": s.std,
-                    "min": s.min,
-                    "max": s.max,
-                }
-                for name, s in sorted(ensemble.stats.items())
-            },
-            "failures": [
-                {"d": r.d, "offset": r.offset, "error": r.error}
-                for r in ensemble.runs
-                if not r.ok
-            ],
-        }
+        report["ensemble"] = ensemble.as_report()
         timing["ensemble"] = time.perf_counter() - t0
 
     # material
@@ -237,12 +284,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
             )
             alpha = -result.coefficient("w_xxxx")
             modulus = modulus_from_alpha(alpha, beam)
-            beam = BeamModel(
-                section=config.section,
-                length=windowed.x_extent,
-                density=config.density,
-                youngs_modulus=modulus,
-            )
+            beam = replace(beam, youngs_modulus=modulus)
         except (WeakbeamError, KeyError) as exc:
             raise StageError("material", exc) from exc
         material = {"alpha": alpha, "youngs_modulus": modulus}
@@ -255,6 +297,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
         timing["material"] = time.perf_counter() - t0
 
     # simulate / sweep
+    sweep = None
     if config.simulate and beam is not None and not degenerate:
         t0 = begin("simulate")
         try:
@@ -296,32 +339,11 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "report.json", report)
+        write_json(out / "report.json", report)
         if result is not None:
-            _write_csv(
-                out / "loss_curve.csv",
-                ["lambda", "loss"],
-                [[float(l), float(v)] for l, v in result.solution.loss_curve],
-            )
+            write_csv(out / "loss_curve.csv", ["lambda", "loss"], result.solution.loss_curve)
         if ensemble is not None:
-            rows = []
-            for r in ensemble.runs:
-                if r.ok:
-                    rows.append(
-                        [r.d, r.offset, "ok", -r.result.coefficient("w_xxxx"),
-                         r.result.relative_residual]
-                    )
-                else:
-                    rows.append([r.d, r.offset, "failed", r.error, ""])
-            _write_csv(
-                out / "ensemble.csv",
-                ["d", "offset", "status", "alpha", "relative_residual"],
-                rows,
-            )
-        if "sweep" in report:
-            _write_csv(
-                out / "sweep.csv",
-                ["youngs_modulus", "frobenius_rel"],
-                [[float(m), float(e)] for m, e in zip(report["sweep"]["moduli"], report["sweep"]["errors"])],
-            )
+            write_ensemble_csv(out / "ensemble.csv", ensemble)
+        if sweep is not None:
+            write_sweep_csv(out / "sweep.csv", sweep)
     return report

@@ -35,6 +35,7 @@ __all__ = [
     "CornerDiagnostic",
     "WeakSystem",
     "reference_testfn_1d",
+    "mean_power_spectrum",
     "spectral_corner",
     "select_support",
     "default_query_strides",
@@ -46,8 +47,6 @@ __all__ = [
 # Hard cap on the polynomial degree parameter; beyond this the profile is
 # so narrow that quadrature on integer samples loses accuracy.
 P_MAX = 16
-
-LAMBDA_GRID_SIZE = 100
 
 # Queries per axis the default stride rule aims for.
 _TARGET_QUERIES_PER_AXIS = 44
@@ -216,6 +215,13 @@ def _changepoint(y: np.ndarray, hi: int) -> int:
     return int(b_candidates[int(np.argmin(total))]) + 1
 
 
+def mean_power_spectrum(values: np.ndarray, axis: int) -> np.ndarray:
+    """Squared real-FFT magnitude along ``axis``, averaged over the other
+    axis, for bins 1 .. n // 2 (the mean, bin 0, is dropped)."""
+    power = np.abs(np.fft.rfft(values, axis=axis)) ** 2
+    return power.mean(axis=1 - axis)[1 : values.shape[axis] // 2 + 1]
+
+
 def spectral_corner(values: np.ndarray, axis: int) -> CornerDiagnostic:
     """Locate the knee of the power spectrum along one axis.
 
@@ -245,11 +251,8 @@ def spectral_corner(values: np.ndarray, axis: int) -> CornerDiagnostic:
         raise ParameterError("expected a 2-d field array")
     if axis not in (0, 1):
         raise ParameterError(f"axis must be 0 or 1, got {axis}")
-    power = np.abs(np.fft.rfft(values, axis=axis)) ** 2
-    power = power.mean(axis=1 - axis)
-    n = values.shape[axis]
-    n_bins = n // 2
-    power = power[1 : n_bins + 1]
+    power = mean_power_spectrum(values, axis)
+    n_bins = values.shape[axis] // 2
     if power.size == 0 or power.max() <= 0.0:
         raise DegenerateDataError("field has no spectral content along axis")
     # exact-zero bins (e.g. a masked stopband) get a relative floor so the

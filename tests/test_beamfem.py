@@ -250,10 +250,8 @@ def test_driven_fundamental_mode_tracks_analytic_solution():
 def test_solver_rejects_nonuniform_history():
     beam = make_beam()
     t = np.array([0.0, 1e-6, 2e-6, 4e-6, 8e-6])
-    zeros = np.zeros_like(t)
-    bc = BoundaryHistory(
-        t=t, left_w=zeros, left_rot=zeros, left_w_acc=zeros, left_rot_acc=zeros
-    )
+    zeros = np.zeros((t.size, 2))
+    bc = BoundaryHistory(t=t, displacement=zeros, acceleration=zeros)
     with pytest.raises(ParameterError):
         newmark_solve(mesh_for(beam, 4), beam, bc)
 
@@ -287,11 +285,8 @@ def test_boundary_history_validation():
     with pytest.raises(ParameterError):
         BoundaryHistory(
             t=t,
-            left_w=zeros,
-            left_rot=zeros,
-            left_w_acc=zeros,
-            left_rot_acc=zeros,
-            right_w=zeros,  # rotation series missing
+            displacement=np.zeros((t.size, 3)),  # right rotation missing
+            acceleration=np.zeros((t.size, 3)),
         )
     bc = BoundaryHistory.from_ends(t=t, left_w=zeros, left_rot=zeros)
     assert bc.free_right
@@ -305,11 +300,12 @@ def test_boundary_history_validation():
 def test_extract_constant_field_has_flat_edges():
     g = FieldGrid(np.arange(30) * 1e-3, np.arange(40) * 1e-6, np.full((30, 40), 2.5))
     bc = extract_boundaries(g, n_fit=15, order=2)
-    assert np.allclose(bc.left_w, 2.5, rtol=1e-15, atol=0)
-    assert np.allclose(bc.right_w, 2.5, rtol=1e-15, atol=0)
-    assert np.abs(bc.left_rot).max() <= 1e-10
-    assert np.abs(bc.right_rot).max() <= 1e-10
-    assert np.abs(bc.left_w_acc).max() <= 1e-10
+    left_w, left_rot, right_w, right_rot = bc.displacement.T
+    assert np.allclose(left_w, 2.5, rtol=1e-15, atol=0)
+    assert np.allclose(right_w, 2.5, rtol=1e-15, atol=0)
+    assert np.abs(left_rot).max() <= 1e-10
+    assert np.abs(right_rot).max() <= 1e-10
+    assert np.abs(bc.acceleration[:, 0]).max() <= 1e-10
 
 
 def test_extract_recovers_sinusoid_rotation():
@@ -325,8 +321,8 @@ def test_extract_recovers_sinusoid_rotation():
         bc = extract_boundaries(g, n_fit=25, order=3, **kwargs)
         want_left = k * c
         want_right = k * np.cos(k * x[-1]) * c
-        assert np.allclose(bc.left_rot, want_left, rtol=1e-8, atol=0)
-        assert np.allclose(bc.right_rot, want_right, rtol=1e-6, atol=1e-8 * k)
+        assert np.allclose(bc.displacement[:, 1], want_left, rtol=1e-8, atol=0)
+        assert np.allclose(bc.displacement[:, 3], want_right, rtol=1e-6, atol=1e-8 * k)
 
 
 def test_extract_linear_in_time_has_zero_acceleration():
@@ -336,7 +332,7 @@ def test_extract_linear_in_time_has_zero_acceleration():
     g = FieldGrid(x, t, np.outer(np.cos(5 * x), 2.0 + 3e4 * t))
     bc = extract_boundaries(g, n_fit=15, order=2)
     scale = np.abs(g.values[0]).max() / g.dt**2
-    assert np.abs(bc.left_w_acc).max() <= 1e-10 * scale
+    assert np.abs(bc.acceleration[:, 0]).max() <= 1e-10 * scale
 
 
 def test_extract_validation():

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from conftest import AL_MODULUS
 from oracles import analytic_beam_frequencies
 from weakbeam.cli import main
-from weakbeam.grid import load_field
+from weakbeam.errors import ParameterError
+from weakbeam.grid import FieldGrid, load_field, save_field
 from weakbeam.material import CrossSection
+from weakbeam.pipeline import PipelineConfig, run_pipeline
 
 SYNTH_FLAGS = [
     "--section", "circle:d=6.35e-3",
@@ -211,3 +214,97 @@ def test_pipeline_subcommand_runs(capsys, synth_file, tmp_path):
     payload = run_json(capsys, ["pipeline", "--config", str(config)])
     assert payload["discovery"]["support"] == ["w_xxxx"]
     assert payload["stages"] == ["ingest", "preprocess", "discover"]
+
+
+# ------------------------------------------------- report and CSV formats
+
+def read_checked_csv(path):
+    """Rows of a written CSV: each as wide as the header, and every numeric
+    cell (all but ``status`` and a failed run's alpha/residual) a float."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    for row in rows:
+        assert len(row) == len(header), row
+        cells = dict(zip(header, row))
+        if cells.pop("status", "ok") != "ok":
+            cells = {"d": cells["d"], "offset": cells["offset"]}
+        for cell in cells.values():
+            float(cell)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def narrow_runs(edge_field, tmp_path_factory):
+    """Ensemble over a 15x251 corner of a synth field, by the CLI and by the
+    pipeline: most decimated subsets are too short and fail."""
+    work = tmp_path_factory.mktemp("narrow")
+    field = work / "narrow.field"
+    sub = edge_field.values[:15, :251]
+    save_field(FieldGrid(edge_field.x[:15], edge_field.t[:251], sub), field)
+    argv = ["ensemble", "--in", str(field), "--max-ds", "10",
+            "--json", str(work / "ensemble.json"), "--csv", str(work / "ensemble.csv")]
+    assert main(argv) == 0
+    report = run_pipeline(
+        PipelineConfig(field_path=str(field), max_ds=10), out_dir=work / "pipeline"
+    )
+    return work, report
+
+
+def test_every_written_csv_parses(capsys, narrow_runs, synth_file, tmp_path):
+    work, _ = narrow_runs
+    sweep_csv = tmp_path / "sweep.csv"
+    run_json(
+        capsys,
+        ["sweep-e", "--in", str(synth_file), "--section", "circle:d=6.35e-3",
+         "--density", "2721.9", "--e-lo", "6.5e10", "--e-hi", "7.5e10", "--n", "2",
+         "--csv", str(sweep_csv)],
+    )
+    assert len(read_checked_csv(sweep_csv)) == 2
+    assert len(read_checked_csv(work / "pipeline" / "loss_curve.csv")) == 100
+    for path in (work / "ensemble.csv", work / "pipeline" / "ensemble.csv"):
+        rows = read_checked_csv(path)
+        assert len(rows) == 55
+        # failure messages carrying a comma stay in one quoted cell
+        assert any(row[2] == "failed" and "," in row[3] for row in rows)
+
+
+def test_ensemble_json_matches_the_pipeline_report(narrow_runs):
+    work, report = narrow_runs
+    payload = json.loads((work / "ensemble.json").read_text(encoding="utf-8"))
+    assert payload == report["ensemble"]
+    assert payload["failures"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["discover", "--in", "x.field", "--tau-hat", "1,2,3"],
+        ["preprocess", "--in", "x.field", "--out", "y.field", "--band", "1e3"],
+        ["simulate", "--in", "x.field", "--section", "circle:d=1", "--density", "1",
+         "--modulus", "1", "--window", "0,late"],
+    ],
+)
+def test_bad_pair_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected 'a,b'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, culprit",
+    [
+        ('{"field_path": "x", "section": {"kind": "circle", "d": 1}}', "section"),
+        ('{"field_path": "x", "max_ds": "3"}', "max_ds"),
+        ('{"field_path": "x",', "config.json"),
+    ],
+)
+def test_bad_pipeline_config_is_an_error(capsys, tmp_path, text, culprit):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    with pytest.raises(ParameterError, match=culprit):
+        PipelineConfig.from_json(config)
+    assert main(["pipeline", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and culprit in err
