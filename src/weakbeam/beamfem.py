@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh
+from scipy.linalg.blas import dsbmv
 
 from .errors import DegenerateDataError, DimensionError, ParameterError
 from .grid import FieldGrid, window_time
@@ -78,8 +79,11 @@ class FemMesh:
         return np.arange(self.n_nodes) * self.dx
 
 
-def _element_matrices(stiffness: float, mass: float, ell: float):
-    """4x4 Hermite element stiffness (EI-scaled) and consistent mass."""
+def _element_matrices(mesh: FemMesh, beam: BeamModel):
+    """4x4 Hermite consistent mass and (EI-scaled) stiffness of one element."""
+    stiffness = beam.require_modulus() * beam.section.second_moment
+    mass = beam.density * beam.section.area
+    ell = mesh.dx
     k = stiffness / ell**3 * np.array(
         [
             [12.0, 6.0 * ell, -12.0, 6.0 * ell],
@@ -96,42 +100,35 @@ def _element_matrices(stiffness: float, mass: float, ell: float):
             [-13.0 * ell, -3.0 * ell**2, -22.0 * ell, 4.0 * ell**2],
         ]
     )
-    return k, m
+    return m, k
 
 
 def assemble_matrices(mesh: FemMesh, beam: BeamModel) -> tuple[np.ndarray, np.ndarray]:
-    """(M, K) global consistent mass and stiffness, dense symmetric."""
-    modulus = beam.require_modulus()
-    section = beam.section
-    ke, me = _element_matrices(
-        modulus * section.second_moment, beam.density * section.area, mesh.dx
-    )
-    n = mesh.n_dof
-    K = np.zeros((n, n))
-    M = np.zeros((n, n))
-    for e in range(mesh.n_elements):
-        sl = slice(2 * e, 2 * e + 4)
-        K[sl, sl] += ke
-        M[sl, sl] += me
+    """(M, K) global consistent mass and stiffness in LAPACK upper banded
+    storage, shape ``(_HALF_BANDWIDTH + 1, n_dof)``.
+
+    Entry ``(i, j)`` with ``i <= j <= i + _HALF_BANDWIDTH`` sits at
+    ``[_HALF_BANDWIDTH + i - j, j]``; the top-left triangle of the band,
+    which LAPACK and BLAS never read, is zero.
+    """
+    me, ke = _element_matrices(mesh, beam)
+    M = np.zeros((_HALF_BANDWIDTH + 1, mesh.n_dof))
+    K = np.zeros_like(M)
+    # element e puts its (i, j) entry on global dofs (2e + i, 2e + j)
+    span = 2 * mesh.n_elements
+    for i in range(4):
+        for j in range(i, 4):
+            row, cols = _HALF_BANDWIDTH + i - j, slice(j, j + span, 2)
+            M[row, cols] += me[i, j]
+            K[row, cols] += ke[i, j]
     return M, K
 
 
-def _to_banded_upper(a: np.ndarray, half: int = _HALF_BANDWIDTH) -> np.ndarray:
-    n = a.shape[0]
-    ab = np.zeros((half + 1, n))
-    for diag in range(half + 1):
-        ab[half - diag, diag:] = np.diagonal(a, diag)
-    return ab
-
-
-class _BandedSpd:
-    """Cached banded Cholesky factorization of a symmetric banded matrix."""
-
-    def __init__(self, a: np.ndarray):
-        self._factor = cholesky_banded(_to_banded_upper(a), lower=False)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve_banded((self._factor, False), rhs)
+def _dense(band: np.ndarray) -> np.ndarray:
+    """The symmetric matrix held in upper banded storage."""
+    h = _HALF_BANDWIDTH
+    upper = sum(np.diag(band[h - k, k:], k) for k in range(1, h + 1))
+    return np.diag(band[h]) + upper + upper.T
 
 
 def second_difference(series: np.ndarray, dt: float) -> np.ndarray:
@@ -293,24 +290,29 @@ def newmark_march(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate ``M a + K d = f(t)`` with the average-acceleration rule.
 
-    ``forces`` has one row per time step (including step 0).  Returns
-    displacement and velocity histories of the same shape.  The scheme is
-    unconditionally stable and, for undamped linear systems, conserves
-    the discrete energy ``(v' M v + d' K d) / 2`` up to round-off.
+    ``M`` and ``K`` are symmetric, in the upper banded storage that
+    :func:`assemble_matrices` returns.  ``forces`` has one row per time
+    step (including step 0).  Returns displacement and velocity histories
+    of the same shape.  The scheme is unconditionally stable and, for
+    undamped linear systems, conserves the discrete energy
+    ``(v' M v + d' K d) / 2`` up to round-off.
     """
     forces = np.asarray(forces, dtype=float)
-    if forces.ndim != 2 or forces.shape[1] != M.shape[0]:
+    if forces.ndim != 2:
         raise ParameterError("forces must be (n_steps + 1, n_dof)")
+    n_steps, n = forces.shape[0] - 1, forces.shape[1]
+    band = (_HALF_BANDWIDTH + 1, n)
+    if np.shape(M) != band or np.shape(K) != band:
+        raise ParameterError(f"M and K must be banded {band}, got {np.shape(M)}, {np.shape(K)}")
     if not (dt > 0):
         raise ParameterError(f"dt must be positive, got {dt}")
-    n_steps = forces.shape[0] - 1
-    n = M.shape[0]
     d = np.zeros(n) if d0 is None else np.asarray(d0, dtype=float).copy()
     v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float).copy()
 
-    mass = _BandedSpd(M)
-    effective = _BandedSpd(M + NEWMARK_BETA * dt**2 * K)
-    a = mass.solve(forces[0] - K @ d)
+    K = np.asfortranarray(K, dtype=float)  # dsbmv would copy it every step
+    mass = (cholesky_banded(M), False)
+    effective = (cholesky_banded(M + NEWMARK_BETA * dt**2 * K), False)
+    a = cho_solve_banded(mass, forces[0] - dsbmv(_HALF_BANDWIDTH, 1.0, K, d))
 
     d_hist = np.empty((n_steps + 1, n))
     v_hist = np.empty((n_steps + 1, n))
@@ -319,19 +321,14 @@ def newmark_march(
     for k in range(n_steps):
         d_pred = d + dt * v + (0.5 - b) * dt**2 * a
         v_pred = v + (1.0 - g) * dt * a
-        a_next = effective.solve(forces[k + 1] - K @ d_pred)
+        a_next = cho_solve_banded(
+            effective, forces[k + 1] - dsbmv(_HALF_BANDWIDTH, 1.0, K, d_pred)
+        )
         d = d_pred + b * dt**2 * a_next
         v = v_pred + g * dt * a_next
         a = a_next
         d_hist[k + 1], v_hist[k + 1] = d, v
     return d_hist, v_hist
-
-
-def _boundary_dofs(mesh: FemMesh, free_right: bool) -> np.ndarray:
-    n = mesh.n_dof
-    if free_right:
-        return np.array([0, 1])
-    return np.array([0, 1, n - 2, n - 1])
 
 
 def newmark_solve(
@@ -355,24 +352,28 @@ def newmark_solve(
         raise ParameterError("boundary history time axis must be uniform")
 
     M, K = assemble_matrices(mesh, beam)
-    bdofs = _boundary_dofs(mesh, bc.free_right)
-    idofs = np.setdiff1d(np.arange(mesh.n_dof), bdofs)
+    me, ke = _element_matrices(mesh, beam)
+    # the interior dofs are contiguous: all but the first node's, and the
+    # last node's unless the far end is free
+    n_inner = mesh.n_dof - bc.displacement.shape[1]
+    inner = slice(2, 2 + n_inner)
 
-    Mib = M[np.ix_(idofs, bdofs)]
-    Kib = K[np.ix_(idofs, bdofs)]
-    forces = -bc.acceleration @ Mib.T - bc.displacement @ Kib.T
+    # Each prescribed end belongs to one element, so it loads only the two
+    # interior dofs next to it, through that element's off-diagonal block.
+    forces = np.zeros((bc.t.size, n_inner))
+    forces[:, :2] -= bc.acceleration[:, :2] @ me[:2, 2:] + bc.displacement[:, :2] @ ke[:2, 2:]
+    if not bc.free_right:
+        forces[:, -2:] -= (
+            bc.acceleration[:, 2:] @ me[2:, :2] + bc.displacement[:, 2:] @ ke[2:, :2]
+        )
 
-    d_hist, _ = newmark_march(
-        M[np.ix_(idofs, idofs)], K[np.ix_(idofs, idofs)], forces, dt, d0=d0, v0=v0
-    )
+    d_hist, _ = newmark_march(M[:, inner], K[:, inner], forces, dt, d0=d0, v0=v0)
 
     deflection = np.empty((mesh.n_nodes, bc.t.size))
-    edge_nodes = bdofs[::2] // 2
-    interior_nodes = np.setdiff1d(np.arange(mesh.n_nodes), edge_nodes)
-    # interior deflection dofs sit at even positions of the interior vector
-    w_cols = np.searchsorted(idofs, 2 * interior_nodes)
-    deflection[interior_nodes, :] = d_hist[:, w_cols].T
-    deflection[edge_nodes, :] = bc.displacement[:, ::2].T
+    # interior deflections are the even interior dofs, on nodes 1 .. n_inner/2
+    deflection[1 : 1 + n_inner // 2] = d_hist[:, ::2].T
+    edge_nodes = [0] if bc.free_right else [0, mesh.n_nodes - 1]
+    deflection[edge_nodes] = bc.displacement[:, ::2].T
     return FieldGrid(mesh.node_positions, bc.t, deflection)
 
 
@@ -385,7 +386,6 @@ def beam_eigenfrequencies(
     """Lowest bending natural frequencies (Hz) of the discrete model."""
     if n_modes < 1:
         raise ParameterError(f"n_modes must be >= 1, got {n_modes}")
-    M, K = assemble_matrices(mesh, beam)
     n = mesh.n_dof
     if boundary == "pinned-pinned":
         fixed = [0, n - 2]
@@ -395,15 +395,12 @@ def beam_eigenfrequencies(
         fixed = [0, 1, n - 2, n - 1]
     else:
         raise ParameterError(f"unknown boundary {boundary!r}")
-    keep = np.setdiff1d(np.arange(n), fixed)
-    if n_modes > keep.size:
-        raise ParameterError(f"mesh supports at most {keep.size} modes")
-    vals = eigh(
-        K[np.ix_(keep, keep)],
-        M[np.ix_(keep, keep)],
-        eigvals_only=True,
-        subset_by_index=[0, n_modes - 1],
-    )
+    keep = np.ones(n, dtype=bool)
+    keep[fixed] = False
+    if n_modes > keep.sum():
+        raise ParameterError(f"mesh supports at most {keep.sum()} modes")
+    M, K = (_dense(a)[keep][:, keep] for a in assemble_matrices(mesh, beam))
+    vals = eigh(K, M, eigvals_only=True, subset_by_index=[0, n_modes - 1])
     return np.sqrt(np.maximum(vals, 0.0)) / (2.0 * np.pi)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, replace
@@ -133,18 +134,13 @@ class PipelineConfig:
         return cls(**raw)
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; a section leaves out the dimensions its kind
+        does not use, which are NaN."""
         out = asdict(self)
         if self.section is not None:
-            sec = {"kind": self.section.kind}
-            if self.section.kind == "circle":
-                sec["diameter"] = self.section.diameter
-            else:
-                sec["width"] = self.section.width
-                sec["thickness"] = self.section.thickness
-            out["section"] = sec
-        for key in ("band", "window", "tau_hat", "sweep"):
-            if out[key] is not None:
-                out[key] = list(out[key])
+            out["section"] = {
+                k: v for k, v in out["section"].items() if k == "kind" or not math.isnan(v)
+            }
         return out
 
 
@@ -173,7 +169,8 @@ def write_ensemble_csv(path: str | Path, ensemble: EnsembleResult) -> None:
         path,
         ["d", "offset", "status", "alpha", "relative_residual"],
         (
-            [r.d, r.offset, "ok", -r.result.coefficient("w_xxxx"), r.result.relative_residual]
+            # 0.0 - c, since -c turns an inactive term's 0.0 into -0.0
+            [r.d, r.offset, "ok", 0.0 - r.result.coefficient("w_xxxx"), r.result.relative_residual]
             if r.ok
             else [r.d, r.offset, "failed", r.error, ""]
             for r in ensemble.runs

@@ -2,7 +2,8 @@
 
 Everything here is written from the defining formulas, deliberately
 avoiding the package's own computational shortcuts (FFT convolution,
-banded solves, closed-form spectra) so agreement is meaningful.
+banded storage and solves, closed-form spectra) so agreement is
+meaningful.
 """
 
 import numpy as np
@@ -77,3 +78,84 @@ def dense_weak_system(grid, library, basis, scales=(1.0, 1.0, 1.0),
     for j, term in enumerate(library.terms):
         G[:, j] = [inner(term, ix, it) for ix, it in query_points]
     return G, b, np.asarray(query_points)
+
+
+def dense_from_band(band):
+    """Symmetric n x n matrix from LAPACK upper banded storage, entry by
+    entry: ``a[i, j] = a[j, i] = band[u + i - j, j]`` for ``0 <= j - i <= u``."""
+    u = band.shape[0] - 1
+    n = band.shape[1]
+    a = np.zeros((n, n))
+    for j in range(n):
+        for i in range(max(0, j - u), j + 1):
+            a[i, j] = a[j, i] = band[u + i - j, j]
+    return a
+
+
+def dense_beam_matrices(mesh, beam):
+    """Dense global (M, K) of a uniform Hermite-cubic beam, element by
+    element from the textbook 4x4 consistent mass and stiffness."""
+    ell = mesh.dx
+    ei = beam.youngs_modulus * beam.section.second_moment
+    rho_a = beam.density * beam.section.area
+    ke = ei / ell**3 * np.array(
+        [
+            [12, 6 * ell, -12, 6 * ell],
+            [6 * ell, 4 * ell**2, -6 * ell, 2 * ell**2],
+            [-12, -6 * ell, 12, -6 * ell],
+            [6 * ell, 2 * ell**2, -6 * ell, 4 * ell**2],
+        ]
+    )
+    me = rho_a * ell / 420 * np.array(
+        [
+            [156, 22 * ell, 54, -13 * ell],
+            [22 * ell, 4 * ell**2, 13 * ell, -3 * ell**2],
+            [54, 13 * ell, 156, -22 * ell],
+            [-13 * ell, -3 * ell**2, -22 * ell, 4 * ell**2],
+        ]
+    )
+    n = mesh.n_dof
+    M = np.zeros((n, n))
+    K = np.zeros((n, n))
+    for e in range(mesh.n_elements):
+        sl = slice(2 * e, 2 * e + 4)
+        M[sl, sl] += me
+        K[sl, sl] += ke
+    return M, K
+
+
+def dense_newmark_solve(mesh, beam, bc, d0=None, v0=None):
+    """Edge-driven deflection field (n_nodes, n_t) on the dense system.
+
+    The boundary dofs (first node, and last node unless ``bc`` leaves the
+    far end free) are partitioned off; the interior obeys
+    ``M_ii a_i + K_ii d_i = -M_ib a_b - K_ib d_b``, marched with the
+    average-acceleration Newmark rule and ``np.linalg.solve`` each step.
+    """
+    M, K = dense_beam_matrices(mesh, beam)
+    n = mesh.n_dof
+    bdofs = np.array([0, 1] if bc.free_right else [0, 1, n - 2, n - 1])
+    idofs = np.setdiff1d(np.arange(n), bdofs)
+    Mii, Kii = M[np.ix_(idofs, idofs)], K[np.ix_(idofs, idofs)]
+    Mib, Kib = M[np.ix_(idofs, bdofs)], K[np.ix_(idofs, bdofs)]
+    forces = -bc.acceleration @ Mib.T - bc.displacement @ Kib.T
+
+    dt = (bc.t[-1] - bc.t[0]) / (bc.t.size - 1)
+    beta, gamma = 0.25, 0.5
+    d = np.zeros(idofs.size) if d0 is None else np.array(d0, dtype=float)
+    v = np.zeros(idofs.size) if v0 is None else np.array(v0, dtype=float)
+    a = np.linalg.solve(Mii, forces[0] - Kii @ d)
+    effective = Mii + beta * dt**2 * Kii
+    d_hist = [d]
+    for f in forces[1:]:
+        d_pred = d + dt * v + (0.5 - beta) * dt**2 * a
+        v_pred = v + (1 - gamma) * dt * a
+        a = np.linalg.solve(effective, f - Kii @ d_pred)
+        d = d_pred + beta * dt**2 * a
+        v = v_pred + gamma * dt * a
+        d_hist.append(d)
+
+    deflection = np.empty((mesh.n_nodes, bc.t.size))
+    deflection[bdofs[::2] // 2] = bc.displacement[:, ::2].T
+    deflection[idofs[::2] // 2] = np.array(d_hist)[:, ::2].T
+    return deflection

@@ -162,13 +162,13 @@ def test_newmark_energy_conservation():
     beam = make_beam()
     mesh = FemMesh(20, beam.length / 20)
     M, K = assemble_matrices(mesh, beam)
-    keep = np.setdiff1d(
-        np.arange(mesh.n_dof), [0, 1, mesh.n_dof - 2, mesh.n_dof - 1]
-    )
-    Mr, Kr = M[np.ix_(keep, keep)], K[np.ix_(keep, keep)]
+    # clamped-clamped interior: every dof but the first and last node's
+    Mr, Kr = M[:, 2:-2], K[:, 2:-2]
+    n_inner = Mr.shape[1]
     rng = np.random.default_rng(0)
-    d0 = 1e-4 * rng.standard_normal(keep.size)
-    d_hist, v_hist = newmark_march(Mr, Kr, np.zeros((1001, keep.size)), 1e-6, d0=d0)
+    d0 = 1e-4 * rng.standard_normal(n_inner)
+    d_hist, v_hist = newmark_march(Mr, Kr, np.zeros((1001, n_inner)), 1e-6, d0=d0)
+    Mr, Kr = oracles.dense_from_band(Mr), oracles.dense_from_band(Kr)
     energy = 0.5 * (
         np.einsum("ti,ij,tj->t", v_hist, Mr, v_hist)
         + np.einsum("ti,ij,tj->t", d_hist, Kr, d_hist)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import make_beam
-from oracles import analytic_beam_frequencies
+from oracles import (
+    analytic_beam_frequencies,
+    dense_beam_matrices,
+    dense_from_band,
+    dense_newmark_solve,
+)
 from weakbeam.beamfem import (
     BoundaryHistory,
     FemMesh,
@@ -83,28 +88,28 @@ def test_assembly_matches_textbook_element_overlap():
         sl = slice(2 * e, 2 * e + 4)
         K_want[sl, sl] += ke
         M_want[sl, sl] += me
-    M, K = assemble_matrices(mesh, beam)
+    M, K = map(dense_from_band, assemble_matrices(mesh, beam))
     assert np.allclose(K, K_want, rtol=1e-15, atol=0)
     assert np.allclose(M, M_want, rtol=1e-15, atol=0)
 
 
 def test_matrices_are_symmetric():
     beam = make_beam()
-    M, K = assemble_matrices(mesh_for(beam, 7), beam)
+    M, K = map(dense_from_band, assemble_matrices(mesh_for(beam, 7), beam))
     assert np.array_equal(M, M.T)
     assert np.array_equal(K, K.T)
 
 
 def test_mass_is_positive_definite():
     beam = make_beam()
-    M, _ = assemble_matrices(mesh_for(beam, 8), beam)
+    M = dense_from_band(assemble_matrices(mesh_for(beam, 8), beam)[0])
     np.linalg.cholesky(M)  # raises if not SPD
 
 
 def test_stiffness_has_exactly_two_rigid_body_modes():
     beam = make_beam()
     mesh = mesh_for(beam, 8)
-    _, K = assemble_matrices(mesh, beam)
+    K = dense_from_band(assemble_matrices(mesh, beam)[1])
     x = mesh.node_positions
     translation = np.zeros(mesh.n_dof)
     translation[0::2] = 1.0
@@ -116,6 +121,17 @@ def test_stiffness_has_exactly_two_rigid_body_modes():
     assert np.abs(K @ tilt).max() <= 1e-12 * scale * max(1.0, x.max())
     vals = np.linalg.eigvalsh(K)
     assert vals[2] > 1e-8 * scale  # third mode is genuinely stiff
+
+
+def test_banded_assembly_matches_the_dense_oracle():
+    beam = make_beam()
+    mesh = mesh_for(beam, 9)
+    M, K = assemble_matrices(mesh, beam)
+    assert M.shape == K.shape == (4, mesh.n_dof)
+    for band, want in zip((M, K), dense_beam_matrices(mesh, beam)):
+        assert np.allclose(dense_from_band(band), want, rtol=1e-15, atol=0)
+        # the top-left triangle of the band lies outside the matrix
+        assert all(not band[3 - k, :k].any() for k in (1, 2, 3))
 
 
 def test_matrices_require_modulus():
@@ -163,14 +179,14 @@ def test_eigenfrequency_validation():
 # ------------------------------------------------------------- time stepping
 
 def reduced_free_vibration(beam, n_elements=20):
-    mesh = mesh_for(beam, n_elements)
-    M, K = assemble_matrices(mesh, beam)
-    fixed = [0, 1, mesh.n_dof - 2, mesh.n_dof - 1]
-    keep = np.setdiff1d(np.arange(mesh.n_dof), fixed)
-    return M[np.ix_(keep, keep)], K[np.ix_(keep, keep)]
+    # clamped-clamped: the interior dofs are all but the first and last
+    # node's, a contiguous block of the band
+    M, K = assemble_matrices(mesh_for(beam, n_elements), beam)
+    return M[:, 2:-2], K[:, 2:-2]
 
 
 def march_energy(M, K, d_hist, v_hist):
+    M, K = dense_from_band(M), dense_from_band(K)
     kinetic = np.einsum("ti,ij,tj->t", v_hist, M, v_hist)
     elastic = np.einsum("ti,ij,tj->t", d_hist, K, d_hist)
     return 0.5 * (kinetic + elastic)
@@ -180,8 +196,8 @@ def test_newmark_conserves_energy():
     beam = make_beam()
     M, K = reduced_free_vibration(beam)
     rng = np.random.default_rng(0)
-    d0 = 1e-4 * rng.standard_normal(M.shape[0])
-    forces = np.zeros((1001, M.shape[0]))
+    d0 = 1e-4 * rng.standard_normal(M.shape[1])
+    forces = np.zeros((1001, M.shape[1]))
     d_hist, v_hist = newmark_march(M, K, forces, dt=1e-6, d0=d0)
     energy = march_energy(M, K, d_hist, v_hist)
     assert np.abs(energy - energy[0]).max() / energy[0] < 1e-8
@@ -191,8 +207,8 @@ def test_newmark_is_stable_over_long_runs():
     beam = make_beam()
     M, K = reduced_free_vibration(beam)
     rng = np.random.default_rng(1)
-    d0 = 1e-4 * rng.standard_normal(M.shape[0])
-    forces = np.zeros((10001, M.shape[0]))
+    d0 = 1e-4 * rng.standard_normal(M.shape[1])
+    forces = np.zeros((10001, M.shape[1]))
     d_hist, v_hist = newmark_march(M, K, forces, dt=1e-6, d0=d0)
     energy = march_energy(M, K, d_hist, v_hist)
     assert energy.max() <= energy[0] * (1.0 + 1e-6)
@@ -202,9 +218,15 @@ def test_newmark_validation():
     beam = make_beam()
     M, K = reduced_free_vibration(beam, n_elements=4)
     with pytest.raises(ParameterError):
-        newmark_march(M, K, np.zeros((10, M.shape[0] + 1)), dt=1e-6)
+        newmark_march(M, K, np.zeros((10, M.shape[1] + 1)), dt=1e-6)
     with pytest.raises(ParameterError):
-        newmark_march(M, K, np.zeros((10, M.shape[0])), dt=0.0)
+        newmark_march(M, K, np.zeros((10, M.shape[1])), dt=0.0)
+    # dense n x n matrices are not the banded operators the march reads
+    dense_M, dense_K = dense_from_band(M), dense_from_band(K)
+    with pytest.raises(ParameterError):
+        newmark_march(dense_M, dense_K, np.zeros((10, M.shape[1])), dt=1e-6)
+    with pytest.raises(ParameterError):
+        newmark_march(M, dense_K, np.zeros((10, M.shape[1])), dt=1e-6)
 
 
 def test_quiet_boundaries_leave_the_beam_at_rest():
@@ -245,6 +267,31 @@ def test_driven_fundamental_mode_tracks_analytic_solution():
     want = np.sin(k * x)[:, None] * np.cos(omega * t)[None, :]
     err = np.abs(sol.values - want).max() / np.abs(want).max()
     assert err < 5e-3
+
+
+@pytest.mark.parametrize(
+    "n_elements, free_right, moving_start",
+    [(12, True, False), (12, False, False), (12, True, True), (12, False, True),
+     (2, False, True)],
+)
+def test_newmark_solve_matches_the_dense_oracle(n_elements, free_right, moving_start):
+    beam = make_beam()
+    mesh = mesh_for(beam, n_elements)
+    rng = np.random.default_rng(n_elements)
+    t = np.arange(301) * 2e-7
+    ends = [1e-3 * np.sin(2 * np.pi * 2e4 * t), 0.02 * np.sin(2 * np.pi * 3e4 * t)]
+    if not free_right:
+        ends += [-5e-4 * np.sin(2 * np.pi * 1e4 * t), 0.01 * np.cos(2 * np.pi * 4e4 * t)]
+    bc = BoundaryHistory.from_ends(t, *ends)
+    n_inner = mesh.n_dof - (2 if free_right else 4)
+    start = {}
+    if moving_start:
+        start = dict(
+            d0=1e-4 * rng.standard_normal(n_inner), v0=1e-1 * rng.standard_normal(n_inner)
+        )
+    got = newmark_solve(mesh, beam, bc, **start).values
+    want = dense_newmark_solve(mesh, beam, bc, **start)
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
 def test_solver_rejects_nonuniform_history():

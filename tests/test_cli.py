@@ -219,12 +219,14 @@ def test_pipeline_subcommand_runs(capsys, synth_file, tmp_path):
 # ------------------------------------------------- report and CSV formats
 
 def read_checked_csv(path):
-    """Rows of a written CSV: each as wide as the header, and every numeric
+    """Rows of a written CSV: each as wide as the header, no cell ``-0.0``
+    (a successful run without w_xxxx has alpha 0.0), and every numeric
     cell (all but ``status`` and a failed run's alpha/residual) a float."""
     with open(path, encoding="utf-8", newline="") as fh:
         header, *rows = csv.reader(fh)
     for row in rows:
         assert len(row) == len(header), row
+        assert "-0.0" not in row, row
         cells = dict(zip(header, row))
         if cells.pop("status", "ok") != "ok":
             cells = {"d": cells["d"], "offset": cells["offset"]}

@@ -62,6 +62,7 @@ def test_config_rectangle_section_round_trips():
         field_path="x.field", section=CrossSection.rectangle(4.18e-3, 2.84e-3)
     )
     assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+    json.dumps(cfg.to_dict(), allow_nan=False)  # the unset diameter is left out
 
 
 def test_config_rejects_unknown_keys():
