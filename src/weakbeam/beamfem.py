@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh
+from scipy.linalg import cholesky_banded, eigh
 from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbtrs
 
-from .errors import DegenerateDataError, DimensionError, ParameterError
+from .errors import DegenerateDataError, DimensionError, ParameterError, WeakbeamError
 from .grid import FieldGrid, window_time
 from .material import BeamModel
 from .weakform import mean_power_spectrum
@@ -280,6 +281,20 @@ def extract_boundaries(
     )
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    """No NaN or inf in ``x``: min and max propagate NaN and show either
+    infinity, without the full-size mask ``np.isfinite(x)`` would build."""
+    return x.size == 0 or bool(np.isfinite(x.min()) and np.isfinite(x.max()))
+
+
+def _solve_factored(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with an upper banded Cholesky factor by LAPACK ``dpbtrs``."""
+    x, info = dpbtrs(factor, rhs)
+    if info != 0:  # only an illegal argument, i.e. a bug here, sets it
+        raise ValueError(f"dpbtrs: illegal value in argument {-info}")
+    return x
+
+
 def newmark_march(
     M: np.ndarray,
     K: np.ndarray,
@@ -308,11 +323,14 @@ def newmark_march(
         raise ParameterError(f"dt must be positive, got {dt}")
     d = np.zeros(n) if d0 is None else np.asarray(d0, dtype=float).copy()
     v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float).copy()
+    # the per-step solves skip SciPy's finiteness scan, so check once here
+    if not all(_all_finite(x) for x in (forces, d, v)):
+        raise ParameterError("forces, d0 and v0 must be finite")
 
     K = np.asfortranarray(K, dtype=float)  # dsbmv would copy it every step
-    mass = (cholesky_banded(M), False)
-    effective = (cholesky_banded(M + NEWMARK_BETA * dt**2 * K), False)
-    a = cho_solve_banded(mass, forces[0] - dsbmv(_HALF_BANDWIDTH, 1.0, K, d))
+    mass = cholesky_banded(M)
+    effective = cholesky_banded(M + NEWMARK_BETA * dt**2 * K)
+    a = _solve_factored(mass, forces[0] - dsbmv(_HALF_BANDWIDTH, 1.0, K, d))
 
     d_hist = np.empty((n_steps + 1, n))
     v_hist = np.empty((n_steps + 1, n))
@@ -321,7 +339,7 @@ def newmark_march(
     for k in range(n_steps):
         d_pred = d + dt * v + (0.5 - b) * dt**2 * a
         v_pred = v + (1.0 - g) * dt * a
-        a_next = cho_solve_banded(
+        a_next = _solve_factored(
             effective, forces[k + 1] - dsbmv(_HALF_BANDWIDTH, 1.0, K, d_pred)
         )
         d = d_pred + b * dt**2 * a_next
@@ -479,7 +497,11 @@ def sweep_modulus(
     order: int = 3,
     window: tuple[float, float] | None = None,
 ) -> SweepResult:
-    """Forward-simulation error over a linear grid of trial moduli."""
+    """Forward-simulation error over a linear grid of trial moduli.
+
+    A trial that fails with a :class:`WeakbeamError` of any class raises
+    a :class:`WeakbeamError` naming its modulus, chained to that error.
+    """
     if not (0 < e_lo < e_hi):
         raise ParameterError(f"need 0 < e_lo < e_hi, got [{e_lo}, {e_hi}]")
     if n_values < 2:
@@ -492,8 +514,8 @@ def sweep_modulus(
             errors[i] = simulate_measured(
                 data, trial, n_fit=n_fit, order=order, window=window
             ).frobenius_rel
-        except Exception as exc:
-            raise type(exc)(f"at trial modulus E={e:.6g}: {exc}") from exc
+        except WeakbeamError as exc:
+            raise WeakbeamError(f"at trial modulus E={e:.6g}: {exc}") from exc
     best = int(np.argmin(errors))
     return SweepResult(
         moduli=moduli,

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ParameterError
 from .grid import FieldGrid
 from .sparse import SparseSolution, optimize_lambda
 from .weakform import (
@@ -127,6 +128,18 @@ class DiscoveryResult:
         }
 
 
+def _tau_hat_bins(grid: FieldGrid, tau_hat) -> tuple[int, int]:
+    """Corner bins ``round(10 ** tau_hat)`` per axis, clamped to [1, n // 2];
+    a scalar ``tau_hat`` serves both axes."""
+    pair = (tau_hat, tau_hat) if np.isscalar(tau_hat) else tuple(tau_hat)
+    if len(pair) != 2:
+        raise ParameterError("tau_hat must be a scalar or a pair")
+    return tuple(
+        min(max(1, int(round(10.0 ** th))), max(1, n // 2))
+        for th, n in zip(pair, (grid.n_x, grid.n_t))
+    )
+
+
 def discover(
     grid: FieldGrid,
     tau: float = 1e-9,
@@ -149,8 +162,10 @@ def discover(
         if tau_hat is None:
             corner_x = spectral_corner(grid.values, 0)
             corner_t = spectral_corner(grid.values, 1)
-            tau_hat = (corner_x.tau_hat, corner_t.tau_hat)
-        basis = select_support(grid, tau=tau, tau_hat=tau_hat, library=library)
+            bins = (corner_x.corner_bin, corner_t.corner_bin)
+        else:
+            bins = _tau_hat_bins(grid, tau_hat)
+        basis = select_support(grid, bins, tau=tau, library=library)
     gammas = rescale(grid, basis)
     system = assemble(grid, library, basis, scales=gammas)
     solution = optimize_lambda(system.G, system.b, lambda_grid)

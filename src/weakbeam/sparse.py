@@ -52,46 +52,71 @@ def least_squares(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
-def _threshold_bounds(G: np.ndarray, b: np.ndarray, lam: float):
-    norm_b = np.linalg.norm(b)
-    col_norms = np.linalg.norm(G, axis=0)
-    with np.errstate(divide="ignore"):
-        ratio = np.where(col_norms > 0, norm_b / np.maximum(col_norms, 1e-300), np.inf)
-    lower = lam * np.maximum(1.0, ratio)
-    upper = (1.0 / lam) * np.minimum(1.0, ratio)
-    return lower, upper
+class _Sweep:
+    """What every threshold of one sweep over ``(G, b)`` shares: the
+    column-norm ratios of the bounds, the full least-squares fit, and the
+    refits of each active set met so far, keyed by its bitmask."""
+
+    def __init__(self, G: np.ndarray, b: np.ndarray):
+        self.G, self.b = G, b
+        col_norms = np.linalg.norm(G, axis=0)
+        with np.errstate(divide="ignore"):
+            self.ratio = np.where(
+                col_norms > 0, np.linalg.norm(b) / np.maximum(col_norms, 1e-300), np.inf
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankDeficiencyWarning)
+            self.c_ls = least_squares(G, b)
+        self._fits: dict[bytes, np.ndarray] = {}
+
+    def fit(self, active: np.ndarray) -> np.ndarray:
+        """Least squares restricted to the ``active`` columns."""
+        key = np.packbits(active).tobytes()
+        if key not in self._fits:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RankDeficiencyWarning)
+                self._fits[key] = least_squares(self.G[:, active], self.b)
+        return self._fits[key]
 
 
-def mstls(G: np.ndarray, b: np.ndarray, lam: float, max_sweeps: int | None = None) -> np.ndarray:
+def mstls(
+    G: np.ndarray,
+    b: np.ndarray,
+    lam: float,
+    max_sweeps: int | None = None,
+    *,
+    _sweep: _Sweep | None = None,
+) -> np.ndarray:
     """One thresholded least-squares fixed point at threshold ``lam``.
 
     Starting from the full least-squares solution, indices violating the
     scale-adapted bounds are deactivated and the remaining columns are
     refit, until the active set is stable or empty.  The sweep count is
     capped at J + 1 (each sweep removes at least one index or stops).
+    :func:`optimize_lambda` passes ``_sweep`` to share the norms and fits
+    across its thresholds.
     """
     if not (0.0 < lam):
         raise ParameterError(f"lam must be positive, got {lam}")
-    G = np.asarray(G, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = G.shape[1]
+    if _sweep is None:
+        _sweep = _Sweep(np.asarray(G, dtype=float), np.asarray(b, dtype=float))
+    n = _sweep.G.shape[1]
     if max_sweeps is None:
         max_sweeps = n + 1
-    lower, upper = _threshold_bounds(G, b, lam)
+    lower = lam * np.maximum(1.0, _sweep.ratio)
+    upper = (1.0 / lam) * np.minimum(1.0, _sweep.ratio)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankDeficiencyWarning)
-        c = least_squares(G, b)
-        active = np.ones(n, dtype=bool)
-        for _ in range(max_sweeps):
-            keep = active & (np.abs(c) >= lower) & (np.abs(c) <= upper)
-            if not keep.any():
-                return np.zeros(n)
-            if np.array_equal(keep, active):
-                break
-            active = keep
-            c = np.zeros(n)
-            c[active] = least_squares(G[:, active], b)
+    c = _sweep.c_ls
+    active = np.ones(n, dtype=bool)
+    for _ in range(max_sweeps):
+        keep = active & (np.abs(c) >= lower) & (np.abs(c) <= upper)
+        if not keep.any():
+            return np.zeros(n)
+        if np.array_equal(keep, active):
+            break
+        active = keep
+        c = np.zeros(n)
+        c[active] = _sweep.fit(active)
     out = np.where(active, c, 0.0)
     return out
 
@@ -140,14 +165,13 @@ def optimize_lambda(
             support=(),
         )
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankDeficiencyWarning)
-        c_ls = least_squares(G, b)
+    sweep = _Sweep(G, b)
+    c_ls = sweep.c_ls
     denom = np.linalg.norm(G @ c_ls)
     losses = np.empty(grid.size)
     solutions = []
     for i, lam in enumerate(grid):
-        c = mstls(G, b, lam)
+        c = mstls(G, b, lam, _sweep=sweep)
         misfit = np.linalg.norm(G @ (c - c_ls)) / denom if denom > 0 else 0.0
         losses[i] = misfit + np.count_nonzero(c) / n
         solutions.append(c)

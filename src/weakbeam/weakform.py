@@ -10,9 +10,11 @@ library onto the test function, so the data is never differentiated:
     < psi, D w > = (-1)^|D| < D psi, w >
 
 Inner products are discretized with the uniform quadrature weight
-``(X / N_x) * (T / N_t)`` and evaluated for all query points at once by
-separable FFT convolutions.  Columns of the resulting matrix ``G`` hold
-one candidate term each; ``b`` holds the second time derivative.
+``(X / N_x) * (T / N_t)`` and evaluated at the query points only, one
+axis at a time: the x-kernels are applied to the ``2 m_x + 1`` rows
+around each distinct query x-centre, and the t-kernels by FFT
+convolution along those few rows.  Columns of the resulting matrix ``G``
+hold one candidate term each; ``b`` holds the second time derivative.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as poly
 from scipy.signal import fftconvolve
 
 from .errors import DegenerateDataError, ParameterError, SelectionError
@@ -175,14 +177,25 @@ def reference_testfn_1d(p: int, m: int, deriv: int, h: float) -> np.ndarray:
         raise ParameterError(
             f"derivative order {deriv} exceeds polynomial degree parameter {p}"
         )
+    return _testfn_rows(p, m, deriv, h)[deriv]
+
+
+def _testfn_rows(p: int, m: int, max_deriv: int, h: float) -> np.ndarray:
+    """Derivatives 0 .. max_deriv of the test function, one per row of a
+    ``(max_deriv + 1, 2m + 1)`` array, from a single pass of the ``Q_r``
+    recurrence (see :func:`reference_testfn_1d`, which checks the
+    arguments)."""
     u = np.arange(-m, m + 1, dtype=float) / m
-    q = Polynomial([1.0])
-    one_minus_u2 = Polynomial([1.0, 0.0, -1.0])
-    ramp = Polynomial([0.0, 1.0])
-    for r in range(deriv):
-        q = one_minus_u2 * q.deriv() - 2.0 * (p - r) * ramp * q
-    vals = (1.0 - u * u) ** (p - deriv) * q(u)
-    return vals / (m * h) ** deriv
+    q = np.array([1.0])  # coefficients of Q_r, ascending powers of u
+    rows = np.empty((max_deriv + 1, u.size))
+    for r in range(max_deriv + 1):
+        rows[r] = (1.0 - u * u) ** (p - r) * poly.polyval(u, q) / (m * h) ** r
+        if r < max_deriv:
+            q = poly.polysub(
+                poly.polymul([1.0, 0.0, -1.0], poly.polyder(q)),
+                poly.polymul(2.0 * (p - r) * np.array([0.0, 1.0]), q),
+            )
+    return rows
 
 
 def _segment_ssr_prefix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -345,38 +358,26 @@ def default_query_strides(
 
 def select_support(
     grid: FieldGrid,
+    corner_bins: tuple[int, int],
     tau: float = 1e-9,
-    tau_hat: float | tuple[float, float] | None = None,
     library: LibrarySpec | None = None,
 ) -> TestFunctionBasis:
     """Choose test function degree, half-widths, and strides from the data.
 
-    The corner frequency of each axis is found with
-    :func:`spectral_corner` (or taken from ``tau_hat``, the changepoint
-    abscissa in log10-bin units, bypassing the spectrum fit); the support
-    half-width is then the smallest m whose test function spectrum has
-    decayed below ``tau`` at the corner, and the degree p follows from
-    the same ``tau`` through the endpoint decay condition.
+    ``corner_bins`` holds the corner frequency bin of each axis, (x, t),
+    as :func:`spectral_corner` reports it; the support half-width is the
+    smallest m whose test function spectrum has decayed below ``tau`` at
+    the corner, and the degree p follows from the same ``tau`` through
+    the endpoint decay condition.
     """
     if not (0.0 < tau < 1.0):
         raise ParameterError(f"tau must lie in (0, 1), got {tau}")
+    if len(corner_bins) != 2 or min(corner_bins) < 1:
+        raise ParameterError(f"corner_bins must be two positive bins, got {corner_bins}")
     library = library or default_library()
     max_dx, max_dt = library.max_orders()
-    sizes = (grid.n_x, grid.n_t)
-    if tau_hat is None:
-        corners = [
-            spectral_corner(grid.values, axis).corner_bin for axis in (0, 1)
-        ]
-    else:
-        pair = (tau_hat, tau_hat) if np.isscalar(tau_hat) else tuple(tau_hat)
-        if len(pair) != 2:
-            raise ParameterError("tau_hat must be a scalar or a pair")
-        corners = [
-            min(max(1, int(round(10.0 ** th))), n // 2)
-            for th, n in zip(pair, sizes)
-        ]
-    m_x, p_x = _support_for_axis(grid.n_x, corners[0], tau, max_dx + 1)
-    m_t, p_t = _support_for_axis(grid.n_t, corners[1], tau, max_dt + 1)
+    m_x, p_x = _support_for_axis(grid.n_x, corner_bins[0], tau, max_dx + 1)
+    m_t, p_t = _support_for_axis(grid.n_t, corner_bins[1], tau, max_dt + 1)
     basis = TestFunctionBasis(p_x=p_x, p_t=p_t, m_x=m_x, m_t=m_t)
     s_x, s_t = default_query_strides(grid, basis, n_terms=library.n_terms)
     return TestFunctionBasis(p_x=p_x, p_t=p_t, m_x=m_x, m_t=m_t, s_x=s_x, s_t=s_t)
@@ -442,13 +443,22 @@ def assemble(
     scales: tuple[float, float, float] = (1.0, 1.0, 1.0),
     query_points: np.ndarray | None = None,
 ) -> WeakSystem:
-    """Build the weak-form system by separable FFT convolution.
+    """Build the weak-form system at the query points.
 
     Each column of G is the discrete inner product of the field term with
     the appropriately differentiated test function at every query point,
-    carrying the integration-by-parts sign ``(-1)^(dx + dt)``.  The
-    result equals direct summation over each support window up to FFT
-    round-off.
+    carrying the integration-by-parts sign ``(-1)^(dx + dt)``.
+
+    x stage: the x-kernels of the ``#dx`` spatial orders, stacked into
+    one ``(#dx, 2 m_x + 1)`` matrix, multiply the field rows under each
+    of the ``n_qx`` distinct query x-centres, at
+    ``O(n_qx * (2 m_x + 1) * n_t)`` per order.  t stage: one valid-mode
+    FFT convolution per temporal order runs along at most
+    ``n_qx * #dx`` of those rows, and the query t-centres are read off.
+    The constant term is the product of the kernel sums.  The result
+    equals direct summation over each support window up to FFT round-off,
+    and each x-centre's product has the same shape whichever other points
+    are requested, so a subset of the query points reproduces its rows.
 
     ``scales = (gamma_w, gamma_x, gamma_t)`` multiplies the field and the
     axes before assembly; pass :func:`rescale` output for conditioning,
@@ -493,24 +503,36 @@ def assemble(
 
     hx, ht = gx * grid.dx, gt * grid.dt
     weight = (gx * grid.x_extent / n_x) * (gt * grid.t_extent / n_t)
+    kx = _testfn_rows(basis.p_x, m_x, max_dx, hx)
+    kt = _testfn_rows(basis.p_t, m_t, max_dt, ht)
     scaled = gw * grid.values
 
-    def base_field(power: int) -> np.ndarray:
-        return scaled if power == 1 else np.ones_like(scaled)
+    # x stage: one fixed-shape product per distinct x-centre, so a centre's
+    # rows come out the same whichever other centres are present
+    live = [t for t in library.terms + (library.lhs,) if t.power == 1]
+    dx_orders = sorted({t.dx_order for t in live})
+    kx_live = kx[dx_orders]
+    centres, centre_row = np.unique(ix, return_inverse=True)
+    xrows = np.empty((centres.size, len(dx_orders), n_t))
+    for r, c in enumerate(centres):
+        xrows[r] = kx_live @ scaled[c - m_x : c + m_x + 1]
 
-    xconv_cache: dict[tuple[int, int], np.ndarray] = {}
+    # t stage: one valid-mode convolution per dt order, over the rows of
+    # the dx orders it pairs with
+    tconv: dict[tuple[int, int], np.ndarray] = {}
+    for k in sorted({t.dt_order for t in live}):
+        dxs = sorted({t.dx_order for t in live if t.dt_order == k})
+        rows = xrows[:, [dx_orders.index(i) for i in dxs]]
+        out = fftconvolve(rows, kt[k][None, None, ::-1], mode="valid")
+        for j, i in enumerate(dxs):
+            tconv[i, k] = out[:, j]
 
     def column(term: TermSpec) -> np.ndarray:
-        key = (term.power, term.dx_order)
-        if key not in xconv_cache:
-            kx = reference_testfn_1d(basis.p_x, m_x, term.dx_order, hx)
-            xconv_cache[key] = fftconvolve(
-                base_field(term.power), kx[::-1, None], mode="valid"
-            )
-        kt = reference_testfn_1d(basis.p_t, m_t, term.dt_order, ht)
-        full = fftconvolve(xconv_cache[key], kt[None, ::-1], mode="valid")
         sign = -1.0 if (term.dx_order + term.dt_order) % 2 else 1.0
-        return sign * weight * full[ix - m_x, it - m_t]
+        if term.power == 0:
+            return np.full(ix.size, sign * weight * (kx[0].sum() * kt[0].sum()))
+        full = tconv[term.dx_order, term.dt_order]
+        return sign * weight * full[centre_row, it - m_t]
 
     G = np.column_stack([column(t) for t in library.terms])
     b = column(library.lhs)

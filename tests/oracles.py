@@ -159,3 +159,49 @@ def dense_newmark_solve(mesh, beam, bc, d0=None, v0=None):
     deflection[bdofs[::2] // 2] = bc.displacement[:, ::2].T
     deflection[idofs[::2] // 2] = np.array(d_hist)[:, ::2].T
     return deflection
+
+
+def uncached_optimize_lambda(G, b, lambda_grid):
+    """The threshold sweep written out with no shared state.
+
+    Every threshold recomputes the column norms and bounds, starts from a
+    fresh full least-squares fit, and refits each active set it meets
+    with ``np.linalg.lstsq``; the smallest loss minimizer over the sorted
+    grid wins.  Returns ``(coefficients, lambda_hat, loss_curve)``.
+    """
+    grid = np.sort(np.asarray(lambda_grid, dtype=float))
+    n = G.shape[1]
+
+    def lstsq(A):
+        return np.linalg.lstsq(A, b, rcond=None)[0]
+
+    def mstls(lam):
+        col_norms = np.linalg.norm(G, axis=0)
+        with np.errstate(divide="ignore"):
+            ratio = np.where(col_norms > 0,
+                             np.linalg.norm(b) / np.maximum(col_norms, 1e-300), np.inf)
+        lower = lam * np.maximum(1.0, ratio)
+        upper = (1.0 / lam) * np.minimum(1.0, ratio)
+        c = lstsq(G)
+        active = np.ones(n, dtype=bool)
+        for _ in range(n + 1):
+            keep = active & (np.abs(c) >= lower) & (np.abs(c) <= upper)
+            if not keep.any():
+                return np.zeros(n)
+            if np.array_equal(keep, active):
+                break
+            active = keep
+            c = np.zeros(n)
+            c[active] = lstsq(G[:, active])
+        return np.where(active, c, 0.0)
+
+    c_ls = lstsq(G)
+    denom = np.linalg.norm(G @ c_ls)
+    solutions = [mstls(lam) for lam in grid]
+    losses = np.array([
+        (np.linalg.norm(G @ (c - c_ls)) / denom if denom > 0 else 0.0)
+        + np.count_nonzero(c) / n
+        for c in solutions
+    ])
+    best = int(np.argmin(losses))
+    return solutions[best], float(grid[best]), np.column_stack([grid, losses])

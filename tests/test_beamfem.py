@@ -21,7 +21,12 @@ from weakbeam.beamfem import (
     simulate_measured,
     sweep_modulus,
 )
-from weakbeam.errors import DegenerateDataError, DimensionError, ParameterError
+from weakbeam.errors import (
+    DegenerateDataError,
+    DimensionError,
+    ParameterError,
+    WeakbeamError,
+)
 from weakbeam.grid import FieldGrid
 
 
@@ -227,6 +232,17 @@ def test_newmark_validation():
         newmark_march(dense_M, dense_K, np.zeros((10, M.shape[1])), dt=1e-6)
     with pytest.raises(ParameterError):
         newmark_march(M, dense_K, np.zeros((10, M.shape[1])), dt=1e-6)
+
+
+@pytest.mark.parametrize("bad", ["forces", "d0", "v0"])
+def test_newmark_rejects_non_finite_input(bad):
+    beam = make_beam()
+    M, K = reduced_free_vibration(beam, n_elements=4)
+    n = M.shape[1]
+    given = {"forces": np.zeros((10, n)), "d0": np.zeros(n), "v0": np.zeros(n)}
+    given[bad].flat[-1] = np.nan
+    with pytest.raises(ParameterError):
+        newmark_march(M, K, given["forces"], dt=1e-6, d0=given["d0"], v0=given["v0"])
 
 
 def test_quiet_boundaries_leave_the_beam_at_rest():
@@ -462,3 +478,18 @@ def test_sweep_validation(edge_field):
         sweep_modulus(edge_field, beam, 0.0, 1.0, 5)
     with pytest.raises(ParameterError):
         sweep_modulus(edge_field, beam, 1.0, 2.0, 1)
+
+
+def test_sweep_chains_a_failed_trial(edge_field, monkeypatch):
+    # StageError's constructor takes (stage, cause), not one message
+    from weakbeam import beamfem
+    from weakbeam.pipeline import StageError
+
+    def fail(*args, **kwargs):
+        raise StageError("simulate", ParameterError("no usable edges"))
+
+    monkeypatch.setattr(beamfem, "simulate_measured", fail)
+    with pytest.raises(WeakbeamError, match="at trial modulus E=1") as info:
+        sweep_modulus(edge_field, make_beam(), 1.0, 2.0, 3)
+    assert isinstance(info.value.__cause__, StageError)
+    assert info.value.__cause__.stage == "simulate"

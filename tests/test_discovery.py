@@ -100,6 +100,17 @@ def test_discovery_with_explicit_basis_skips_corners(edge_field):
     assert result.as_report()["corner"] == {"x": None, "t": None}
 
 
+def test_reported_tau_hat_reproduces_the_selected_basis(edge_field):
+    # discover turns tau_hat into bins by round(10 ** tau_hat), the inverse
+    # of the log10 a corner reports, for every bin up to 200,000
+    bins = np.arange(1, 200_001)
+    assert np.array_equal(np.round(10.0 ** np.log10(bins.astype(float))), bins)
+    auto = discover(edge_field)
+    pinned = discover(edge_field, tau_hat=(auto.corner_x.tau_hat, auto.corner_t.tau_hat))
+    assert pinned.basis == auto.basis
+    assert np.array_equal(pinned.coefficients, auto.coefficients)
+
+
 def test_discovery_rejects_identically_zero_field():
     from weakbeam.errors import DegenerateDataError
 

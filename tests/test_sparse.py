@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import uncached_optimize_lambda
+from weakbeam import sparse
 from weakbeam.errors import ParameterError, RankDeficiencyWarning
+from weakbeam.grid import FieldGrid
 from weakbeam.sparse import (
     default_lambda_grid,
     least_squares,
     mstls,
     optimize_lambda,
 )
+from weakbeam.weakform import TestFunctionBasis, assemble, default_library, rescale
 
 
 def planted_system(seed, n_rows=200, n_cols=7, index=4, value=10.0, noise=0.0):
@@ -199,3 +203,72 @@ def test_sweep_is_deterministic():
     assert np.array_equal(a.coefficients, c.coefficients)
     assert a.lambda_hat == c.lambda_hat
     assert np.array_equal(a.loss_curve, c.loss_curve)
+
+
+# ------------------------------------------- sweep against the uncached oracle
+
+def noisy_weak_system(seed=0, sigma=0.02):
+    # a pinned beam mode, w_tt = -2.5 w_xxxx, with white noise on top
+    x = np.linspace(0.0, 1.0, 129)
+    k = 3 * np.pi
+    omega = np.sqrt(2.5) * k * k
+    t = np.linspace(0.0, 4.0 * np.pi / omega, 257)
+    w = np.sin(k * x)[:, None] * np.cos(omega * t)[None, :]
+    w += sigma * np.random.default_rng(seed).standard_normal(w.shape)
+    g = FieldGrid(x, t, w)
+    basis = TestFunctionBasis(p_x=9, p_t=9, m_x=20, m_t=40, s_x=4, s_t=8)
+    system = assemble(g, default_library(), basis, scales=rescale(g, basis))
+    return system.G, system.b
+
+
+def duplicated_column_system():
+    G, b, _ = planted_system(14, noise=1e-2)
+    return np.column_stack([G, G[:, 4]]), b
+
+
+def zero_column_system():
+    G, b, _ = planted_system(15, noise=1e-2)
+    G[:, 2] = 0.0
+    return G, b
+
+
+def badly_scaled_system():
+    # column norms and coefficients over six decades each: the sweep meets
+    # two different active sets of the same size
+    rng = np.random.default_rng(19)
+    G = rng.standard_normal((100, 7)) * 10.0 ** rng.uniform(-3, 3, 7)
+    b = G @ (10.0 ** rng.uniform(-3, 3, 7)) + rng.standard_normal(100)
+    return G, b
+
+
+SWEEP_CASES = {
+    "noisy_weak_system": noisy_weak_system,
+    "duplicated_column": duplicated_column_system,
+    "zero_column": zero_column_system,
+    "badly_scaled": badly_scaled_system,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_matches_the_uncached_oracle(case):
+    G, b = SWEEP_CASES[case]()
+    grid = default_lambda_grid()
+    sol = optimize_lambda(G, b)
+    coefficients, lambda_hat, curve = uncached_optimize_lambda(G, b, grid)
+    assert np.array_equal(sol.loss_curve, curve)
+    assert sol.lambda_hat == lambda_hat
+    assert np.array_equal(sol.coefficients, coefficients)
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_fits_each_active_set_once(case, monkeypatch):
+    G, b = SWEEP_CASES[case]()
+    fitted = []
+
+    def recording(A, rhs):
+        fitted.append(A.tobytes())
+        return least_squares(A, rhs)
+
+    monkeypatch.setattr(sparse, "least_squares", recording)
+    optimize_lambda(G, b)
+    assert len(fitted) == len(set(fitted))

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from oracles import dense_weak_system
 from oracles import testfn_poly as poly_oracle
+from weakbeam.discovery import discover
 from weakbeam.errors import DegenerateDataError, ParameterError, SelectionError
 from weakbeam.grid import FieldGrid
 from weakbeam.sparse import optimize_lambda
@@ -20,8 +21,13 @@ from weakbeam.weakform import (
     spectral_corner,
     unscale_coefficients,
 )
+from weakbeam.weakform import _testfn_rows
 
 LIB = default_library()
+
+
+def corners(g):
+    return tuple(spectral_corner(g.values, axis).corner_bin for axis in (0, 1))
 
 
 def random_field(n_x, n_t, seed, dx=1e-3, dt=1e-6):
@@ -91,6 +97,17 @@ def test_testfn_endpoint_flatness_below_degree():
         assert vals[0] == 0.0 and vals[-1] == 0.0
 
 
+@pytest.mark.parametrize("p, m", [(2, 1), (5, 7), (9, 40)])
+def test_one_pass_kernels_equal_single_order_kernels(p, m):
+    h = 0.37
+    rows = _testfn_rows(p, m, p, h)
+    assert rows.shape == (p + 1, 2 * m + 1)
+    for deriv in range(p + 1):
+        assert np.array_equal(rows[deriv], reference_testfn_1d(p, m, deriv, h))
+        want = poly_oracle(p, m, deriv, h)
+        assert np.max(np.abs(rows[deriv] - want)) <= 1e-11 * np.abs(want).max()
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -139,6 +156,37 @@ def test_assembly_oracle_property(n_x, n_t, m_x, m_t, seed):
     scale = max(np.linalg.norm(G), np.linalg.norm(b))
     assert np.linalg.norm(system.G - G) <= 1e-10 * scale
     assert np.linalg.norm(system.b - b) <= 1e-10 * scale
+
+
+def assert_matches_dense_oracle(g, basis, query_points=None):
+    for scales in ((1.0, 1.0, 1.0), rescale(g, basis)):
+        system = assemble(g, LIB, basis, scales=scales, query_points=query_points)
+        G, b, pts = dense_weak_system(g, LIB, basis, scales=scales,
+                                      query_points=query_points)
+        assert np.array_equal(system.query_points, pts)
+        assert np.linalg.norm(system.G - G) <= 1e-10 * np.linalg.norm(G)
+        assert np.linalg.norm(system.b - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_unit_strides_match_dense_oracle():
+    basis = TestFunctionBasis(p_x=6, p_t=5, m_x=5, m_t=6, s_x=1, s_t=1)
+    assert_matches_dense_oracle(random_field(19, 27, seed=21), basis)
+
+
+def test_single_x_centre_matches_dense_oracle():
+    g = random_field(17, 90, seed=22)
+    basis = TestFunctionBasis(p_x=6, p_t=5, m_x=8, m_t=12, s_x=1, s_t=5)
+    assert np.unique(assemble(g, LIB, basis).query_points[:, 0]).size == 1
+    assert_matches_dense_oracle(g, basis)
+
+
+def test_unsorted_duplicated_query_points_match_dense_oracle():
+    g = random_field(40, 50, seed=23)
+    basis = TestFunctionBasis(p_x=6, p_t=5, m_x=8, m_t=10, s_x=4, s_t=5)
+    rng = np.random.default_rng(23)
+    pts = np.column_stack([rng.integers(8, 32, 30), rng.integers(10, 40, 30)])
+    pts = np.concatenate([pts, pts[[3, 0, 17]]])
+    assert_matches_dense_oracle(g, basis, query_points=pts)
 
 
 def test_zero_field_assembles_to_zero_system():
@@ -337,8 +385,8 @@ def test_smooth_field_needs_wider_support_than_broadband():
         * np.cos(2 * np.pi * 3 * t / t[-1])[None, :],
     )
     rough = FieldGrid(x, t, rng.standard_normal((200, 400)))
-    bs = select_support(smooth)
-    br = select_support(rough)
+    bs = select_support(smooth, corners(smooth))
+    br = select_support(rough, corners(rough))
     assert bs.m_x > br.m_x
     assert bs.m_t > br.m_t
 
@@ -346,19 +394,19 @@ def test_smooth_field_needs_wider_support_than_broadband():
 def test_tau_hat_bypasses_the_spectrum():
     # a zero field has no spectrum to fit, but explicit corners never look
     g = FieldGrid(np.arange(64) * 1e-3, np.arange(128) * 1e-6, np.zeros((64, 128)))
-    basis = select_support(g, tau_hat=(0.5, 1.0))
-    other = select_support(random_field(64, 128, seed=8), tau_hat=(0.5, 1.0))
+    basis = select_support(g, (3, 10))  # tau_hat (0.5, 1.0)
+    other = select_support(random_field(64, 128, seed=8), (3, 10))
     assert basis == other
 
 
 def test_tau_hat_scalar_broadcasts():
     g = random_field(64, 64, seed=8)
-    assert select_support(g, tau_hat=1.1) == select_support(g, tau_hat=(1.1, 1.1))
+    assert discover(g, tau_hat=1.1).basis == discover(g, tau_hat=(1.1, 1.1)).basis
 
 
 def test_selected_support_respects_invariants():
     g = random_field(100, 300, seed=12)
-    basis = select_support(g)
+    basis = select_support(g, corners(g))
     max_dx, max_dt = LIB.max_orders()
     assert basis.p_x >= max_dx + 1 and basis.p_t >= max_dt + 1
     assert 2 * basis.m_x + 1 <= g.n_x and 2 * basis.m_t + 1 <= g.n_t
@@ -368,11 +416,12 @@ def test_selected_support_respects_invariants():
 def test_select_support_rejects_bad_tau_and_small_grids():
     g = random_field(64, 64, seed=0)
     with pytest.raises(ParameterError):
-        select_support(g, tau=0.0)
+        select_support(g, corners(g), tau=0.0)
     with pytest.raises(ParameterError):
-        select_support(g, tau=1.0)
+        select_support(g, corners(g), tau=1.0)
+    small = random_field(5, 64, seed=0)
     with pytest.raises(SelectionError):
-        select_support(random_field(5, 64, seed=0))
+        select_support(small, corners(small))
 
 
 # ------------------------------------------------------------------ scaling
@@ -421,7 +470,7 @@ def test_unscale_dimensional_bookkeeping():
 
 
 def test_coefficients_invariant_under_rescaling(edge_field):
-    basis = select_support(edge_field)
+    basis = select_support(edge_field, corners(edge_field))
     scaled = assemble(edge_field, LIB, basis, scales=rescale(edge_field, basis))
     raw = assemble(edge_field, LIB, basis)
     c_scaled = unscale_coefficients(scaled, optimize_lambda(scaled.G, scaled.b).coefficients)
