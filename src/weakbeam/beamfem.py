@@ -39,11 +39,6 @@ __all__ = [
     "sweep_modulus",
 ]
 
-# Newmark parameters: average-acceleration (trapezoidal) rule, the
-# unconditionally stable non-dissipative member of the family.
-NEWMARK_BETA = 0.25
-NEWMARK_GAMMA = 0.5
-
 # Hermite elements couple dofs of adjacent nodes only: |i - j| <= 3.
 _HALF_BANDWIDTH = 3
 
@@ -287,12 +282,11 @@ def _all_finite(x: np.ndarray) -> bool:
     return x.size == 0 or bool(np.isfinite(x.min()) and np.isfinite(x.max()))
 
 
-def _solve_factored(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve with an upper banded Cholesky factor by LAPACK ``dpbtrs``."""
-    x, info = dpbtrs(factor, rhs)
-    if info != 0:  # only an illegal argument, i.e. a bug here, sets it
+def _check_info(info: int) -> None:
+    """Raise on a nonzero ``dpbtrs`` status: only an illegal argument,
+    i.e. a bug here, sets it."""
+    if info != 0:
         raise ValueError(f"dpbtrs: illegal value in argument {-info}")
-    return x
 
 
 def newmark_march(
@@ -302,15 +296,24 @@ def newmark_march(
     dt: float,
     d0: np.ndarray | None = None,
     v0: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate ``M a + K d = f(t)`` with the average-acceleration rule.
+) -> np.ndarray:
+    """Integrate ``M a + K d = f(t)`` with the average-acceleration rule,
+    Newmark's ``beta = 1/4``, ``gamma = 1/2``: the unconditionally stable,
+    non-dissipative member of the family.
 
     ``M`` and ``K`` are symmetric, in the upper banded storage that
     :func:`assemble_matrices` returns.  ``forces`` has one row per time
-    step (including step 0).  Returns displacement and velocity histories
-    of the same shape.  The scheme is unconditionally stable and, for
-    undamped linear systems, conserves the discrete energy
-    ``(v' M v + d' K d) / 2`` up to round-off.
+    step (including step 0).  Returns the displacement history, of the
+    same shape as ``forces``; no velocity history is kept.  For undamped
+    linear systems the discrete energy ``(v' M v + d' K d) / 2`` is
+    conserved up to round-off.
+
+    The state is carried as the predictor ``p = d + dt v + q a`` with
+    ``q = dt**2 / 4`` and its increment ``s``, which advances by
+    ``dt**2 a`` each step, so one step costs one banded product (BLAS
+    ``dsbmv``), one banded solve with the factor of ``M + q K`` (LAPACK
+    ``dpbtrs``, in place on the product) and five in-place vector
+    operations; nothing but the product is allocated.
     """
     forces = np.asarray(forces, dtype=float)
     if forces.ndim != 2:
@@ -321,32 +324,38 @@ def newmark_march(
         raise ParameterError(f"M and K must be banded {band}, got {np.shape(M)}, {np.shape(K)}")
     if not (dt > 0):
         raise ParameterError(f"dt must be positive, got {dt}")
-    d = np.zeros(n) if d0 is None else np.asarray(d0, dtype=float).copy()
-    v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float).copy()
+    d = np.zeros(n) if d0 is None else np.asarray(d0, dtype=float)
+    v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
     # the per-step solves skip SciPy's finiteness scan, so check once here
     if not all(_all_finite(x) for x in (forces, d, v)):
         raise ParameterError("forces, d0 and v0 must be finite")
 
     K = np.asfortranarray(K, dtype=float)  # dsbmv would copy it every step
+    q = 0.25 * dt**2
     mass = cholesky_banded(M)
-    effective = cholesky_banded(M + NEWMARK_BETA * dt**2 * K)
-    a = _solve_factored(mass, forces[0] - dsbmv(_HALF_BANDWIDTH, 1.0, K, d))
+    effective = cholesky_banded(M + q * K)
+    a, info = dpbtrs(mass, forces[0] - dsbmv(_HALF_BANDWIDTH, 1.0, K, d))
+    _check_info(info)
 
     d_hist = np.empty((n_steps + 1, n))
-    v_hist = np.empty((n_steps + 1, n))
-    d_hist[0], v_hist[0] = d, v
-    b, g = NEWMARK_BETA, NEWMARK_GAMMA
+    d_hist[0] = d
+    # d' = p + q a', s' = s + dt^2 a', p' = p + s'
+    p = d + dt * v + q * a
+    s = dt * v + 0.5 * dt**2 * a
     for k in range(n_steps):
-        d_pred = d + dt * v + (0.5 - b) * dt**2 * a
-        v_pred = v + (1.0 - g) * dt * a
-        a_next = _solve_factored(
-            effective, forces[k + 1] - dsbmv(_HALF_BANDWIDTH, 1.0, K, d_pred)
+        # a' = (M + q K)^-1 (f' - K p), solved in place on the product
+        a, info = dpbtrs(
+            effective,
+            dsbmv(_HALF_BANDWIDTH, -1.0, K, p, beta=1.0, y=forces[k + 1]),
+            overwrite_b=1,
         )
-        d = d_pred + b * dt**2 * a_next
-        v = v_pred + g * dt * a_next
-        a = a_next
-        d_hist[k + 1], v_hist[k + 1] = d, v
-    return d_hist, v_hist
+        _check_info(info)
+        d = np.multiply(a, q, out=d_hist[k + 1])
+        d += p
+        a *= dt**2
+        s += a
+        p += s
+    return d_hist
 
 
 def newmark_solve(
@@ -385,7 +394,8 @@ def newmark_solve(
             bc.acceleration[:, 2:] @ me[2:, :2] + bc.displacement[:, 2:] @ ke[2:, :2]
         )
 
-    d_hist, _ = newmark_march(M[:, inner], K[:, inner], forces, dt, d0=d0, v0=v0)
+    d_hist = newmark_march(M[:, inner], K[:, inner], forces, dt, d0=d0, v0=v0)
+    del forces  # the loads and the deflection field below are never alive together
 
     deflection = np.empty((mesh.n_nodes, bc.t.size))
     # interior deflections are the even interior dofs, on nodes 1 .. n_inner/2

@@ -149,12 +149,17 @@ def window_time(grid: FieldGrid, t_lo: float, t_hi: float) -> FieldGrid:
 
 def save_field(grid: FieldGrid, path: str | os.PathLike) -> None:
     """Write a field to the v1 text format with exact round-trip precision."""
+
+    def line(values: np.ndarray) -> str:
+        # repr of a Python float is its shortest round-trip decimal
+        return " ".join(map(repr, values.tolist())) + "\n"
+
     buf = io.StringIO()
     buf.write(_MAGIC + "\n")
-    buf.write("x: " + " ".join(repr(float(v)) for v in grid.x) + "\n")
-    buf.write("t: " + " ".join(repr(float(v)) for v in grid.t) + "\n")
+    buf.write("x: " + line(grid.x))
+    buf.write("t: " + line(grid.t))
     for row in grid.values:
-        buf.write(" ".join(repr(float(v)) for v in row) + "\n")
+        buf.write(line(row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
 
@@ -190,24 +195,30 @@ def load_field(path: str | os.PathLike) -> FieldGrid:
             )
         x = _parse_axis_line(fh.readline(), "x", 2)
         t = _parse_axis_line(fh.readline(), "t", 3)
-        rows = []
+        values = np.empty((x.size, t.size))
+        n_rows = 0
         for lineno, line in enumerate(fh, start=4):
-            if not line.strip():
-                continue
             parts = line.split()
+            if not parts:
+                continue
             if len(parts) != t.size:
                 raise FieldFormatError(
                     f"line {lineno}: expected {t.size} values, got {len(parts)}"
                 )
+            if n_rows == x.size:
+                raise FieldFormatError(
+                    f"line {lineno}: more than the {x.size} value rows of the x axis"
+                )
             try:
-                rows.append([float(v) for v in parts])
+                # NumPy parses each token as float() does
+                values[n_rows] = parts
             except ValueError as exc:
                 raise FieldFormatError(f"line {lineno}: bad value: {exc}") from None
-    if len(rows) != x.size:
+            n_rows += 1
+    if n_rows != x.size:
         raise FieldFormatError(
-            f"expected {x.size} value rows, got {len(rows)}"
+            f"expected {x.size} value rows, got {n_rows}"
         )
-    values = np.array(rows, dtype=float).reshape(x.size, t.size)
     # structural problems are format errors, but an axis that parses and
     # then violates a grid invariant (non-uniform, duplicated sample) is
     # a data problem and surfaces as GridError from the constructor

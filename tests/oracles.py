@@ -141,24 +141,52 @@ def dense_newmark_solve(mesh, beam, bc, d0=None, v0=None):
     forces = -bc.acceleration @ Mib.T - bc.displacement @ Kib.T
 
     dt = (bc.t[-1] - bc.t[0]) / (bc.t.size - 1)
-    beta, gamma = 0.25, 0.5
-    d = np.zeros(idofs.size) if d0 is None else np.array(d0, dtype=float)
-    v = np.zeros(idofs.size) if v0 is None else np.array(v0, dtype=float)
-    a = np.linalg.solve(Mii, forces[0] - Kii @ d)
-    effective = Mii + beta * dt**2 * Kii
-    d_hist = [d]
-    for f in forces[1:]:
-        d_pred = d + dt * v + (0.5 - beta) * dt**2 * a
-        v_pred = v + (1 - gamma) * dt * a
-        a = np.linalg.solve(effective, f - Kii @ d_pred)
-        d = d_pred + beta * dt**2 * a
-        v = v_pred + gamma * dt * a
-        d_hist.append(d)
+    d_hist, _ = state_newmark_march(Mii, Kii, forces, dt, d0=d0, v0=v0)
 
     deflection = np.empty((mesh.n_nodes, bc.t.size))
     deflection[bdofs[::2] // 2] = bc.displacement[:, ::2].T
-    deflection[idofs[::2] // 2] = np.array(d_hist)[:, ::2].T
+    deflection[idofs[::2] // 2] = d_hist[:, ::2].T
     return deflection
+
+
+def state_newmark_march(M, K, forces, dt, d0=None, v0=None):
+    """Average-acceleration Newmark on dense ``M``, ``K``, carrying the
+    full state ``(d, v, a)``: ``(d_hist, v_hist)``, one row per row of
+    ``forces``.  Each step predicts ``d + dt v + dt^2/4 a`` and
+    ``v + dt/2 a``, solves ``(M + dt^2/4 K) a' = f' - K d_pred`` with
+    ``np.linalg.solve``, and corrects both by ``a'``.
+    """
+    beta, gamma = 0.25, 0.5
+    n = forces.shape[1]
+    d = np.zeros(n) if d0 is None else np.array(d0, dtype=float)
+    v = np.zeros(n) if v0 is None else np.array(v0, dtype=float)
+    a = np.linalg.solve(M, forces[0] - K @ d)
+    effective = M + beta * dt**2 * K
+    d_hist, v_hist = [d], [v]
+    for f in forces[1:]:
+        d_pred = d + dt * v + (0.5 - beta) * dt**2 * a
+        v_pred = v + (1 - gamma) * dt * a
+        a = np.linalg.solve(effective, f - K @ d_pred)
+        d = d_pred + beta * dt**2 * a
+        v = v_pred + gamma * dt * a
+        d_hist.append(d)
+        v_hist.append(v)
+    return np.array(d_hist), np.array(v_hist)
+
+
+def newmark_velocities(d_hist, dt, v0):
+    """Velocities of an average-acceleration march from its displacements.
+
+    The rule gives ``d_{k+1} - d_k = dt (v_k + v_{k+1}) / 2``, so
+    ``v_{k+1} = 2 (d_{k+1} - d_k) / dt - v_k``.  With
+    ``w_k = (-1)^k v_k`` that is ``w_{k+1} = w_k + (-1)^(k+1) 2 (d_{k+1} -
+    d_k) / dt``: one cumulative sum.
+    """
+    sign = np.where(np.arange(d_hist.shape[0]) % 2 == 0, 1.0, -1.0)[:, None]
+    w = np.empty_like(d_hist)
+    w[0] = v0
+    w[1:] = sign[1:] * (2.0 / dt) * np.diff(d_hist, axis=0)
+    return sign * np.cumsum(w, axis=0)
 
 
 def uncached_optimize_lambda(G, b, lambda_grid):

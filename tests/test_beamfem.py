@@ -7,6 +7,8 @@ from oracles import (
     dense_beam_matrices,
     dense_from_band,
     dense_newmark_solve,
+    newmark_velocities,
+    state_newmark_march,
 )
 from weakbeam.beamfem import (
     BoundaryHistory,
@@ -190,7 +192,8 @@ def reduced_free_vibration(beam, n_elements=20):
     return M[:, 2:-2], K[:, 2:-2]
 
 
-def march_energy(M, K, d_hist, v_hist):
+def march_energy(M, K, d_hist, dt, v0=0.0):
+    v_hist = newmark_velocities(d_hist, dt, v0)
     M, K = dense_from_band(M), dense_from_band(K)
     kinetic = np.einsum("ti,ij,tj->t", v_hist, M, v_hist)
     elastic = np.einsum("ti,ij,tj->t", d_hist, K, d_hist)
@@ -203,8 +206,8 @@ def test_newmark_conserves_energy():
     rng = np.random.default_rng(0)
     d0 = 1e-4 * rng.standard_normal(M.shape[1])
     forces = np.zeros((1001, M.shape[1]))
-    d_hist, v_hist = newmark_march(M, K, forces, dt=1e-6, d0=d0)
-    energy = march_energy(M, K, d_hist, v_hist)
+    d_hist = newmark_march(M, K, forces, dt=1e-6, d0=d0)
+    energy = march_energy(M, K, d_hist, dt=1e-6)
     assert np.abs(energy - energy[0]).max() / energy[0] < 1e-8
 
 
@@ -214,9 +217,38 @@ def test_newmark_is_stable_over_long_runs():
     rng = np.random.default_rng(1)
     d0 = 1e-4 * rng.standard_normal(M.shape[1])
     forces = np.zeros((10001, M.shape[1]))
-    d_hist, v_hist = newmark_march(M, K, forces, dt=1e-6, d0=d0)
-    energy = march_energy(M, K, d_hist, v_hist)
+    d_hist = newmark_march(M, K, forces, dt=1e-6, d0=d0)
+    energy = march_energy(M, K, d_hist, dt=1e-6)
     assert energy.max() <= energy[0] * (1.0 + 1e-6)
+
+
+def driven_loads(n_steps, n, dt):
+    # two edge-like point loads, smooth in time, on the first and last dof
+    t = np.arange(n_steps + 1)[:, None] * dt
+    forces = np.zeros((n_steps + 1, n))
+    forces[:, :1] = 50.0 * np.sin(2 * np.pi * 2e4 * t)
+    forces[:, -1:] = -20.0 * np.cos(2 * np.pi * 3e4 * t)
+    return forces
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 400])
+@pytest.mark.parametrize("loaded, moving_start", [(False, True), (True, False), (True, True)])
+def test_newmark_march_matches_the_state_oracle(n_steps, loaded, moving_start):
+    beam = make_beam()
+    M, K = reduced_free_vibration(beam)
+    n, dt = M.shape[1], 1e-6
+    rng = np.random.default_rng(n_steps)
+    forces = driven_loads(n_steps, n, dt) if loaded else np.zeros((n_steps + 1, n))
+    start = {}
+    if moving_start:
+        start = dict(d0=1e-4 * rng.standard_normal(n), v0=1e-1 * rng.standard_normal(n))
+    got = newmark_march(M, K, forces, dt, **start)
+    want, want_v = state_newmark_march(dense_from_band(M), dense_from_band(K), forces, dt, **start)
+    assert got.shape == want.shape == forces.shape
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+    # the velocity oracle the energy tests read recovers the state's velocities
+    v = newmark_velocities(got, dt, start.get("v0", 0.0))
+    assert np.abs(v - want_v).max() <= 1e-9 * np.abs(want_v).max()
 
 
 def test_newmark_validation():

@@ -151,15 +151,54 @@ def test_wrong_row_width_rejected(tmp_path):
 
 def test_wrong_row_count_rejected(tmp_path):
     path = tmp_path / "bad.field"
-    path.write_text("# fieldgrid v1\nx: 0 1 2\nt: 0 1\n1 2\n3 4\n")
-    with pytest.raises(FieldFormatError):
-        load_field(path)
+    for rows in ("1 2\n3 4\n", "1 2\n3 4\n5 6\n7 8\n"):  # too few, too many
+        path.write_text("# fieldgrid v1\nx: 0 1 2\nt: 0 1\n" + rows)
+        with pytest.raises(FieldFormatError):
+            load_field(path)
 
 
 def test_non_numeric_token_rejected(tmp_path):
     path = tmp_path / "bad.field"
-    path.write_text("# fieldgrid v1\nx: 0 1\nt: 0 1\n1 oops\n3 4\n")
-    with pytest.raises(FieldFormatError):
+    path.write_text("# fieldgrid v1\nx: 0 1\nt: 0 1\n1 2\n3 oops\n")
+    with pytest.raises(FieldFormatError, match="line 5"):
+        load_field(path)
+
+
+def bits(a):
+    # equal bit patterns: tells -0.0 from 0.0, unlike ==
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_save_field_writes_each_value_as_its_repr(tmp_path):
+    values = np.array([[-0.0, 5e-324, 1e16, 0.1], [3.0, -7.0, 0.0, 123456789.0]])
+    g = FieldGrid(np.array([0.0, 0.5]), np.array([0.0, 1e-6, 2e-6, 3e-6]), values)
+    path = tmp_path / "g.field"
+    save_field(g, path)
+    per_value = [" ".join(repr(float(v)) for v in row) for row in (g.x, g.t, *g.values)]
+    want = "# fieldgrid v1\nx: {}\nt: {}\n{}\n{}\n".format(*per_value)
+    assert path.read_bytes() == want.encode("utf-8")
+    back = load_field(path)
+    assert np.array_equal(bits(back.values), bits(values))
+
+
+def test_load_field_parses_tokens_as_float_does(tmp_path):
+    tokens = ["-0.0", "5e-324", "2.2250738585072014e-308", "1E5", ".5", "+1.5", "1_000", "7"]
+    path = tmp_path / "g.field"
+    t_axis = " ".join(str(j) for j in range(len(tokens)))
+    path.write_text(f"# fieldgrid v1\nx: 0 1\nt: {t_axis}\n{' '.join(tokens)}\n"
+                    f"{' '.join(reversed(tokens))}\n")
+    back = load_field(path)
+    assert np.array_equal(bits(back.values[0]), bits([float(v) for v in tokens]))
+    assert np.array_equal(bits(back.values[1]), bits([float(v) for v in reversed(tokens)]))
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e400"])
+def test_non_finite_tokens_parse_and_fail_the_grid_check(tmp_path, token):
+    # they are numbers to float(), so the format accepts them and the
+    # grid's finiteness invariant rejects them
+    path = tmp_path / "g.field"
+    path.write_text(f"# fieldgrid v1\nx: 0 1\nt: 0 1\n1 2\n3 {token}\n")
+    with pytest.raises(GridError, match="non-finite"):
         load_field(path)
 
 
