@@ -53,7 +53,6 @@ from .weakform import (
     assemble,
     default_library,
     rescale,
-    reference_testfn_1d,
     select_support,
     spectral_corner,
     unscale_coefficients,

@@ -19,7 +19,7 @@ from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrs
 
 from .errors import DegenerateDataError, DimensionError, ParameterError, WeakbeamError
-from .grid import FieldGrid, window_time
+from .grid import FieldGrid, _all_finite, window_time
 from .material import BeamModel
 from .weakform import mean_power_spectrum
 
@@ -274,12 +274,6 @@ def extract_boundaries(
         right_w=data.values[-1, :],
         right_rot=right_rot,
     )
-
-
-def _all_finite(x: np.ndarray) -> bool:
-    """No NaN or inf in ``x``: min and max propagate NaN and show either
-    infinity, without the full-size mask ``np.isfinite(x)`` would build."""
-    return x.size == 0 or bool(np.isfinite(x.min()) and np.isfinite(x.max()))
 
 
 def _check_info(info: int) -> None:

@@ -1,9 +1,14 @@
 """Command line interface.
 
 Every subcommand prints a JSON summary to stdout (deterministic except
-for fields holding wall-clock time) and writes optional artifacts;
-failures inside the staged pipeline map to reserved exit codes so batch
-drivers can classify them.
+for fields holding wall-clock time) and writes optional artifacts.
+Failures print ``error: ...`` to stderr, never a traceback, and exit
+with a code batch drivers can classify: 1 for bad data, parameters or
+files, 2 for a usage error, 2 to 7 for the ``pipeline`` stages ingest
+to simulate (``pipeline.STAGE_EXIT_CODES``), and 8
+(``pipeline.CONFIG_EXIT_CODE``) for a ``pipeline`` config that is
+missing, unreadable, not JSON, or has an unknown key, a missing key or
+a value of the wrong kind.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .material import (
 )
 from .beamfem import FemMesh
 from .pipeline import (
+    CONFIG_EXIT_CODE,
     PipelineConfig,
     StageError,
     run_pipeline,
@@ -53,6 +59,11 @@ def _parse_section(text: str) -> CrossSection:
     except (KeyError, ValueError) as exc:
         raise ParameterError(f"cannot parse section {text!r}: {exc}") from None
     raise ParameterError(f"unknown section kind in {text!r}")
+
+
+def _beam(args, length: float, modulus: float | None = None) -> BeamModel:
+    """The beam of the ``--section`` and ``--density`` flags."""
+    return BeamModel(_parse_section(args.section), length, args.density, modulus)
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
@@ -164,12 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    beam = BeamModel(
-        section=_parse_section(args.section),
-        length=(args.n_points - 1) * args.dx,
-        density=args.density,
-        youngs_modulus=args.modulus,
-    )
+    beam = _beam(args, (args.n_points - 1) * args.dx, args.modulus)
     mesh = FemMesh(args.n_points - 1, args.dx)
     spec = BurstSpec(
         center_frequency=args.fc, cycles=args.cycles, amplitude=args.amplitude
@@ -232,9 +238,7 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_modulus(args) -> int:
-    beam = BeamModel(
-        section=_parse_section(args.section), length=1.0, density=args.density
-    )
+    beam = _beam(args, 1.0)
     modulus = modulus_from_alpha(args.alpha, beam)
     payload = {"alpha": args.alpha, "youngs_modulus": modulus}
     if args.nominal:
@@ -245,12 +249,7 @@ def _cmd_modulus(args) -> int:
 
 
 def _cmd_modes(args) -> int:
-    beam = BeamModel(
-        section=_parse_section(args.section),
-        length=args.length,
-        density=args.density,
-        youngs_modulus=args.modulus,
-    )
+    beam = _beam(args, args.length, args.modulus)
     freqs = natural_frequencies(beam, boundary=args.boundary, n_modes=args.n_modes)
     payload = {"boundary": args.boundary, "frequencies": [float(f) for f in freqs]}
     if args.measured:
@@ -262,12 +261,7 @@ def _cmd_modes(args) -> int:
 
 def _cmd_simulate(args) -> int:
     data = load_field(args.infile)
-    beam = BeamModel(
-        section=_parse_section(args.section),
-        length=data.x_extent,
-        density=args.density,
-        youngs_modulus=args.modulus,
-    )
+    beam = _beam(args, data.x_extent, args.modulus)
     result = simulate_measured(
         data, beam, n_fit=args.n_fit, order=args.order, window=args.window
     )
@@ -279,11 +273,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep_e(args) -> int:
     data = load_field(args.infile)
-    beam = BeamModel(
-        section=_parse_section(args.section),
-        length=data.x_extent,
-        density=args.density,
-    )
+    beam = _beam(args, data.x_extent)
     result = sweep_modulus(
         data,
         beam,
@@ -307,7 +297,11 @@ def _cmd_sweep_e(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    config = PipelineConfig.from_json(args.config)
+    try:
+        config = PipelineConfig.from_json(args.config)
+    except (WeakbeamError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return CONFIG_EXIT_CODE
     report = run_pipeline(config, out_dir=args.out_dir)
     _emit(report)
     return 0

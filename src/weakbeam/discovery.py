@@ -134,8 +134,11 @@ def _tau_hat_bins(grid: FieldGrid, tau_hat) -> tuple[int, int]:
     pair = (tau_hat, tau_hat) if np.isscalar(tau_hat) else tuple(tau_hat)
     if len(pair) != 2:
         raise ParameterError("tau_hat must be a scalar or a pair")
+    if np.isnan(pair).any():
+        raise ParameterError(f"tau_hat must not be NaN, got {tau_hat}")
     return tuple(
-        min(max(1, int(round(10.0 ** th))), max(1, n // 2))
+        # capping the exponent keeps 10 ** th finite and changes no bin
+        min(max(1, int(round(10.0 ** min(th, 300.0)))), max(1, n // 2))
         for th, n in zip(pair, (grid.n_x, grid.n_t))
     )
 

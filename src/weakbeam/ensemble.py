@@ -9,6 +9,7 @@ scratch, and per-term statistics summarize the spread.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,11 +80,7 @@ class EnsembleResult:
     def coefficient_values(self, name: str) -> np.ndarray:
         """Unscaled coefficient of one term across successful runs (0 when
         inactive), ordered as the runs are."""
-        vals = []
-        for r in self.runs:
-            if r.ok:
-                vals.append(r.result.coefficient(name))
-        return np.array(vals)
+        return np.array([r.result.coefficient(name) for r in self.runs if r.ok])
 
     def as_report(self) -> dict:
         """JSON-ready summary: run counts, modal support, per-term
@@ -155,11 +152,7 @@ def aggregate(runs: tuple[EnsembleRun, ...], library: LibrarySpec | None = None)
     stats: dict[str, TermStats] = {}
     for name in library.term_names:
         values = np.array(
-            [
-                r.result.coefficient(name)
-                for r in successes
-                if name in r.result.support
-            ]
+            [r.result.coefficient(name) for r in successes if name in r.result.support]
         )
         if values.size == 0:
             continue
@@ -174,10 +167,7 @@ def aggregate(runs: tuple[EnsembleRun, ...], library: LibrarySpec | None = None)
             max=float(np.max(values)),
         )
 
-    supports = [tuple(sorted(r.result.support)) for r in successes]
-    counts: dict[tuple[str, ...], int] = {}
-    for s in supports:
-        counts[s] = counts.get(s, 0) + 1
+    counts = Counter(tuple(sorted(r.result.support)) for r in successes)
     # deterministic mode: highest count, ties broken lexicographically
     modal_count = max(counts.values())
     modal_support = min(s for s, c in counts.items() if c == modal_count)

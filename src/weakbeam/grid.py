@@ -35,10 +35,16 @@ UNIFORMITY_RTOL = 1e-9
 _MAGIC = "# fieldgrid v1"
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    """No NaN or inf in ``x``: min and max propagate NaN and show either
+    infinity, without the full-size mask ``np.isfinite(x)`` would build."""
+    return x.size == 0 or bool(np.isfinite(x.min()) and np.isfinite(x.max()))
+
+
 def _check_axis(name: str, axis: np.ndarray) -> None:
     if axis.ndim != 1 or axis.size == 0:
         raise GridError(f"{name} axis must be a non-empty 1-d array")
-    if not np.all(np.isfinite(axis)):
+    if not _all_finite(axis):
         raise GridError(f"{name} axis contains non-finite entries")
     if axis.size == 1:
         return
@@ -88,7 +94,7 @@ class FieldGrid:
                 f"values shape {values.shape} does not match grid "
                 f"({x.size}, {t.size})"
             )
-        if not np.all(np.isfinite(values)):
+        if not _all_finite(values):
             raise GridError("values contain non-finite entries")
         for arr in (x, t, values):
             arr.setflags(write=False)

@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ __all__ = [
     "PipelineConfig",
     "StageError",
     "STAGE_EXIT_CODES",
+    "CONFIG_EXIT_CODE",
     "run_pipeline",
     "write_json",
     "write_csv",
@@ -46,6 +47,9 @@ STAGE_EXIT_CODES = {
     "material": 6,
     "simulate": 7,
 }
+
+# a config that cannot be read or parsed, before any stage runs
+CONFIG_EXIT_CODE = 8
 
 
 class StageError(WeakbeamError):
@@ -113,24 +117,26 @@ class PipelineConfig:
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         if not isinstance(raw, dict):
             raise ParameterError("pipeline config must be a JSON object")
-        unknown = set(raw) - set(cls.__dataclass_fields__)
+        fields = cls.__dataclass_fields__
+        unknown = set(raw) - set(fields)
         if unknown:
             raise ParameterError(f"unknown pipeline config keys: {sorted(unknown)}")
-        raw = dict(raw)
+        missing = [k for k, f in fields.items() if f.default is MISSING and k not in raw]
+        if missing:
+            raise ParameterError(f"pipeline config needs the keys {missing}")
         for key, value in raw.items():
-            nullable = cls.__dataclass_fields__[key].default is None
+            nullable = fields[key].default is None
             if not (value is None and nullable or _has_kind(value, _CONFIG_KINDS[key])):
                 raise ParameterError(
                     f"pipeline config key {key!r} has invalid value {value!r}"
                 )
+        # only the numeric pairs and the sweep triple can be lists here
+        raw = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
         if isinstance(raw.get("section"), dict):
             try:
                 raw["section"] = CrossSection(**raw["section"])
             except (TypeError, ParameterError) as exc:
                 raise ParameterError(f"pipeline config key 'section': {exc}") from None
-        for key in ("band", "window", "tau_hat", "sweep"):
-            if raw.get(key) is not None:
-                raw[key] = tuple(raw[key])
         return cls(**raw)
 
     def to_dict(self) -> dict:

@@ -53,30 +53,35 @@ def least_squares(G: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Sweep:
-    """What every threshold of one sweep over ``(G, b)`` shares: the
-    column-norm ratios of the bounds, the full least-squares fit, and the
-    refits of each active set met so far, keyed by its bitmask."""
+    """What every threshold of one :func:`optimize_lambda` sweep over
+    ``(G, b)`` shares: the bound factors ``lo[j] = max(1, r_j)`` and
+    ``hi[j] = min(1, r_j)``, ``r_j = ||b|| / ||G_j||``, as Python floats,
+    and the refit of each active set met, keyed by its ``int`` bitmask
+    (bit j for column j) and held as ``(c, |c|.tolist())`` with ``c``
+    dense over the J columns.  The full set holds ``c_ls``."""
 
     def __init__(self, G: np.ndarray, b: np.ndarray):
-        self.G, self.b = G, b
+        self.G, self.b, self.n = G, b, G.shape[1]
         col_norms = np.linalg.norm(G, axis=0)
         with np.errstate(divide="ignore"):
-            self.ratio = np.where(
+            ratio = np.where(
                 col_norms > 0, np.linalg.norm(b) / np.maximum(col_norms, 1e-300), np.inf
             )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RankDeficiencyWarning)
-            self.c_ls = least_squares(G, b)
-        self._fits: dict[bytes, np.ndarray] = {}
+        self.lo = np.maximum(1.0, ratio).tolist()
+        self.hi = np.minimum(1.0, ratio).tolist()
+        self._fits: dict[int, tuple[np.ndarray, list[float]]] = {}
+        self.c_ls = self.fit((1 << self.n) - 1)[0]
 
-    def fit(self, active: np.ndarray) -> np.ndarray:
-        """Least squares restricted to the ``active`` columns."""
-        key = np.packbits(active).tobytes()
-        if key not in self._fits:
+    def fit(self, mask: int) -> tuple[np.ndarray, list[float]]:
+        """Least squares restricted to the columns whose bits ``mask`` sets."""
+        if mask not in self._fits:
+            active = [j for j in range(self.n) if mask >> j & 1]
+            c = np.zeros(self.n)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RankDeficiencyWarning)
-                self._fits[key] = least_squares(self.G[:, active], self.b)
-        return self._fits[key]
+                c[active] = least_squares(self.G[:, active], self.b)
+            self._fits[mask] = (c, np.abs(c).tolist())
+        return self._fits[mask]
 
 
 def mstls(
@@ -93,32 +98,38 @@ def mstls(
     scale-adapted bounds are deactivated and the remaining columns are
     refit, until the active set is stable or empty.  The sweep count is
     capped at J + 1 (each sweep removes at least one index or stops).
-    :func:`optimize_lambda` passes ``_sweep`` to share the norms and fits
-    across its thresholds.
+
+    The loop runs on Python scalars: the active set is an ``int``
+    bitmask, and each column is tested as
+    ``lam * lo[j] <= |c_j| <= (1 / lam) * hi[j]`` against the bounds and
+    fits held by a :class:`_Sweep`.  :func:`optimize_lambda` passes
+    ``_sweep`` to share them across its thresholds; without it a fresh
+    one is built.  Returns a new array.
     """
     if not (0.0 < lam):
         raise ParameterError(f"lam must be positive, got {lam}")
     if _sweep is None:
         _sweep = _Sweep(np.asarray(G, dtype=float), np.asarray(b, dtype=float))
-    n = _sweep.G.shape[1]
+    n = _sweep.n
     if max_sweeps is None:
         max_sweeps = n + 1
-    lower = lam * np.maximum(1.0, _sweep.ratio)
-    upper = (1.0 / lam) * np.minimum(1.0, _sweep.ratio)
+    lam, inv = float(lam), 1.0 / lam
+    lo, hi = _sweep.lo, _sweep.hi
 
-    c = _sweep.c_ls
-    active = np.ones(n, dtype=bool)
+    mask = (1 << n) - 1
+    c, mag = _sweep.fit(mask)
     for _ in range(max_sweeps):
-        keep = active & (np.abs(c) >= lower) & (np.abs(c) <= upper)
-        if not keep.any():
+        keep = 0
+        for j in range(n):  # a column off the set has c_j = 0 < lam * lo[j]
+            if lam * lo[j] <= mag[j] <= inv * hi[j]:
+                keep |= 1 << j
+        if not keep:
             return np.zeros(n)
-        if np.array_equal(keep, active):
+        if keep == mask:
             break
-        active = keep
-        c = np.zeros(n)
-        c[active] = _sweep.fit(active)
-    out = np.where(active, c, 0.0)
-    return out
+        mask = keep
+        c, mag = _sweep.fit(mask)
+    return c.copy()
 
 
 @dataclass(frozen=True)
@@ -145,6 +156,8 @@ def optimize_lambda(
 
     A zero right-hand side short-circuits to the empty model at the
     smallest grid value (nothing to fit, and every threshold agrees).
+    One :class:`_Sweep` serves every threshold, and the loss of each
+    distinct solution is computed once.
     """
     G = np.asarray(G, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -170,10 +183,14 @@ def optimize_lambda(
     denom = np.linalg.norm(G @ c_ls)
     losses = np.empty(grid.size)
     solutions = []
+    loss_of: dict[bytes, float] = {}  # per distinct solution
     for i, lam in enumerate(grid):
         c = mstls(G, b, lam, _sweep=sweep)
-        misfit = np.linalg.norm(G @ (c - c_ls)) / denom if denom > 0 else 0.0
-        losses[i] = misfit + np.count_nonzero(c) / n
+        key = c.tobytes()
+        if key not in loss_of:
+            misfit = np.linalg.norm(G @ (c - c_ls)) / denom if denom > 0 else 0.0
+            loss_of[key] = misfit + np.count_nonzero(c) / n
+        losses[i] = loss_of[key]
         solutions.append(c)
     best = int(np.argmin(losses))
     # smallest lambda attaining the minimum (argmin already returns the

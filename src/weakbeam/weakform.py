@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as poly
@@ -36,7 +37,6 @@ __all__ = [
     "TestFunctionBasis",
     "CornerDiagnostic",
     "WeakSystem",
-    "reference_testfn_1d",
     "mean_power_spectrum",
     "spectral_corner",
     "select_support",
@@ -155,47 +155,38 @@ class CornerDiagnostic:
     n_bins: int
 
 
-def reference_testfn_1d(p: int, m: int, deriv: int, h: float) -> np.ndarray:
-    """Sample the deriv-th derivative of ``(1 - (y/c)^2)^p`` on its support.
-
-    The support is ``[-c, c]`` with ``c = m * h``; samples are taken at
-    ``y_j = j * h`` for ``j = -m .. m`` (2m + 1 points).  The profile has
-    unit peak, and every derivative of order below ``p`` vanishes exactly
-    at the endpoints; that exactness is preserved by evaluating the
-    factored form ``(1 - u^2)^(p - r) * Q_r(u)`` where ``Q_r`` follows the
-    recurrence ``Q_{r+1} = (1 - u^2) Q_r' - 2 (p - r) u Q_r``.
-    """
-    if p < 1 or p != int(p):
-        raise ParameterError(f"p must be a positive integer, got {p}")
-    if m < 1 or m != int(m):
-        raise ParameterError(f"m must be a positive integer, got {m}")
-    if h <= 0 or not math.isfinite(h):
-        raise ParameterError(f"h must be positive and finite, got {h}")
-    if deriv < 0 or deriv != int(deriv):
-        raise ParameterError(f"deriv must be a non-negative integer, got {deriv}")
-    if deriv > p:
-        raise ParameterError(
-            f"derivative order {deriv} exceeds polynomial degree parameter {p}"
-        )
-    return _testfn_rows(p, m, deriv, h)[deriv]
-
-
-def _testfn_rows(p: int, m: int, max_deriv: int, h: float) -> np.ndarray:
-    """Derivatives 0 .. max_deriv of the test function, one per row of a
-    ``(max_deriv + 1, 2m + 1)`` array, from a single pass of the ``Q_r``
-    recurrence (see :func:`reference_testfn_1d`, which checks the
-    arguments)."""
+@lru_cache(maxsize=64)
+def _testfn_numerators(p: int, m: int, max_deriv: int) -> np.ndarray:
+    """The h-free part of each row of :func:`_testfn_rows`, read-only."""
     u = np.arange(-m, m + 1, dtype=float) / m
     q = np.array([1.0])  # coefficients of Q_r, ascending powers of u
     rows = np.empty((max_deriv + 1, u.size))
     for r in range(max_deriv + 1):
-        rows[r] = (1.0 - u * u) ** (p - r) * poly.polyval(u, q) / (m * h) ** r
+        rows[r] = (1.0 - u * u) ** (p - r) * poly.polyval(u, q)
         if r < max_deriv:
             q = poly.polysub(
                 poly.polymul([1.0, 0.0, -1.0], poly.polyder(q)),
                 poly.polymul(2.0 * (p - r) * np.array([0.0, 1.0]), q),
             )
+    rows.setflags(write=False)
     return rows
+
+
+def _testfn_rows(p: int, m: int, max_deriv: int, h: float) -> np.ndarray:
+    """Derivatives 0 .. max_deriv of the test function ``(1 - (y/c)^2)^p``,
+    one per row of a new ``(max_deriv + 1, 2m + 1)`` array.
+
+    The support is ``[-c, c]`` with ``c = m * h``, sampled at ``y_j = j h``
+    for ``j = -m .. m``.  Row r is ``(1 - u^2)^(p - r) Q_r(u) / (m h)^r``
+    with ``u = y / c`` and ``Q_{r+1} = (1 - u^2) Q_r' - 2 (p - r) u Q_r``,
+    so every derivative of order below p vanishes exactly at the ends.
+    The numerators do not depend on h; they are built once per
+    ``(p, m, max_deriv)`` in a bounded cache and divided by ``(m h)^r``
+    on every call, which gives the same bits as building them afresh.
+    Arguments are not checked: ``p, m >= 1`` and ``max_deriv <= p``.
+    """
+    num = _testfn_numerators(p, m, max_deriv)
+    return num / np.array([(m * h) ** r for r in range(max_deriv + 1)])[:, None]
 
 
 def _segment_ssr_prefix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -214,18 +205,19 @@ def _segment_ssr_prefix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(ssr, 0.0)
 
 
-def _changepoint(y: np.ndarray, hi: int) -> int:
+def _changepoint(y: np.ndarray, hi: int, ssr_left: np.ndarray) -> int:
     """Two-segment line fit over ``y[:hi]`` vs bin index; returns the
-    1-based bin of the shared breakpoint (each segment needs >= 2 points)."""
+    1-based bin of the shared breakpoint (each segment needs >= 2 points).
+
+    ``ssr_left`` is the left-prefix SSR table of all of ``y``: a prefix
+    of the window is a prefix of ``y``, so only the right segments'
+    suffix SSRs depend on ``hi``."""
     if hi < 3:
         return max(1, hi // 2)
-    yv = y[:hi]
-    k = np.arange(1, hi + 1, dtype=float)
-    ssr_left = _segment_ssr_prefix(k, yv)
-    ssr_right = _segment_ssr_prefix(k[::-1], yv[::-1])[::-1]
-    b_candidates = np.arange(1, hi - 1)
-    total = ssr_left[b_candidates] + ssr_right[b_candidates]
-    return int(b_candidates[int(np.argmin(total))]) + 1
+    k = np.arange(hi, 0, -1, dtype=float)
+    ssr_right = _segment_ssr_prefix(k, y[hi - 1 :: -1])[::-1]
+    total = ssr_left[1 : hi - 1] + ssr_right[1 : hi - 1]
+    return int(np.argmin(total)) + 2
 
 
 def mean_power_spectrum(values: np.ndarray, axis: int) -> np.ndarray:
@@ -252,6 +244,9 @@ def spectral_corner(values: np.ndarray, axis: int) -> CornerDiagnostic:
     therefore repeated on the window [1, 2 b] around the previous answer
     until the breakpoint reproduces itself; a sharp knee is its own fixed
     point, while a drawn-out tail collapses onto the curvature maximum.
+    Every window starts at bin 1, so one table of left-prefix SSRs over
+    [1, n_bins], built once, serves every pass; each pass recomputes only
+    the right segments' SSRs over its window.
 
     Conversely, on spectra with a strong narrowband peak the refinement
     can collapse into the excitation band itself, where noise by
@@ -275,10 +270,12 @@ def spectral_corner(values: np.ndarray, axis: int) -> CornerDiagnostic:
     if n_bins < 3:
         corner = max(1, n_bins // 2)
         return CornerDiagnostic(corner, math.log10(corner), n_bins)
-    b = _changepoint(y, n_bins)
+    k = np.arange(1, n_bins + 1, dtype=float)
+    ssr_left = _segment_ssr_prefix(k, y)
+    b = _changepoint(y, n_bins, ssr_left)
     seen = {b}
     for _ in range(_CORNER_MAX_ZOOMS):
-        b_next = _changepoint(y, min(n_bins, 2 * b))
+        b_next = _changepoint(y, min(n_bins, 2 * b), ssr_left)
         if b_next == b or b_next in seen:
             b = b_next
             break
@@ -389,7 +386,8 @@ def rescale(grid: FieldGrid, basis: TestFunctionBasis) -> tuple[float, float, fl
     gamma_w normalizes the field to unit peak magnitude; gamma_x and
     gamma_t normalize each test function half-support to unit length.
     """
-    amax = float(np.max(np.abs(grid.values)))
+    # the peak magnitude from one min/max pass, without an abs copy
+    amax = float(max(-grid.values.min(), grid.values.max()))
     if amax == 0.0:
         raise DegenerateDataError("cannot rescale an identically zero field")
     return 1.0 / amax, 1.0 / (basis.m_x * grid.dx), 1.0 / (basis.m_t * grid.dt)
@@ -427,13 +425,6 @@ class WeakSystem:
     @property
     def n_queries(self) -> int:
         return self.G.shape[0]
-
-
-def _default_query_indices(
-    n: int, m: int, s: int
-) -> np.ndarray:
-    last = n - m - 1
-    return np.arange(m, last + 1, s, dtype=int)
 
 
 def assemble(
@@ -484,8 +475,8 @@ def assemble(
         )
 
     if query_points is None:
-        xs = _default_query_indices(n_x, m_x, basis.s_x)
-        ts = _default_query_indices(n_t, m_t, basis.s_t)
+        xs = np.arange(m_x, n_x - m_x, basis.s_x)
+        ts = np.arange(m_t, n_t - m_t, basis.s_t)
         ix = np.repeat(xs, ts.size)
         it = np.tile(ts, xs.size)
     else:
@@ -493,9 +484,7 @@ def assemble(
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
             raise ParameterError("query_points must be a non-empty (K, 2) array")
         ix, it = pts[:, 0], pts[:, 1]
-        if np.any(ix < m_x) or np.any(ix > n_x - 1 - m_x) or np.any(
-            it < m_t
-        ) or np.any(it > n_t - 1 - m_t):
+        if ix.min() < m_x or ix.max() >= n_x - m_x or it.min() < m_t or it.max() >= n_t - m_t:
             raise ParameterError(
                 "a query point's support window extends outside the grid"
             )

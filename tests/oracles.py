@@ -6,8 +6,14 @@ banded storage and solves, closed-form spectra) so agreement is
 meaningful.
 """
 
+import math
+
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as poly
+
+from weakbeam.errors import DegenerateDataError, ParameterError
+from weakbeam.weakform import CornerDiagnostic, mean_power_spectrum
 
 BETA_L = {
     # characteristic roots beta_n * L of the Euler-Bernoulli frequency
@@ -35,6 +41,106 @@ def testfn_poly(p, m, deriv, h):
         poly = poly.deriv()
     u = np.arange(-m, m + 1, dtype=float) / m
     return poly(u) / (m * h) ** deriv
+
+
+def reference_testfn_1d(p, m, deriv, h):
+    """Sample the deriv-th derivative of ``(1 - (y/c)^2)^p`` on its support,
+    with no cache: the ``Q_r`` recurrence is run afresh up to ``deriv``.
+
+    The support is ``[-c, c]`` with ``c = m * h``; samples are taken at
+    ``y_j = j * h`` for ``j = -m .. m`` (2m + 1 points).  The profile has
+    unit peak, and every derivative of order below ``p`` vanishes exactly
+    at the endpoints; that exactness is preserved by evaluating the
+    factored form ``(1 - u^2)^(p - r) * Q_r(u)`` where ``Q_r`` follows the
+    recurrence ``Q_{r+1} = (1 - u^2) Q_r' - 2 (p - r) u Q_r``.
+    """
+    if p < 1 or p != int(p):
+        raise ParameterError(f"p must be a positive integer, got {p}")
+    if m < 1 or m != int(m):
+        raise ParameterError(f"m must be a positive integer, got {m}")
+    if h <= 0 or not math.isfinite(h):
+        raise ParameterError(f"h must be positive and finite, got {h}")
+    if deriv < 0 or deriv != int(deriv):
+        raise ParameterError(f"deriv must be a non-negative integer, got {deriv}")
+    if deriv > p:
+        raise ParameterError(
+            f"derivative order {deriv} exceeds polynomial degree parameter {p}"
+        )
+    u = np.arange(-m, m + 1, dtype=float) / m
+    q = np.array([1.0])  # coefficients of Q_r, ascending powers of u
+    for r in range(deriv):
+        q = poly.polysub(
+            poly.polymul([1.0, 0.0, -1.0], poly.polyder(q)),
+            poly.polymul(2.0 * (p - r) * np.array([0.0, 1.0]), q),
+        )
+    return (1.0 - u * u) ** (p - deriv) * poly.polyval(u, q) / (m * h) ** deriv
+
+
+def _segment_ssr_prefix(x, y):
+    """SSR of the best-fit line over each prefix x[:k+1], y[:k+1]."""
+    n = np.arange(1, x.size + 1, dtype=float)
+    sx = np.cumsum(x)
+    sy = np.cumsum(y)
+    sxx = np.cumsum(x * x)
+    sxy = np.cumsum(x * y)
+    syy = np.cumsum(y * y)
+    vxx = sxx - sx * sx / n
+    vxy = sxy - sx * sy / n
+    vyy = syy - sy * sy / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ssr = vyy - np.where(vxx > 0, vxy * vxy / np.maximum(vxx, 1e-300), 0.0)
+    return np.maximum(ssr, 0.0)
+
+
+def reference_changepoint(y, hi):
+    """Two-segment line fit over ``y[:hi]`` vs bin index, both segments'
+    prefix SSRs rebuilt for this window; the 1-based breakpoint bin."""
+    if hi < 3:
+        return max(1, hi // 2)
+    yv = y[:hi]
+    k = np.arange(1, hi + 1, dtype=float)
+    ssr_left = _segment_ssr_prefix(k, yv)
+    ssr_right = _segment_ssr_prefix(k[::-1], yv[::-1])[::-1]
+    b_candidates = np.arange(1, hi - 1)
+    total = ssr_left[b_candidates] + ssr_right[b_candidates]
+    return int(b_candidates[int(np.argmin(total))]) + 1
+
+
+def cumulative_log_power(values, axis):
+    """Cumulative sum of the log10 mean power over bins 1 .. n // 2, with
+    exact zeros floored at 1e-30 of the peak."""
+    power = mean_power_spectrum(np.asarray(values, dtype=float), axis)
+    if power.size == 0 or power.max() <= 0.0:
+        raise DegenerateDataError("field has no spectral content along axis")
+    return power, np.cumsum(np.log10(np.maximum(power, power.max() * 1e-30)))
+
+
+def reference_spectral_corner(values, axis):
+    """The changepoint corner with every zoom pass fitting its window
+    from scratch (:func:`reference_changepoint`).  Same spectrum, floor,
+    zoom and peak guard as ``weakform.spectral_corner``."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ParameterError("expected a 2-d field array")
+    if axis not in (0, 1):
+        raise ParameterError(f"axis must be 0 or 1, got {axis}")
+    power, y = cumulative_log_power(values, axis)
+    n_bins = values.shape[axis] // 2
+    if n_bins < 3:
+        corner = max(1, n_bins // 2)
+        return CornerDiagnostic(corner, math.log10(corner), n_bins)
+    b = reference_changepoint(y, n_bins)
+    seen = {b}
+    for _ in range(32):
+        b_next = reference_changepoint(y, min(n_bins, 2 * b))
+        if b_next == b or b_next in seen:
+            b = b_next
+            break
+        seen.add(b_next)
+        b = b_next
+    k_peak = int(np.argmax(power)) + 1
+    b = max(b, min(4 * k_peak, n_bins - 1))
+    return CornerDiagnostic(b, math.log10(b), n_bins)
 
 
 def dense_weak_system(grid, library, basis, scales=(1.0, 1.0, 1.0),

@@ -1,8 +1,11 @@
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import AL_MODULUS
 from oracles import analytic_beam_frequencies
@@ -10,7 +13,7 @@ from weakbeam.cli import main
 from weakbeam.errors import ParameterError
 from weakbeam.grid import FieldGrid, load_field, save_field
 from weakbeam.material import CrossSection
-from weakbeam.pipeline import PipelineConfig, run_pipeline
+from weakbeam.pipeline import CONFIG_EXIT_CODE, STAGE_EXIT_CODES, PipelineConfig, run_pipeline
 
 SYNTH_FLAGS = [
     "--section", "circle:d=6.35e-3",
@@ -300,6 +303,8 @@ def test_bad_pair_is_a_usage_error(capsys, argv):
         ('{"field_path": "x", "section": {"kind": "circle", "d": 1}}', "section"),
         ('{"field_path": "x", "max_ds": "3"}', "max_ds"),
         ('{"field_path": "x",', "config.json"),
+        ('{"field_path": "x", "max-ds": 3}', "max-ds"),
+        ('{"max_ds": 3}', "field_path"),
     ],
 )
 def test_bad_pipeline_config_is_an_error(capsys, tmp_path, text, culprit):
@@ -307,6 +312,77 @@ def test_bad_pipeline_config_is_an_error(capsys, tmp_path, text, culprit):
     config.write_text(text, encoding="utf-8")
     with pytest.raises(ParameterError, match=culprit):
         PipelineConfig.from_json(config)
-    assert main(["pipeline", "--config", str(config)]) == 1
+    assert main(["pipeline", "--config", str(config)]) == CONFIG_EXIT_CODE
     err = capsys.readouterr().err
     assert err.startswith("error:") and culprit in err
+
+
+def test_missing_pipeline_config_is_a_config_error(capsys, tmp_path):
+    config = tmp_path / "absent.json"
+    assert main(["pipeline", "--config", str(config)]) == CONFIG_EXIT_CODE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "absent.json" in err and "Traceback" not in err
+
+
+# ------------------------------------------------------ front-door fuzzing
+
+# every exit code the CLI module docstring documents
+DOCUMENTED_EXIT_CODES = {0, 1, CONFIG_EXIT_CODE, *STAGE_EXIT_CODES.values()}
+
+NAN = float("nan")  # json writes NaN and reads it back
+_PAIRS = st.sampled_from([[1e3, 2e5], [2e5, 1e3], [0.0, 0.0], [-1.0, 5e-4], [1e300, 1.0],
+                          [NAN, 1.0], [0.5, 1.5]])
+_RIGHT_KIND = {
+    "downsample": st.sampled_from([-1, 0, 1, 2, 3]),
+    "band": _PAIRS | st.none(),
+    "taper_frac": st.sampled_from([-0.1, 0.0, 0.1, 0.5, 2.0, NAN]),
+    "window": _PAIRS | st.none(),
+    "tau": st.sampled_from([1e-9, 0.5, 0.0, -1.0, 2.0, 1e300, NAN]),
+    "tau_hat": _PAIRS | st.none(),
+    "max_ds": st.sampled_from([-1, 0, 1, 3]),
+    "section": st.sampled_from([
+        {"kind": "circle", "diameter": 6.35e-3},
+        {"kind": "rectangle", "width": 4e-3, "thickness": 3e-3},
+        {"kind": "circle"},
+        {"kind": "circle", "diameter": -1.0},
+        {"kind": "circle", "d": 1.0},
+        {"kind": "ellipse", "diameter": 1.0},
+        {"diameter": 1.0},
+    ]) | st.none(),
+    "density": st.sampled_from([2721.9, 0.0, -1.0, NAN]) | st.none(),
+    "nominal_modulus": st.sampled_from([6.9e10, 0.0, -1.0, NAN]) | st.none(),
+    "simulate": st.booleans(),
+    "sweep": st.sampled_from([[6.6e10, 7.2e10, 3], [7.2e10, 6.6e10, 2], [1.0, 2.0, 0],
+                              [0.0, 1e10, 1], [6e10, 7e10, 2.5], [NAN, 7e10, 2]]) | st.none(),
+    "n_fit": st.sampled_from([-3, 0, 1, 5, 25]),
+    "fourier_order": st.sampled_from([-1, 0, 1, 3]),
+}
+_WRONG_KIND = st.sampled_from(["text", None, True, 1.5, 3, [], [1.0], [1.0, "a"], {}, {"a": 1}])
+
+
+@pytest.fixture(scope="module")
+def tiny_field(edge_field, tmp_path_factory):
+    """A 15x251 corner of a synth field: every stage runs in milliseconds."""
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.field"
+    save_field(FieldGrid(edge_field.x[:15], edge_field.t[:251], edge_field.values[:15, :251]), path)
+    return path
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_pipeline_config_gives_a_documented_exit_code(data, tiny_field):
+    # a JSON object over the config keys with values of the right kind,
+    # then at most one key given a value of a wrong kind (or an unknown key)
+    paths = st.sampled_from([str(tiny_field)] * 3 + [str(tiny_field) + ".absent"])
+    config = data.draw(st.fixed_dictionaries({"field_path": paths}, optional=_RIGHT_KIND))
+    culprit = data.draw(st.none() | st.sampled_from(["field_path", "bogus", *_RIGHT_KIND]))
+    if culprit is not None:
+        config[culprit] = data.draw(_WRONG_KIND)
+    path = tiny_field.parent / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["pipeline", "--config", str(path)])
+    assert code in DOCUMENTED_EXIT_CODES, (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")

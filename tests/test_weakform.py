@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import dense_weak_system
+from conftest import uniform_grid_field
+from oracles import (
+    cumulative_log_power,
+    dense_weak_system,
+    reference_changepoint,
+    reference_spectral_corner,
+    reference_testfn_1d,
+)
 from oracles import testfn_poly as poly_oracle
 from weakbeam.discovery import discover
+from weakbeam.ensemble import subsample_time
 from weakbeam.errors import DegenerateDataError, ParameterError, SelectionError
 from weakbeam.grid import FieldGrid
 from weakbeam.sparse import optimize_lambda
@@ -16,12 +24,11 @@ from weakbeam.weakform import (
     default_library,
     default_query_strides,
     rescale,
-    reference_testfn_1d,
     select_support,
     spectral_corner,
     unscale_coefficients,
 )
-from weakbeam.weakform import _testfn_rows
+from weakbeam.weakform import _changepoint, _segment_ssr_prefix, _testfn_rows
 
 LIB = default_library()
 
@@ -106,6 +113,22 @@ def test_one_pass_kernels_equal_single_order_kernels(p, m):
         assert np.array_equal(rows[deriv], reference_testfn_1d(p, m, deriv, h))
         want = poly_oracle(p, m, deriv, h)
         assert np.max(np.abs(rows[deriv] - want)) <= 1e-11 * np.abs(want).max()
+
+
+def test_cached_kernels_equal_the_uncached_reference():
+    # the numerators are cached per (p, m, max_deriv) and reused for every
+    # h; each call must still give the reference's bits in a fresh array
+    for p in range(1, 17):
+        for m in (1, 3, 17, 214):
+            for max_deriv in sorted({0, min(p, 2), min(p, 4), p}):
+                for h in (0.37, 1e-3, 2.5e-7):
+                    rows = _testfn_rows(p, m, max_deriv, h)
+                    assert rows.shape == (max_deriv + 1, 2 * m + 1)
+                    for deriv in range(max_deriv + 1):
+                        assert np.array_equal(rows[deriv], reference_testfn_1d(p, m, deriv, h))
+                    want = rows.copy()
+                    rows *= -3.0
+                    assert np.array_equal(_testfn_rows(p, m, max_deriv, h), want)
 
 
 @pytest.mark.parametrize(
@@ -361,6 +384,48 @@ def test_corner_is_amplitude_invariant():
         a = spectral_corner(g.values, axis)
         b = spectral_corner(1e6 * g.values, axis)
         assert a.corner_bin == b.corner_bin
+
+
+def knee_field(n_x, n_t, kx, kt, seed=0):
+    """White noise low-passed along each axis, with a 1/k spectrum up to bin
+    kx (kt) and a floor 1e-4 below it beyond: its corners sit at the knees,
+    well above the peak guard."""
+    w = np.random.default_rng(seed).standard_normal((n_x, n_t))
+    for axis, n, kc in ((0, n_x, kx), (1, n_t, kt)):
+        k = np.arange(n // 2 + 1)
+        gain = np.where(k <= kc, 1.0 / np.maximum(k, 1), 1e-4)
+        gain = gain[:, None] if axis == 0 else gain[None, :]
+        w = np.fft.irfft(np.fft.rfft(w, axis=axis) * gain, n=n, axis=axis)
+    return w
+
+
+def assert_same_corners(values):
+    """The corner equals the per-pass oracle's on both axes.  The peak guard
+    sets a beam field's corner, so every window the zoom can try is also
+    fitted against the oracle's changepoint, and with one shared table."""
+    for axis in (0, 1):
+        assert spectral_corner(values, axis) == reference_spectral_corner(values, axis)
+        _, y = cumulative_log_power(values, axis)
+        table = _segment_ssr_prefix(np.arange(1, y.size + 1, dtype=float), y)
+        for hi in {*range(2, y.size, 2), y.size}:  # n_bins, then 2 b
+            assert _changepoint(y, hi, table) == reference_changepoint(y, hi)
+
+
+def test_corner_matches_the_per_pass_oracle_on_fixture_fields(edge_field, noisy_fields):
+    for values in (
+        edge_field.values,
+        *(f.values for f in noisy_fields),
+        uniform_grid_field(64, 300).values,
+        knee_field(128, 400, 20, 50),
+        knee_field(200, 1000, 15, 150),
+    ):
+        assert_same_corners(values)
+
+
+def test_corner_matches_the_per_pass_oracle_on_every_ensemble_subset(noisy_fields):
+    for d in range(1, 11):
+        for offset in range(1, d + 1):
+            assert_same_corners(subsample_time(noisy_fields[0], d, offset).values)
 
 
 def test_corner_rejects_zero_and_bad_axis():
