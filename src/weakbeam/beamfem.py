@@ -208,7 +208,6 @@ def extract_boundaries(
     data: FieldGrid,
     n_fit: int = 25,
     order: int = 3,
-    fit_frequency: float | None = None,
 ) -> BoundaryHistory:
     """Edge deflections, rotations, and accelerations from a measured field.
 
@@ -218,13 +217,13 @@ def extract_boundaries(
     over the ``n_fit`` samples nearest each edge.  Accelerations are
     second differences in time.
 
-    ``fit_frequency`` is the fundamental ``w0`` in rad per unit length.
-    By default it is taken from the dominant bin of the spatial power
-    spectrum, so the basis resolves the wavelength actually present in
-    the data.  Tying ``w0`` to the fit window instead makes the basis
-    periodic across the window, and the mismatch between the two window
-    ends then leaks into the edge derivative at scale ``w0`` — orders of
-    magnitude above the true rotation for smooth long-wavelength fields.
+    The fundamental ``w0`` (rad per unit length) is taken from the
+    dominant bin of the spatial power spectrum, so the basis resolves the
+    wavelength actually present in the data.  Tying ``w0`` to the fit
+    window instead makes the basis periodic across the window, and the
+    mismatch between the two window ends then leaks into the edge
+    derivative at scale ``w0`` — orders of magnitude above the true
+    rotation for smooth long-wavelength fields.
     """
     if order < 1:
         raise ParameterError(f"order must be >= 1, got {order}")
@@ -235,14 +234,9 @@ def extract_boundaries(
     if n_fit > data.n_x:
         raise ParameterError(f"n_fit={n_fit} exceeds {data.n_x} spatial samples")
     dx = data.dx
-    if fit_frequency is None:
-        power = mean_power_spectrum(data.values, axis=0)
-        k_peak = int(np.argmax(power)) + 1 if power.size and power.max() > 0 else 1
-        w0 = 2.0 * np.pi * k_peak / (data.n_x * dx)
-    else:
-        if fit_frequency <= 0.0:
-            raise ParameterError("fit_frequency must be positive")
-        w0 = float(fit_frequency)
+    power = mean_power_spectrum(data.values, axis=0)
+    k_peak = int(np.argmax(power)) + 1 if power.size and power.max() > 0 else 1
+    w0 = 2.0 * np.pi * k_peak / (data.n_x * dx)
     xi = np.arange(n_fit) * dx
     ks = np.arange(1, order + 1)
     design = np.hstack(
@@ -426,8 +420,8 @@ def beam_eigenfrequencies(
     return np.sqrt(np.maximum(vals, 0.0)) / (2.0 * np.pi)
 
 
-def compare(measured: FieldGrid, simulated: FieldGrid) -> tuple[FieldGrid, float]:
-    """Absolute error field and relative Frobenius error of a simulation."""
+def compare(measured: FieldGrid, simulated: FieldGrid) -> float:
+    """Relative Frobenius error of a simulation."""
     if measured.values.shape != simulated.values.shape:
         raise DimensionError(
             f"shape mismatch: {measured.values.shape} vs {simulated.values.shape}"
@@ -439,17 +433,13 @@ def compare(measured: FieldGrid, simulated: FieldGrid) -> tuple[FieldGrid, float
     denom = float(np.linalg.norm(measured.values))
     if denom == 0.0:
         raise DegenerateDataError("measured field is identically zero")
-    diff = measured.values - simulated.values
-    error_field = FieldGrid(measured.x, measured.t, np.abs(diff))
-    return error_field, float(np.linalg.norm(diff) / denom)
+    return float(np.linalg.norm(measured.values - simulated.values) / denom)
 
 
 @dataclass(frozen=True)
 class SimulationResult:
     field: FieldGrid
-    error_field: FieldGrid
     frobenius_rel: float
-    bc: BoundaryHistory = field(repr=False, default=None)
 
 
 def simulate_measured(
@@ -473,10 +463,7 @@ def simulate_measured(
         window_time(sim, *window),
         window_time(data, *window),
     )
-    error_field, frob = compare(data_c, sim_c)
-    return SimulationResult(
-        field=sim_c, error_field=error_field, frobenius_rel=frob, bc=bc
-    )
+    return SimulationResult(field=sim_c, frobenius_rel=compare(data_c, sim_c))
 
 
 @dataclass(frozen=True)
@@ -485,10 +472,6 @@ class SweepResult:
     errors: np.ndarray
     best_modulus: float
     best_error: float
-
-    @property
-    def best_index(self) -> int:
-        return int(np.argmin(self.errors))
 
 
 def sweep_modulus(

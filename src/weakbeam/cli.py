@@ -78,13 +78,9 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _beam_args(p: argparse.ArgumentParser, need_modulus: bool) -> None:
+def _beam_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--section", required=True, help="circle:d=D | rectangle:w=W,t=T")
     p.add_argument("--density", type=float, required=True, help="mass density kg/m^3")
-    p.add_argument(
-        "--modulus", type=float, required=need_modulus, default=None,
-        help="Young's modulus in Pa",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,7 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic burst-driven field")
-    _beam_args(p, need_modulus=True)
+    _beam_args(p)
+    p.add_argument("--modulus", type=float, required=True, help="Young's modulus in Pa")
     p.add_argument("--n-points", type=int, default=195, help="spatial samples")
     p.add_argument("--dx", type=float, default=5e-4, help="spatial spacing m")
     p.add_argument("--fc", type=float, required=True, help="burst center frequency Hz")
@@ -130,12 +127,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", dest="csv_out", default=None, help="per-run alpha CSV")
 
     p = sub.add_parser("modulus", help="Young's modulus from a stiffness coefficient")
-    _beam_args(p, need_modulus=False)
+    _beam_args(p)
     p.add_argument("--alpha", type=float, required=True, help="w_xxxx coefficient magnitude")
     p.add_argument("--nominal", type=float, default=None)
 
     p = sub.add_parser("modes", help="analytic bending natural frequencies")
-    _beam_args(p, need_modulus=True)
+    _beam_args(p)
+    p.add_argument("--modulus", type=float, required=True, help="Young's modulus in Pa")
     p.add_argument("--length", type=float, required=True)
     p.add_argument(
         "--boundary",
@@ -149,7 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("simulate", help="edge-driven FEM replay of a measured field")
-    _beam_args(p, need_modulus=True)
+    _beam_args(p)
+    p.add_argument("--modulus", type=float, required=True, help="Young's modulus in Pa")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--window", type=_parse_pair, default=None, metavar="T0,T1")
     p.add_argument("--n-fit", type=int, default=25)
@@ -157,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-field", default=None, help="write simulated field here")
 
     p = sub.add_parser("sweep-e", help="simulation error over a modulus grid")
-    _beam_args(p, need_modulus=False)
+    _beam_args(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--e-lo", type=float, required=True)
     p.add_argument("--e-hi", type=float, required=True)

@@ -148,30 +148,26 @@ def discover(
     tau: float = 1e-9,
     tau_hat: float | tuple[float, float] | None = None,
     library: LibrarySpec | None = None,
-    basis: TestFunctionBasis | None = None,
-    lambda_grid: np.ndarray | None = None,
 ) -> DiscoveryResult:
     """Identify a sparse PDE from one space-time field.
 
-    Hyperparameters are selected from the data unless overridden: pass
-    ``tau_hat`` to pin the spectral corner (log10-bin units) or a full
-    ``basis`` to bypass selection entirely.  The regression runs on the
-    rescaled system; reported coefficients are mapped back to the
-    original units.
+    Hyperparameters are selected from the data unless ``tau_hat`` pins
+    the spectral corner (log10-bin units), in which case no corner is
+    reported.  The regression runs on the rescaled system; reported
+    coefficients are mapped back to the original units.
     """
     library = library or default_library()
     corner_x = corner_t = None
-    if basis is None:
-        if tau_hat is None:
-            corner_x = spectral_corner(grid.values, 0)
-            corner_t = spectral_corner(grid.values, 1)
-            bins = (corner_x.corner_bin, corner_t.corner_bin)
-        else:
-            bins = _tau_hat_bins(grid, tau_hat)
-        basis = select_support(grid, bins, tau=tau, library=library)
+    if tau_hat is None:
+        corner_x = spectral_corner(grid.values, 0)
+        corner_t = spectral_corner(grid.values, 1)
+        bins = (corner_x.corner_bin, corner_t.corner_bin)
+    else:
+        bins = _tau_hat_bins(grid, tau_hat)
+    basis = select_support(grid, bins, tau=tau, library=library)
     gammas = rescale(grid, basis)
     system = assemble(grid, library, basis, scales=gammas)
-    solution = optimize_lambda(system.G, system.b, lambda_grid)
+    solution = optimize_lambda(system.G, system.b)
     coefficients = unscale_coefficients(system, solution.coefficients)
     return DiscoveryResult(
         library=library,

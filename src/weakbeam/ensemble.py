@@ -114,7 +114,6 @@ def run_ensemble(
     max_ds: int = 10,
     tau: float = 1e-9,
     library: LibrarySpec | None = None,
-    lambda_grid: np.ndarray | None = None,
 ) -> EnsembleResult:
     """Discover on every time-decimated subset and aggregate.
 
@@ -130,7 +129,7 @@ def run_ensemble(
         for offset in range(1, d + 1):
             sub = subsample_time(grid, d, offset)
             try:
-                result = discover(sub, tau=tau, library=library, lambda_grid=lambda_grid)
+                result = discover(sub, tau=tau, library=library)
                 runs.append(EnsembleRun(d=d, offset=offset, result=result))
             except WeakbeamError as exc:
                 runs.append(

@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import time
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, replace
 from pathlib import Path
 
@@ -188,6 +189,19 @@ def write_sweep_csv(path: str | Path, sweep: SweepResult) -> None:
     write_csv(path, ["youngs_modulus", "frobenius_rel"], zip(sweep.moduli, sweep.errors))
 
 
+@contextmanager
+def _stage(report: dict, timing: dict, stage: str, *fenced: type[Exception]):
+    """List and time one stage, and turn a :class:`WeakbeamError` or one of
+    the ``fenced`` exceptions raised in it into a :class:`StageError`."""
+    report["stages"].append(stage)
+    t0 = time.perf_counter()
+    try:
+        yield
+    except (WeakbeamError, *fenced) as exc:
+        raise StageError(stage, exc) from exc
+    timing[stage] = time.perf_counter() - t0
+
+
 def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> dict:
     """Execute the configured stages and return the JSON-ready report.
 
@@ -201,28 +215,17 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
     beam: BeamModel | None = None
     library = default_library()
 
-    def begin(stage: str) -> float:
-        report["stages"].append(stage)
-        return time.perf_counter()
-
-    # ingest
-    t0 = begin("ingest")
-    try:
+    with _stage(report, timing, "ingest", OSError):
         data = load_field(config.field_path)
-    except (WeakbeamError, OSError) as exc:
-        raise StageError("ingest", exc) from exc
-    report["ingest"] = {
-        "path": config.field_path,
-        "n_x": data.n_x,
-        "n_t": data.n_t,
-    }
-    timing["ingest"] = time.perf_counter() - t0
+        report["ingest"] = {
+            "path": config.field_path,
+            "n_x": data.n_x,
+            "n_t": data.n_t,
+        }
 
-    # preprocess
-    t0 = begin("preprocess")
-    try:
+    with _stage(report, timing, "preprocess"):
         processed = data
-        if config.downsample and config.downsample != 1:
+        if config.downsample != 1:
             processed = downsample_time(processed, config.downsample)
         if config.band is not None:
             processed = bandpass_time(
@@ -233,53 +236,43 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
             if config.window is None
             else window_time(processed, *config.window)
         )
-    except WeakbeamError as exc:
-        raise StageError("preprocess", exc) from exc
-    report["preprocess"] = {
-        "downsample": config.downsample,
-        "band": list(config.band) if config.band else None,
-        "window": list(config.window) if config.window else None,
-        "n_x": windowed.n_x,
-        "n_t": windowed.n_t,
-        "dt": windowed.dt if windowed.n_t > 1 else None,
-    }
-    timing["preprocess"] = time.perf_counter() - t0
+        report["preprocess"] = {
+            "downsample": config.downsample,
+            "band": list(config.band) if config.band else None,
+            "window": list(config.window) if config.window else None,
+            "n_x": windowed.n_x,
+            "n_t": windowed.n_t,
+            "dt": windowed.dt if windowed.n_t > 1 else None,
+        }
 
-    # discover
-    t0 = begin("discover")
     degenerate = False
     result = None
-    try:
-        result = discover(windowed, tau=config.tau, tau_hat=config.tau_hat, library=library)
-        report["discovery"] = result.as_report() | {"degenerate": False}
-    except DegenerateDataError as exc:
-        degenerate = True
-        report["discovery"] = {
-            "pde": render_pde(library.lhs.name, library.term_names, np.zeros(library.n_terms)),
-            "degenerate": True,
-            "reason": str(exc),
-        }
-    except WeakbeamError as exc:
-        raise StageError("discover", exc) from exc
-    timing["discover"] = time.perf_counter() - t0
+    with _stage(report, timing, "discover"):
+        try:
+            result = discover(
+                windowed, tau=config.tau, tau_hat=config.tau_hat, library=library
+            )
+            report["discovery"] = result.as_report() | {"degenerate": False}
+        except DegenerateDataError as exc:
+            degenerate = True
+            report["discovery"] = {
+                "pde": render_pde(
+                    library.lhs.name, library.term_names, np.zeros(library.n_terms)
+                ),
+                "degenerate": True,
+                "reason": str(exc),
+            }
 
-    # ensemble
     ensemble = None
     if config.max_ds >= 1 and not degenerate:
-        t0 = begin("ensemble")
-        try:
+        with _stage(report, timing, "ensemble"):
             ensemble = run_ensemble(
                 windowed, max_ds=config.max_ds, tau=config.tau, library=library
             )
-        except WeakbeamError as exc:
-            raise StageError("ensemble", exc) from exc
-        report["ensemble"] = ensemble.as_report()
-        timing["ensemble"] = time.perf_counter() - t0
+            report["ensemble"] = ensemble.as_report()
 
-    # material
     if config.section is not None and config.density is not None and not degenerate:
-        t0 = begin("material")
-        try:
+        with _stage(report, timing, "material", KeyError):
             beam = BeamModel(
                 section=config.section,
                 length=windowed.x_extent,
@@ -288,22 +281,17 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
             alpha = -result.coefficient("w_xxxx")
             modulus = modulus_from_alpha(alpha, beam)
             beam = replace(beam, youngs_modulus=modulus)
-        except (WeakbeamError, KeyError) as exc:
-            raise StageError("material", exc) from exc
-        material = {"alpha": alpha, "youngs_modulus": modulus}
-        if config.nominal_modulus:
-            material["nominal_modulus"] = config.nominal_modulus
-            material["percent_error"] = (
-                100.0 * abs(modulus - config.nominal_modulus) / config.nominal_modulus
-            )
-        report["material"] = material
-        timing["material"] = time.perf_counter() - t0
+            material = {"alpha": alpha, "youngs_modulus": modulus}
+            if config.nominal_modulus:
+                material["nominal_modulus"] = config.nominal_modulus
+                material["percent_error"] = (
+                    100.0 * abs(modulus - config.nominal_modulus) / config.nominal_modulus
+                )
+            report["material"] = material
 
-    # simulate / sweep
     sweep = None
     if config.simulate and beam is not None and not degenerate:
-        t0 = begin("simulate")
-        try:
+        with _stage(report, timing, "simulate"):
             sim = simulate_measured(
                 processed,
                 beam,
@@ -333,9 +321,6 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
                     "best_modulus": sweep.best_modulus,
                     "best_error": sweep.best_error,
                 }
-        except WeakbeamError as exc:
-            raise StageError("simulate", exc) from exc
-        timing["simulate"] = time.perf_counter() - t0
 
     report["timing"] = timing
 

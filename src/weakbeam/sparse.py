@@ -24,16 +24,15 @@ from .errors import ParameterError, RankDeficiencyWarning
 
 __all__ = [
     "SparseSolution",
-    "default_lambda_grid",
     "least_squares",
     "mstls",
     "optimize_lambda",
 ]
 
 
-def default_lambda_grid(n: int = 100) -> np.ndarray:
-    """The standard threshold sweep: n log-spaced values in [1e-10, 1]."""
-    return np.logspace(-10, 0, n)
+# the threshold sweep: 100 log-spaced values in [1e-10, 1], ascending
+_LAMBDA_GRID = np.logspace(-10, 0, 100)
+_LAMBDA_GRID.setflags(write=False)
 
 
 def least_squares(G: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -88,7 +87,6 @@ def mstls(
     G: np.ndarray,
     b: np.ndarray,
     lam: float,
-    max_sweeps: int | None = None,
     *,
     _sweep: _Sweep | None = None,
 ) -> np.ndarray:
@@ -111,14 +109,12 @@ def mstls(
     if _sweep is None:
         _sweep = _Sweep(np.asarray(G, dtype=float), np.asarray(b, dtype=float))
     n = _sweep.n
-    if max_sweeps is None:
-        max_sweeps = n + 1
     lam, inv = float(lam), 1.0 / lam
     lo, hi = _sweep.lo, _sweep.hi
 
     mask = (1 << n) - 1
     c, mag = _sweep.fit(mask)
-    for _ in range(max_sweeps):
+    for _ in range(n + 1):
         keep = 0
         for j in range(n):  # a column off the set has c_j = 0 < lam * lo[j]
             if lam * lo[j] <= mag[j] <= inv * hi[j]:
@@ -147,11 +143,7 @@ class SparseSolution:
         return len(self.support)
 
 
-def optimize_lambda(
-    G: np.ndarray,
-    b: np.ndarray,
-    lambda_grid: np.ndarray | None = None,
-) -> SparseSolution:
+def optimize_lambda(G: np.ndarray, b: np.ndarray) -> SparseSolution:
     """Sweep the threshold grid and keep the smallest loss minimizer.
 
     A zero right-hand side short-circuits to the empty model at the
@@ -161,30 +153,24 @@ def optimize_lambda(
     """
     G = np.asarray(G, dtype=float)
     b = np.asarray(b, dtype=float)
-    grid = default_lambda_grid() if lambda_grid is None else np.asarray(lambda_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0):
-        raise ParameterError("lambda grid must be a non-empty positive 1-d array")
-    grid = np.sort(grid)
     n = G.shape[1]
 
     if np.linalg.norm(b) == 0.0:
-        zeros = np.zeros(n)
-        curve = np.column_stack([grid, np.zeros_like(grid)])
         return SparseSolution(
-            coefficients=zeros,
-            lambda_hat=float(grid[0]),
+            coefficients=np.zeros(n),
+            lambda_hat=float(_LAMBDA_GRID[0]),
             relative_residual=0.0,
-            loss_curve=curve,
+            loss_curve=np.column_stack([_LAMBDA_GRID, np.zeros_like(_LAMBDA_GRID)]),
             support=(),
         )
 
     sweep = _Sweep(G, b)
     c_ls = sweep.c_ls
     denom = np.linalg.norm(G @ c_ls)
-    losses = np.empty(grid.size)
+    losses = np.empty(_LAMBDA_GRID.size)
     solutions = []
     loss_of: dict[bytes, float] = {}  # per distinct solution
-    for i, lam in enumerate(grid):
+    for i, lam in enumerate(_LAMBDA_GRID):
         c = mstls(G, b, lam, _sweep=sweep)
         key = c.tobytes()
         if key not in loss_of:
@@ -199,8 +185,8 @@ def optimize_lambda(
     residual = float(np.linalg.norm(b - G @ c_hat) / np.linalg.norm(b))
     return SparseSolution(
         coefficients=c_hat,
-        lambda_hat=float(grid[best]),
+        lambda_hat=float(_LAMBDA_GRID[best]),
         relative_residual=residual,
-        loss_curve=np.column_stack([grid, losses]),
+        loss_curve=np.column_stack([_LAMBDA_GRID, losses]),
         support=tuple(int(j) for j in np.flatnonzero(c_hat)),
     )

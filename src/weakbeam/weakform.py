@@ -12,7 +12,7 @@ library onto the test function, so the data is never differentiated:
 Inner products are discretized with the uniform quadrature weight
 ``(X / N_x) * (T / N_t)`` and evaluated at the query points only, one
 axis at a time: the x-kernels are applied to the ``2 m_x + 1`` rows
-around each distinct query x-centre, and the t-kernels by FFT
+around each query x-centre, and the t-kernels by FFT
 convolution along those few rows.  Columns of the resulting matrix ``G``
 hold one candidate term each; ``b`` holds the second time derivative.
 """
@@ -151,8 +151,12 @@ class CornerDiagnostic:
     """Changepoint of the cumulative log-power spectrum along one axis."""
 
     corner_bin: int
-    tau_hat: float  # log10(corner_bin), the changepoint abscissa
     n_bins: int
+
+    @property
+    def tau_hat(self) -> float:
+        """log10(corner_bin), the changepoint abscissa."""
+        return math.log10(self.corner_bin)
 
 
 @lru_cache(maxsize=64)
@@ -269,7 +273,7 @@ def spectral_corner(values: np.ndarray, axis: int) -> CornerDiagnostic:
     y = np.cumsum(np.log10(floored))
     if n_bins < 3:
         corner = max(1, n_bins // 2)
-        return CornerDiagnostic(corner, math.log10(corner), n_bins)
+        return CornerDiagnostic(corner, n_bins)
     k = np.arange(1, n_bins + 1, dtype=float)
     ssr_left = _segment_ssr_prefix(k, y)
     b = _changepoint(y, n_bins, ssr_left)
@@ -283,7 +287,7 @@ def spectral_corner(values: np.ndarray, axis: int) -> CornerDiagnostic:
         b = b_next
     k_peak = int(np.argmax(power)) + 1
     b = max(b, min(4 * k_peak, n_bins - 1))
-    return CornerDiagnostic(b, math.log10(b), n_bins)
+    return CornerDiagnostic(b, n_bins)
 
 
 def _support_for_axis(
@@ -432,9 +436,12 @@ def assemble(
     library: LibrarySpec,
     basis: TestFunctionBasis,
     scales: tuple[float, float, float] = (1.0, 1.0, 1.0),
-    query_points: np.ndarray | None = None,
 ) -> WeakSystem:
     """Build the weak-form system at the query points.
+
+    The query points are the strided grid of every ``s_x``-th x-centre
+    and ``s_t``-th t-centre whose support lies inside the field, listed
+    x-major.
 
     Each column of G is the discrete inner product of the field term with
     the appropriately differentiated test function at every query point,
@@ -442,14 +449,12 @@ def assemble(
 
     x stage: the x-kernels of the ``#dx`` spatial orders, stacked into
     one ``(#dx, 2 m_x + 1)`` matrix, multiply the field rows under each
-    of the ``n_qx`` distinct query x-centres, at
-    ``O(n_qx * (2 m_x + 1) * n_t)`` per order.  t stage: one valid-mode
-    FFT convolution per temporal order runs along at most
-    ``n_qx * #dx`` of those rows, and the query t-centres are read off.
-    The constant term is the product of the kernel sums.  The result
-    equals direct summation over each support window up to FFT round-off,
-    and each x-centre's product has the same shape whichever other points
-    are requested, so a subset of the query points reproduces its rows.
+    of the ``n_qx`` query x-centres, at ``O(n_qx * (2 m_x + 1) * n_t)``
+    per order.  t stage: one valid-mode FFT convolution per temporal
+    order runs along at most ``n_qx * #dx`` of those rows, and the query
+    t-centres are read off.  The constant term is the product of the
+    kernel sums.  The result equals direct summation over each support
+    window up to FFT round-off.
 
     ``scales = (gamma_w, gamma_x, gamma_t)`` multiplies the field and the
     axes before assembly; pass :func:`rescale` output for conditioning,
@@ -474,21 +479,8 @@ def assemble(
             f"support ({2 * m_x + 1} x {2 * m_t + 1}) exceeds grid ({n_x} x {n_t})"
         )
 
-    if query_points is None:
-        xs = np.arange(m_x, n_x - m_x, basis.s_x)
-        ts = np.arange(m_t, n_t - m_t, basis.s_t)
-        ix = np.repeat(xs, ts.size)
-        it = np.tile(ts, xs.size)
-    else:
-        pts = np.asarray(query_points, dtype=int)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-            raise ParameterError("query_points must be a non-empty (K, 2) array")
-        ix, it = pts[:, 0], pts[:, 1]
-        if ix.min() < m_x or ix.max() >= n_x - m_x or it.min() < m_t or it.max() >= n_t - m_t:
-            raise ParameterError(
-                "a query point's support window extends outside the grid"
-            )
-    pairs = np.column_stack([ix, it])
+    xs = np.arange(m_x, n_x - m_x, basis.s_x)
+    ts = np.arange(m_t, n_t - m_t, basis.s_t)
 
     hx, ht = gx * grid.dx, gt * grid.dt
     weight = (gx * grid.x_extent / n_x) * (gt * grid.t_extent / n_t)
@@ -496,14 +488,12 @@ def assemble(
     kt = _testfn_rows(basis.p_t, m_t, max_dt, ht)
     scaled = gw * grid.values
 
-    # x stage: one fixed-shape product per distinct x-centre, so a centre's
-    # rows come out the same whichever other centres are present
+    # x stage: one product per query x-centre
     live = [t for t in library.terms + (library.lhs,) if t.power == 1]
     dx_orders = sorted({t.dx_order for t in live})
     kx_live = kx[dx_orders]
-    centres, centre_row = np.unique(ix, return_inverse=True)
-    xrows = np.empty((centres.size, len(dx_orders), n_t))
-    for r, c in enumerate(centres):
+    xrows = np.empty((xs.size, len(dx_orders), n_t))
+    for r, c in enumerate(xs):
         xrows[r] = kx_live @ scaled[c - m_x : c + m_x + 1]
 
     # t stage: one valid-mode convolution per dt order, over the rows of
@@ -519,9 +509,8 @@ def assemble(
     def column(term: TermSpec) -> np.ndarray:
         sign = -1.0 if (term.dx_order + term.dt_order) % 2 else 1.0
         if term.power == 0:
-            return np.full(ix.size, sign * weight * (kx[0].sum() * kt[0].sum()))
-        full = tconv[term.dx_order, term.dt_order]
-        return sign * weight * full[centre_row, it - m_t]
+            return np.full(xs.size * ts.size, sign * weight * (kx[0].sum() * kt[0].sum()))
+        return sign * weight * tconv[term.dx_order, term.dt_order][:, ts - m_t].ravel()
 
     G = np.column_stack([column(t) for t in library.terms])
     b = column(library.lhs)
@@ -529,7 +518,7 @@ def assemble(
     return WeakSystem(
         G=G,
         b=b,
-        query_points=pairs,
+        query_points=np.column_stack([np.repeat(xs, ts.size), np.tile(ts, xs.size)]),
         basis=basis,
         library=library,
         gamma_w=gw,

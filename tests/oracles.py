@@ -128,7 +128,7 @@ def reference_spectral_corner(values, axis):
     n_bins = values.shape[axis] // 2
     if n_bins < 3:
         corner = max(1, n_bins // 2)
-        return CornerDiagnostic(corner, math.log10(corner), n_bins)
+        return CornerDiagnostic(corner, n_bins)
     b = reference_changepoint(y, n_bins)
     seen = {b}
     for _ in range(32):
@@ -140,11 +140,10 @@ def reference_spectral_corner(values, axis):
         b = b_next
     k_peak = int(np.argmax(power)) + 1
     b = max(b, min(4 * k_peak, n_bins - 1))
-    return CornerDiagnostic(b, math.log10(b), n_bins)
+    return CornerDiagnostic(b, n_bins)
 
 
-def dense_weak_system(grid, library, basis, scales=(1.0, 1.0, 1.0),
-                      query_points=None):
+def dense_weak_system(grid, library, basis, scales=(1.0, 1.0, 1.0)):
     """Direct-summation weak-form assembly.
 
     Every entry is an explicit windowed sum
@@ -160,10 +159,9 @@ def dense_weak_system(grid, library, basis, scales=(1.0, 1.0, 1.0),
     m_x, m_t = basis.m_x, basis.m_t
     weight = (gx * grid.x_extent / n_x) * (gt * grid.t_extent / n_t)
 
-    if query_points is None:
-        xs = np.arange(m_x, n_x - m_x, basis.s_x)
-        ts = np.arange(m_t, n_t - m_t, basis.s_t)
-        query_points = np.array([(ix, it) for ix in xs for it in ts])
+    xs = np.arange(m_x, n_x - m_x, basis.s_x)
+    ts = np.arange(m_t, n_t - m_t, basis.s_t)
+    query_points = np.array([(ix, it) for ix in xs for it in ts])
 
     def phix(i):
         return testfn_poly(basis.p_x, m_x, i, h_x)

@@ -298,6 +298,23 @@ def test_bad_pair_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["modulus", "--section", "circle:d=1", "--density", "1", "--alpha", "1",
+         "--modulus", "1"],
+        ["sweep-e", "--in", "x.field", "--section", "circle:d=1", "--density", "1",
+         "--e-lo", "1", "--e-hi", "2", "--modulus", "1"],
+    ],
+)
+def test_modulus_flag_where_it_is_unused_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--modulus" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "text, culprit",
     [
         ('{"field_path": "x", "section": {"kind": "circle", "d": 1}}', "section"),

@@ -4,7 +4,7 @@ import pytest
 from conftest import AL_DENSITY, AL_MODULUS, make_beam
 from weakbeam.discovery import discover, render_pde
 from weakbeam.grid import FieldGrid
-from weakbeam.weakform import TestFunctionBasis, default_library
+from weakbeam.weakform import default_library
 
 
 # ------------------------------------------------------------------ rendering
@@ -92,14 +92,6 @@ def test_discovery_report_is_json_ready(edge_field):
     assert parsed["basis"]["m_x"] == result.basis.m_x
 
 
-def test_discovery_with_explicit_basis_skips_corners(edge_field):
-    basis = TestFunctionBasis(p_x=8, p_t=7, m_x=40, m_t=60, s_x=5, s_t=40)
-    result = discover(edge_field, basis=basis)
-    assert result.basis == basis
-    assert result.corner_x is None and result.corner_t is None
-    assert result.as_report()["corner"] == {"x": None, "t": None}
-
-
 def test_reported_tau_hat_reproduces_the_selected_basis(edge_field):
     # discover turns tau_hat into bins by round(10 ** tau_hat), the inverse
     # of the log10 a corner reports, for every bin up to 200,000
@@ -109,12 +101,13 @@ def test_reported_tau_hat_reproduces_the_selected_basis(edge_field):
     pinned = discover(edge_field, tau_hat=(auto.corner_x.tau_hat, auto.corner_t.tau_hat))
     assert pinned.basis == auto.basis
     assert np.array_equal(pinned.coefficients, auto.coefficients)
+    # a pinned corner is not a measured one, so none is reported
+    assert pinned.as_report()["corner"] == {"x": None, "t": None}
 
 
 def test_discovery_rejects_identically_zero_field():
     from weakbeam.errors import DegenerateDataError
 
     g = FieldGrid(np.arange(40) * 1e-3, np.arange(60) * 1e-6, np.zeros((40, 60)))
-    basis = TestFunctionBasis(p_x=8, p_t=7, m_x=10, m_t=15, s_x=2, s_t=3)
     with pytest.raises(DegenerateDataError):
-        discover(g, basis=basis)
+        discover(g)

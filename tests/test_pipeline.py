@@ -166,6 +166,15 @@ def test_bad_band_fails_at_preprocess(edge_field_file):
     assert err.value.exit_code == 3
 
 
+@pytest.mark.parametrize("factor", [0, -1])
+def test_non_positive_downsample_fails_at_preprocess(edge_field_file, factor):
+    cfg = PipelineConfig(field_path=str(edge_field_file), downsample=factor)
+    with pytest.raises(StageError) as err:
+        run_pipeline(cfg)
+    assert err.value.stage == "preprocess"
+    assert err.value.exit_code == 3
+
+
 def test_structureless_data_fails_at_material(tmp_path):
     rng = np.random.default_rng(42)
     noise = FieldGrid(

@@ -181,11 +181,10 @@ def test_assembly_oracle_property(n_x, n_t, m_x, m_t, seed):
     assert np.linalg.norm(system.b - b) <= 1e-10 * scale
 
 
-def assert_matches_dense_oracle(g, basis, query_points=None):
+def assert_matches_dense_oracle(g, basis):
     for scales in ((1.0, 1.0, 1.0), rescale(g, basis)):
-        system = assemble(g, LIB, basis, scales=scales, query_points=query_points)
-        G, b, pts = dense_weak_system(g, LIB, basis, scales=scales,
-                                      query_points=query_points)
+        system = assemble(g, LIB, basis, scales=scales)
+        G, b, pts = dense_weak_system(g, LIB, basis, scales=scales)
         assert np.array_equal(system.query_points, pts)
         assert np.linalg.norm(system.G - G) <= 1e-10 * np.linalg.norm(G)
         assert np.linalg.norm(system.b - b) <= 1e-10 * np.linalg.norm(b)
@@ -201,15 +200,6 @@ def test_single_x_centre_matches_dense_oracle():
     basis = TestFunctionBasis(p_x=6, p_t=5, m_x=8, m_t=12, s_x=1, s_t=5)
     assert np.unique(assemble(g, LIB, basis).query_points[:, 0]).size == 1
     assert_matches_dense_oracle(g, basis)
-
-
-def test_unsorted_duplicated_query_points_match_dense_oracle():
-    g = random_field(40, 50, seed=23)
-    basis = TestFunctionBasis(p_x=6, p_t=5, m_x=8, m_t=10, s_x=4, s_t=5)
-    rng = np.random.default_rng(23)
-    pts = np.column_stack([rng.integers(8, 32, 30), rng.integers(10, 40, 30)])
-    pts = np.concatenate([pts, pts[[3, 0, 17]]])
-    assert_matches_dense_oracle(g, basis, query_points=pts)
 
 
 def test_zero_field_assembles_to_zero_system():
@@ -257,16 +247,6 @@ def test_constant_offset_shifts_only_the_w_column():
     got = b.G[:, jw] - a.G[:, jw]
     want = 3.7 * a.G[:, j1]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(a.G[:, jw]).max()
-
-
-def test_explicit_query_points_match_full_grid_rows():
-    g = random_field(40, 50, seed=9)
-    basis = TestFunctionBasis(p_x=6, p_t=5, m_x=8, m_t=10, s_x=4, s_t=5)
-    full = assemble(g, LIB, basis)
-    subset = full.query_points[::3]
-    part = assemble(g, LIB, basis, query_points=subset)
-    assert np.array_equal(part.G, full.G[::3])
-    assert np.array_equal(part.b, full.b[::3])
 
 
 def test_linear_field_column_identities():
