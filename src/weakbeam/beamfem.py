@@ -284,6 +284,7 @@ def newmark_march(
     dt: float,
     d0: np.ndarray | None = None,
     v0: np.ndarray | None = None,
+    record: slice = slice(None),
 ) -> np.ndarray:
     """Integrate ``M a + K d = f(t)`` with the average-acceleration rule,
     Newmark's ``beta = 1/4``, ``gamma = 1/2``: the unconditionally stable,
@@ -291,17 +292,22 @@ def newmark_march(
 
     ``M`` and ``K`` are symmetric, in the upper banded storage that
     :func:`assemble_matrices` returns.  ``forces`` has one row per time
-    step (including step 0).  Returns the displacement history, of the
-    same shape as ``forces``; no velocity history is kept.  For undamped
-    linear systems the discrete energy ``(v' M v + d' K d) / 2`` is
-    conserved up to round-off.
+    step (including step 0); ``d0`` and ``v0``, the initial state
+    (default: rest), have one entry per dof.  Returns the displacement
+    history of the dofs ``record`` selects (default: all), shape
+    ``(n_steps + 1, len(range(n_dof)[record]))``; no velocity history is
+    kept.  Every dof is marched whatever ``record`` is, so the recorded
+    columns equal the full history's ``[:, record]`` bit for bit.  For
+    undamped linear systems the discrete energy ``(v' M v + d' K d) / 2``
+    is conserved up to round-off.
 
     The state is carried as the predictor ``p = d + dt v + q a`` with
     ``q = dt**2 / 4`` and its increment ``s``, which advances by
     ``dt**2 a`` each step, so one step costs one banded product (BLAS
     ``dsbmv``), one banded solve with the factor of ``M + q K`` (LAPACK
     ``dpbtrs``, in place on the product) and five in-place vector
-    operations; nothing but the product is allocated.
+    operations; nothing but the product is allocated.  A step writes
+    ``q a[record] + p[record]`` into its row of the history.
     """
     forces = np.asarray(forces, dtype=float)
     if forces.ndim != 2:
@@ -312,8 +318,12 @@ def newmark_march(
         raise ParameterError(f"M and K must be banded {band}, got {np.shape(M)}, {np.shape(K)}")
     if not (dt > 0):
         raise ParameterError(f"dt must be positive, got {dt}")
+    if not isinstance(record, slice):
+        raise ParameterError(f"record must be a slice of dofs, got {type(record).__name__}")
     d = np.zeros(n) if d0 is None else np.asarray(d0, dtype=float)
     v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
+    if d.shape != (n,) or v.shape != (n,):
+        raise ParameterError(f"d0 and v0 must have shape ({n},), got {d.shape}, {v.shape}")
     # the per-step solves skip SciPy's finiteness scan, so check once here
     if not all(_all_finite(x) for x in (forces, d, v)):
         raise ParameterError("forces, d0 and v0 must be finite")
@@ -325,8 +335,8 @@ def newmark_march(
     a, info = dpbtrs(mass, forces[0] - dsbmv(_HALF_BANDWIDTH, 1.0, K, d))
     _check_info(info)
 
-    d_hist = np.empty((n_steps + 1, n))
-    d_hist[0] = d
+    d_hist = np.empty((n_steps + 1, len(range(n)[record])))
+    d_hist[0] = d[record]
     # d' = p + q a', s' = s + dt^2 a', p' = p + s'
     p = d + dt * v + q * a
     s = dt * v + 0.5 * dt**2 * a
@@ -338,8 +348,8 @@ def newmark_march(
             overwrite_b=1,
         )
         _check_info(info)
-        d = np.multiply(a, q, out=d_hist[k + 1])
-        d += p
+        row = np.multiply(a[record], q, out=d_hist[k + 1])
+        row += p[record]
         a *= dt**2
         s += a
         p += s
@@ -352,6 +362,7 @@ def newmark_solve(
     bc: BoundaryHistory,
     d0: np.ndarray | None = None,
     v0: np.ndarray | None = None,
+    n_nodes: int | None = None,
 ) -> FieldGrid:
     """Simulate the beam driven by prescribed edge motion.
 
@@ -359,8 +370,17 @@ def newmark_solve(
     semidiscrete equations with the prescribed motion moved to the load:
     ``f_i = -M_ib a_b - K_ib d_b``.  Optional ``d0``/``v0`` set the
     interior initial state (defaults: rest).  Returns the deflection
-    field on the mesh nodes over ``bc.t``.
+    field over ``bc.t`` on the leading ``n_nodes`` mesh nodes (default:
+    all), shape ``(n_nodes, bc.t.size)``.  The whole mesh is marched
+    either way, but only those nodes' deflections are recorded, so the
+    rows equal the leading rows of the full field bit for bit.
     """
+    if n_nodes is None:
+        n_nodes = mesh.n_nodes
+    if not isinstance(n_nodes, (int, np.integer)) or not 1 <= n_nodes <= mesh.n_nodes:
+        raise ParameterError(
+            f"n_nodes must be an integer in 1 .. {mesh.n_nodes}, got {n_nodes!r}"
+        )
     dt = bc.dt
     expected = bc.t[0] + np.arange(bc.t.size) * dt
     if not np.allclose(bc.t, expected, rtol=0, atol=1e-9 * dt):
@@ -382,15 +402,21 @@ def newmark_solve(
             bc.acceleration[:, 2:] @ me[2:, :2] + bc.displacement[:, 2:] @ ke[2:, :2]
         )
 
-    d_hist = newmark_march(M[:, inner], K[:, inner], forces, dt, d0=d0, v0=v0)
+    # interior deflections are the even interior dofs, on nodes 1 .. n_inner/2;
+    # record those of the nodes returned
+    n_recorded = min(n_nodes - 1, n_inner // 2)
+    w_hist = newmark_march(
+        M[:, inner], K[:, inner], forces, dt, d0=d0, v0=v0,
+        record=slice(0, 2 * n_recorded, 2),
+    )
     del forces  # the loads and the deflection field below are never alive together
 
-    deflection = np.empty((mesh.n_nodes, bc.t.size))
-    # interior deflections are the even interior dofs, on nodes 1 .. n_inner/2
-    deflection[1 : 1 + n_inner // 2] = d_hist[:, ::2].T
-    edge_nodes = [0] if bc.free_right else [0, mesh.n_nodes - 1]
-    deflection[edge_nodes] = bc.displacement[:, ::2].T
-    return FieldGrid(mesh.node_positions, bc.t, deflection)
+    deflection = np.empty((n_nodes, bc.t.size))
+    deflection[1 : 1 + n_recorded] = w_hist.T
+    deflection[0] = bc.displacement[:, 0]
+    if n_recorded < n_nodes - 1:  # the prescribed far end is returned too
+        deflection[-1] = bc.displacement[:, 2]
+    return FieldGrid(mesh.node_positions[:n_nodes], bc.t, deflection)
 
 
 def beam_eigenfrequencies(

@@ -78,10 +78,6 @@ class DiscoveryResult:
     def condition_number(self) -> float:
         return self.system.condition_number
 
-    @property
-    def gammas(self) -> tuple[float, float, float]:
-        return (self.system.gamma_w, self.system.gamma_x, self.system.gamma_t)
-
     def coefficient(self, name: str) -> float:
         names = self.term_names
         if name not in names:

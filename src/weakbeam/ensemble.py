@@ -77,11 +77,6 @@ class EnsembleResult:
     def n_success(self) -> int:
         return sum(1 for r in self.runs if r.ok)
 
-    def coefficient_values(self, name: str) -> np.ndarray:
-        """Unscaled coefficient of one term across successful runs (0 when
-        inactive), ordered as the runs are."""
-        return np.array([r.result.coefficient(name) for r in self.runs if r.ok])
-
     def as_report(self) -> dict:
         """JSON-ready summary: run counts, modal support, per-term
         statistics, and every failed run with its error message."""

@@ -18,7 +18,6 @@ Values are written with shortest round-trip precision, so
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass, field
 
@@ -160,14 +159,13 @@ def save_field(grid: FieldGrid, path: str | os.PathLike) -> None:
         # repr of a Python float is its shortest round-trip decimal
         return " ".join(map(repr, values.tolist())) + "\n"
 
-    buf = io.StringIO()
-    buf.write(_MAGIC + "\n")
-    buf.write("x: " + line(grid.x))
-    buf.write("t: " + line(grid.t))
-    for row in grid.values:
-        buf.write(line(row))
+    # one row at a time: no copy of the whole text is ever held
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+        fh.write(_MAGIC + "\n")
+        fh.write("x: " + line(grid.x))
+        fh.write("t: " + line(grid.t))
+        for row in grid.values:
+            fh.write(line(row))
 
 
 def _parse_axis_line(line: str, key: str, lineno: int) -> np.ndarray:

@@ -138,10 +138,6 @@ class SparseSolution:
     loss_curve: np.ndarray = field(repr=False)  # (n_lambda, 2): lam, loss
     support: tuple[int, ...] = ()
 
-    @property
-    def nnz(self) -> int:
-        return len(self.support)
-
 
 def optimize_lambda(G: np.ndarray, b: np.ndarray) -> SparseSolution:
     """Sweep the threshold grid and keep the smallest loss minimizer.

@@ -318,7 +318,7 @@ def _support_for_axis(
 
 
 def default_query_strides(
-    grid: FieldGrid, basis: TestFunctionBasis, n_terms: int = 7
+    grid: FieldGrid, basis: TestFunctionBasis, n_terms: int
 ) -> tuple[int, int]:
     """Pick query strides giving roughly 44 centers per axis.
 

@@ -126,7 +126,7 @@ def test_mstls_exact_recovery():
         noise = rng.standard_normal(200)
         noise *= np.linalg.norm(clean) / (1e3 * np.linalg.norm(noise))
         solution = optimize_lambda(G, clean + noise)
-        if solution.support == (j,) and solution.nnz == 1:
+        if solution.support == (j,) and np.count_nonzero(solution.coefficients) == 1:
             hits += 1
     assert hits == 100
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -251,9 +253,41 @@ def test_newmark_march_matches_the_state_oracle(n_steps, loaded, moving_start):
     assert np.abs(v - want_v).max() <= 1e-9 * np.abs(want_v).max()
 
 
+@pytest.mark.parametrize("record", [slice(0, None, 2), slice(1, 7), slice(5, None, 9), slice(3, 3)])
+@pytest.mark.parametrize("loaded, moving_start", [(False, True), (True, False), (True, True)])
+def test_newmark_march_records_the_selected_dofs(record, loaded, moving_start):
+    beam = make_beam()
+    M, K = reduced_free_vibration(beam)
+    n, dt = M.shape[1], 1e-6
+    rng = np.random.default_rng(3)
+    forces = driven_loads(200, n, dt) if loaded else np.zeros((201, n))
+    start = {}
+    if moving_start:
+        start = dict(d0=1e-4 * rng.standard_normal(n), v0=1e-1 * rng.standard_normal(n))
+    full = newmark_march(M, K, forces, dt, **start)
+    got = newmark_march(M, K, forces, dt, record=record, **start)
+    assert got.shape == (201, len(range(n)[record]))
+    assert np.array_equal(got, full[:, record])
+
+
 def test_newmark_validation():
     beam = make_beam()
     M, K = reduced_free_vibration(beam, n_elements=4)
+    n = M.shape[1]
+    forces = np.zeros((10, n))
+    for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((n, 1))):
+        with pytest.raises(ParameterError):
+            newmark_march(M, K, forces, dt=1e-6, d0=bad)
+        with pytest.raises(ParameterError):
+            newmark_march(M, K, forces, dt=1e-6, v0=bad)
+    with pytest.raises(ParameterError):
+        newmark_march(M, K, forces, dt=1e-6, record=[0, 2])
+    # n_nodes counts leading mesh nodes: 1 .. 5 on four elements
+    t = np.arange(10) * 1e-6
+    bc = BoundaryHistory.from_ends(t=t, left_w=np.zeros_like(t), left_rot=np.zeros_like(t))
+    for n_nodes in (0, -1, 6, 2.0, 2.5):
+        with pytest.raises(ParameterError):
+            newmark_solve(mesh_for(beam, 4), beam, bc, n_nodes=n_nodes)
     with pytest.raises(ParameterError):
         newmark_march(M, K, np.zeros((10, M.shape[1] + 1)), dt=1e-6)
     with pytest.raises(ParameterError):
@@ -337,9 +371,32 @@ def test_newmark_solve_matches_the_dense_oracle(n_elements, free_right, moving_s
         start = dict(
             d0=1e-4 * rng.standard_normal(n_inner), v0=1e-1 * rng.standard_normal(n_inner)
         )
-    got = newmark_solve(mesh, beam, bc, **start).values
+    full = newmark_solve(mesh, beam, bc, **start).values
     want = dense_newmark_solve(mesh, beam, bc, **start)
-    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+    assert np.abs(full - want).max() <= 1e-9 * np.abs(want).max()
+    # the leading nodes alone: the same rows, bit for bit
+    for k in sorted({1, 2, mesh.n_nodes // 2, mesh.n_nodes}):
+        got = newmark_solve(mesh, beam, bc, n_nodes=k, **start)
+        assert np.array_equal(got.x, mesh.node_positions[:k])
+        assert np.array_equal(got.values, full[:k])
+        assert np.abs(got.values - want[:k]).max() <= 1e-9 * np.abs(want[:k]).max()
+
+
+def test_newmark_solve_allocates_the_loads_and_the_recorded_nodes_only():
+    beam = make_beam()
+    mesh = mesh_for(beam, 200)
+    t = np.arange(2001) * 2e-7
+    bc = BoundaryHistory.from_ends(t, 1e-3 * np.sin(2 * np.pi * 2e4 * t), np.zeros_like(t))
+    n_nodes = 21
+    loads = t.size * (mesh.n_dof - 2) * 8
+    recorded = t.size * n_nodes * 8
+    tracemalloc.start()
+    try:
+        newmark_solve(mesh, beam, bc, n_nodes=n_nodes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= loads + 2 * recorded + 0.5e6
 
 
 def test_solver_rejects_nonuniform_history():

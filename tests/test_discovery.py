@@ -61,7 +61,8 @@ def test_discovery_result_accessors(edge_field):
     assert result.lambda_hat > 0
     assert 0 <= result.relative_residual < 1
     assert result.condition_number >= 1.0
-    gw, gx, gt = result.gammas
+    system = result.system
+    gw, gx, gt = system.gamma_w, system.gamma_x, system.gamma_t
     assert gw == pytest.approx(1.0 / np.abs(edge_field.values).max(), rel=1e-12)
     assert gx > 0 and gt > 0
 

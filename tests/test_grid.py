@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -105,6 +107,25 @@ def test_round_trip_large_grid(tmp_path):
     assert np.array_equal(back.x, g.x)
     assert np.array_equal(back.t, g.t)
     assert np.array_equal(back.values, g.values)
+
+
+def test_save_field_streams_its_rows(tmp_path):
+    # the text is written a row at a time, never held whole
+    rng = np.random.default_rng(5)
+    g = FieldGrid(
+        np.arange(200) * 5e-4,
+        np.arange(1000) * 4e-7,
+        1e-3 * rng.standard_normal((200, 1000)),
+    )
+    path = tmp_path / "stream.field"
+    tracemalloc.start()
+    try:
+        save_field(g, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * path.stat().st_size
+    assert np.array_equal(load_field(path).values, g.values)
 
 
 @given(

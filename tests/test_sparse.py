@@ -135,7 +135,7 @@ def test_sweep_recovers_planted_support_under_noise():
         G, b, c_true = planted_system(seed, noise=1e-3)
         sol = optimize_lambda(G, b)
         assert sol.support == (4,)
-        assert sol.nnz == 1
+        assert np.count_nonzero(sol.coefficients) == 1
         assert abs(sol.coefficients[4] - c_true[4]) <= 1e-2 * abs(c_true[4])
         assert sol.relative_residual <= 1e-2
 

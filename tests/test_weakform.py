@@ -317,7 +317,7 @@ def test_assemble_validation():
 def test_al_window_strides_and_row_count():
     g = random_field(195, 1501, seed=1, dx=5e-4, dt=1.6e-7)
     basis = TestFunctionBasis(p_x=8, p_t=7, m_x=42, m_t=82)
-    assert default_query_strides(g, basis) == (3, 30)
+    assert default_query_strides(g, basis, n_terms=LIB.n_terms) == (3, 30)
     system = assemble(g, LIB, basis.__class__(p_x=8, p_t=7, m_x=42, m_t=82, s_x=3, s_t=30))
     assert system.n_queries == 1665  # 37 x-centers times 45 t-centers
 
