@@ -4,11 +4,11 @@ Every subcommand prints a JSON summary to stdout (deterministic except
 for fields holding wall-clock time) and writes optional artifacts.
 Failures print ``error: ...`` to stderr, never a traceback, and exit
 with a code batch drivers can classify: 1 for bad data, parameters or
-files, 2 for a usage error, 2 to 7 for the ``pipeline`` stages ingest
-to simulate (``pipeline.STAGE_EXIT_CODES``), and 8
-(``pipeline.CONFIG_EXIT_CODE``) for a ``pipeline`` config that is
-missing, unreadable, not JSON, or has an unknown key, a missing key or
-a value of the wrong kind.
+files, 2 for a usage error, 9 for the ``pipeline`` ingest stage and 3
+to 7 for its stages preprocess to simulate
+(``pipeline.STAGE_EXIT_CODES``), and 8 (``pipeline.CONFIG_EXIT_CODE``)
+for a ``pipeline`` config that is missing, unreadable, not JSON, or has
+an unknown key, a missing key or a value of the wrong kind.
 """
 
 from __future__ import annotations

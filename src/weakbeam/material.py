@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ParameterError
 
@@ -142,6 +141,9 @@ def frequency_roots(boundary: str, n_modes: int) -> np.ndarray:
         raise ParameterError(
             f"unknown boundary {boundary!r}, expected one of {BOUNDARIES}"
         )
+    # imported here: scipy.optimize is slow to load and only `modes` needs it
+    from scipy.optimize import brentq
+
     return np.array([brentq(func, lo, hi, xtol=1e-14) for lo, hi in brackets])
 
 

@@ -40,8 +40,9 @@ __all__ = [
     "write_sweep_csv",
 ]
 
+# 2 is argparse's usage error, so ingest takes 9
 STAGE_EXIT_CODES = {
-    "ingest": 2,
+    "ingest": 9,
     "preprocess": 3,
     "discover": 4,
     "ensemble": 5,

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as poly
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import DegenerateDataError, ParameterError, SelectionError
 from .grid import FieldGrid
@@ -431,6 +431,19 @@ class WeakSystem:
         return self.G.shape[0]
 
 
+def _valid_convolve(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Valid-mode convolution of ``kernel`` along the last axis of ``rows``.
+
+    The FFT calls ``scipy.signal.fftconvolve(rows, kernel[None, None],
+    mode="valid")`` makes, so the result is bit-identical to it without
+    importing ``scipy.signal``.
+    """
+    n_t, L = rows.shape[-1], kernel.size
+    nfft = next_fast_len(n_t + L - 1, True)
+    spectrum = rfftn(rows, [nfft], axes=[-1]) * rfftn(kernel, [nfft], axes=[-1])
+    return irfftn(spectrum, [nfft], axes=[-1])[..., L - 1 : n_t]
+
+
 def assemble(
     grid: FieldGrid,
     library: LibrarySpec,
@@ -502,7 +515,7 @@ def assemble(
     for k in sorted({t.dt_order for t in live}):
         dxs = sorted({t.dx_order for t in live if t.dt_order == k})
         rows = xrows[:, [dx_orders.index(i) for i in dxs]]
-        out = fftconvolve(rows, kt[k][None, None, ::-1], mode="valid")
+        out = _valid_convolve(rows, kt[k][::-1])
         for j, i in enumerate(dxs):
             tconv[i, k] = out[:, j]
 

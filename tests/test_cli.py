@@ -207,7 +207,7 @@ def test_pipeline_subcommand_missing_input(capsys, tmp_path):
     config.write_text(
         json.dumps({"field_path": str(tmp_path / "absent.field")}), encoding="utf-8"
     )
-    assert main(["pipeline", "--config", str(config)]) == 2
+    assert main(["pipeline", "--config", str(config)]) == 9
     assert "ingest" in capsys.readouterr().err
 
 

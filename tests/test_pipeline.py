@@ -7,6 +7,7 @@ from conftest import AL_DENSITY, AL_MODULUS, AL_SECTION
 from weakbeam.errors import ParameterError
 from weakbeam.grid import FieldGrid, save_field
 from weakbeam.pipeline import (
+    CONFIG_EXIT_CODE,
     STAGE_EXIT_CODES,
     PipelineConfig,
     StageError,
@@ -33,13 +34,16 @@ def full_report(full_config):
 
 def test_exit_codes_are_reserved_per_stage():
     assert STAGE_EXIT_CODES == {
-        "ingest": 2,
+        "ingest": 9,
         "preprocess": 3,
         "discover": 4,
         "ensemble": 5,
         "material": 6,
         "simulate": 7,
     }
+    # bad data, argparse's usage error, the six stages and the config
+    codes = [1, 2, *STAGE_EXIT_CODES.values(), CONFIG_EXIT_CODE]
+    assert len(set(codes)) == len(codes) == 9
 
 
 # -------------------------------------------------------------- configuration
@@ -154,7 +158,7 @@ def test_missing_input_fails_at_ingest(tmp_path):
     with pytest.raises(StageError) as err:
         run_pipeline(cfg)
     assert err.value.stage == "ingest"
-    assert err.value.exit_code == 2
+    assert err.value.exit_code == 9
 
 
 def test_bad_band_fails_at_preprocess(edge_field_file):

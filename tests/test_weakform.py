@@ -28,7 +28,7 @@ from weakbeam.weakform import (
     spectral_corner,
     unscale_coefficients,
 )
-from weakbeam.weakform import _changepoint, _segment_ssr_prefix, _testfn_rows
+from weakbeam.weakform import _changepoint, _segment_ssr_prefix, _testfn_rows, _valid_convolve
 
 LIB = default_library()
 
@@ -179,6 +179,27 @@ def test_assembly_oracle_property(n_x, n_t, m_x, m_t, seed):
     scale = max(np.linalg.norm(G), np.linalg.norm(b))
     assert np.linalg.norm(system.G - G) <= 1e-10 * scale
     assert np.linalg.norm(system.b - b) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize(
+    "shape, L",
+    [
+        ((4, 2, 5001), 301),
+        ((4, 2, 501), 41),
+        ((11, 2, 2501), 151),
+        ((3, 1, 500), 41),  # even n_t
+        ((1, 3, 64), 7),
+        ((2, 2, 77), 77),  # kernel as long as the row: one valid sample
+    ],
+)
+def test_valid_convolve_is_bit_identical_to_fftconvolve(shape, L):
+    from scipy.signal import fftconvolve
+
+    rng = np.random.default_rng(L)
+    rows, kernel = rng.standard_normal(shape), rng.standard_normal(L)
+    got = _valid_convolve(rows, kernel[::-1])
+    assert got.shape == shape[:-1] + (shape[-1] - L + 1,)
+    assert np.array_equal(got, fftconvolve(rows, kernel[None, None, ::-1], mode="valid"))
 
 
 def assert_matches_dense_oracle(g, basis):
