@@ -19,7 +19,7 @@ from .beamfem import (
     sweep_modulus,
 )
 from .discovery import DiscoveryResult, discover
-from .ensemble import EnsembleResult, run_ensemble, subsample_time
+from .ensemble import EnsembleResult, run_ensemble
 from .errors import (
     AggregationError,
     DegenerateDataError,
@@ -42,7 +42,7 @@ from .material import (
     smape,
 )
 from .pipeline import PipelineConfig, run_pipeline
-from .preprocess import bandpass_time, downsample_time
+from .preprocess import bandpass_time, subsample_time
 from .sparse import SparseSolution, mstls, optimize_lambda
 from .synth import BurstSpec, burst, generate_beam_data
 from .weakform import (

@@ -11,7 +11,8 @@ differences in time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cholesky_banded, eigh
@@ -19,7 +20,7 @@ from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrs
 
 from .errors import DegenerateDataError, DimensionError, ParameterError, WeakbeamError
-from .grid import FieldGrid, _all_finite, window_time
+from .grid import FieldGrid, _all_finite, _check_axis, window_time
 from .material import BeamModel
 from .weakform import mean_power_spectrum
 
@@ -143,32 +144,34 @@ def second_difference(series: np.ndarray, dt: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundaryHistory:
-    """Prescribed edge motion: deflections, rotations, and their accelerations.
+    """Prescribed edge motion: deflections and rotations over ``t``.
 
-    ``displacement`` and ``acceleration`` hold one row per sample of ``t``
-    and one column per boundary dof, ordered as the mesh numbers them:
-    left w, left w_x, then right w, right w_x.  Two columns mean the far
-    end is free.
+    ``displacement`` holds one row per sample of ``t`` and one column per
+    boundary dof, ordered as the mesh numbers them: left w, left w_x,
+    then right w, right w_x.  Two columns mean the far end is free.
+    ``t`` obeys the axis rule of :class:`FieldGrid`.
     """
 
     t: np.ndarray
     displacement: np.ndarray
-    acceleration: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
-        if t.ndim != 1 or t.size < 4:
+        _check_axis("t", t)
+        if t.size < 4:
             raise ParameterError("boundary history needs >= 4 time samples")
         d = np.asarray(self.displacement, dtype=float)
-        a = np.asarray(self.acceleration, dtype=float)
-        if d.shape not in ((t.size, 2), (t.size, 4)) or a.shape != d.shape:
+        if d.shape not in ((t.size, 2), (t.size, 4)):
             raise ParameterError(
-                f"displacement and acceleration must both be ({t.size}, 2) or "
-                f"({t.size}, 4), got {d.shape} and {a.shape}"
+                f"displacement must be ({t.size}, 2) or ({t.size}, 4), got {d.shape}"
             )
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "displacement", d)
-        object.__setattr__(self, "acceleration", a)
+
+    @cached_property
+    def acceleration(self) -> np.ndarray:
+        """Second time differences of ``displacement``, column by column."""
+        return np.column_stack([second_difference(s, self.dt) for s in self.displacement.T])
 
     @property
     def free_right(self) -> bool:
@@ -188,20 +191,15 @@ class BoundaryHistory:
         right_rot: np.ndarray | None = None,
     ) -> "BoundaryHistory":
         """Build a history from deflection/rotation series (no right series
-        for a free far end); accelerations come from second differencing."""
+        for a free far end)."""
         t = np.asarray(t, dtype=float)
-        dt = float((t[-1] - t[0]) / (t.size - 1))
         ends = [left_w, left_rot]
         if right_w is not None:
             ends += [right_w, right_rot]
         series = [np.asarray(s, dtype=float) for s in ends]
         if any(s.shape != t.shape for s in series):
             raise ParameterError("every edge series must match the length of t")
-        return cls(
-            t=t,
-            displacement=np.column_stack(series),
-            acceleration=np.column_stack([second_difference(s, dt) for s in series]),
-        )
+        return cls(t=t, displacement=np.column_stack(series))
 
 
 def extract_boundaries(
@@ -381,11 +379,6 @@ def newmark_solve(
         raise ParameterError(
             f"n_nodes must be an integer in 1 .. {mesh.n_nodes}, got {n_nodes!r}"
         )
-    dt = bc.dt
-    expected = bc.t[0] + np.arange(bc.t.size) * dt
-    if not np.allclose(bc.t, expected, rtol=0, atol=1e-9 * dt):
-        raise ParameterError("boundary history time axis must be uniform")
-
     M, K = assemble_matrices(mesh, beam)
     me, ke = _element_matrices(mesh, beam)
     # the interior dofs are contiguous: all but the first node's, and the
@@ -406,7 +399,7 @@ def newmark_solve(
     # record those of the nodes returned
     n_recorded = min(n_nodes - 1, n_inner // 2)
     w_hist = newmark_march(
-        M[:, inner], K[:, inner], forces, dt, d0=d0, v0=v0,
+        M[:, inner], K[:, inner], forces, bc.dt, d0=d0, v0=v0,
         record=slice(0, 2 * n_recorded, 2),
     )
     del forces  # the loads and the deflection field below are never alive together
@@ -496,8 +489,14 @@ def simulate_measured(
 class SweepResult:
     moduli: np.ndarray
     errors: np.ndarray
-    best_modulus: float
-    best_error: float
+
+    @property
+    def best_modulus(self) -> float:
+        return float(self.moduli[np.argmin(self.errors)])
+
+    @property
+    def best_error(self) -> float:
+        return float(self.errors.min())
 
 
 def sweep_modulus(
@@ -529,10 +528,4 @@ def sweep_modulus(
             ).frobenius_rel
         except WeakbeamError as exc:
             raise WeakbeamError(f"at trial modulus E={e:.6g}: {exc}") from exc
-    best = int(np.argmin(errors))
-    return SweepResult(
-        moduli=moduli,
-        errors=errors,
-        best_modulus=float(moduli[best]),
-        best_error=float(errors[best]),
-    )
+    return SweepResult(moduli=moduli, errors=errors)

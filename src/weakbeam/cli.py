@@ -25,6 +25,7 @@ from .ensemble import run_ensemble
 from .errors import ParameterError, WeakbeamError
 from .grid import load_field, save_field, window_time
 from .material import (
+    BOUNDARIES,
     BeamModel,
     CrossSection,
     modulus_from_alpha,
@@ -41,7 +42,7 @@ from .pipeline import (
     write_json,
     write_sweep_csv,
 )
-from .preprocess import bandpass_time, downsample_time
+from .preprocess import bandpass_time, subsample_time
 from .synth import BurstSpec, generate_beam_data
 
 __all__ = ["main"]
@@ -135,11 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _beam_args(p)
     p.add_argument("--modulus", type=float, required=True, help="Young's modulus in Pa")
     p.add_argument("--length", type=float, required=True)
-    p.add_argument(
-        "--boundary",
-        default="clamped-free",
-        choices=("clamped-free", "pinned-pinned", "clamped-clamped"),
-    )
+    p.add_argument("--boundary", default="clamped-free", choices=BOUNDARIES)
     p.add_argument("--n-modes", type=int, default=5)
     p.add_argument(
         "--measured", default=None,
@@ -197,7 +194,7 @@ def _cmd_synth(args) -> int:
 def _cmd_preprocess(args) -> int:
     data = load_field(args.infile)
     if args.downsample != 1:
-        data = downsample_time(data, args.downsample)
+        data = subsample_time(data, args.downsample, 1)
     if args.band is not None:
         data = bandpass_time(data, args.band[0], args.band[1], args.taper_frac)
     if args.window is not None:
@@ -240,7 +237,9 @@ def _cmd_modulus(args) -> int:
     beam = _beam(args, 1.0)
     modulus = modulus_from_alpha(args.alpha, beam)
     payload = {"alpha": args.alpha, "youngs_modulus": modulus}
-    if args.nominal:
+    if args.nominal is not None:
+        if not (0 < args.nominal < np.inf):
+            raise ParameterError(f"--nominal must be finite and positive, got {args.nominal}")
         payload["nominal"] = args.nominal
         payload["percent_error"] = 100.0 * abs(modulus - args.nominal) / args.nominal
     _emit(payload)
@@ -252,7 +251,10 @@ def _cmd_modes(args) -> int:
     freqs = natural_frequencies(beam, boundary=args.boundary, n_modes=args.n_modes)
     payload = {"boundary": args.boundary, "frequencies": [float(f) for f in freqs]}
     if args.measured:
-        measured = np.array([float(v) for v in args.measured.split(",")])
+        try:
+            measured = np.array([float(v) for v in args.measured.split(",")])
+        except ValueError:
+            raise ParameterError(f"cannot parse --measured {args.measured!r}") from None
         payload["smape_vs_mode1"] = smape(measured, float(freqs[0]))
     _emit(payload)
     return 0

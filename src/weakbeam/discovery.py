@@ -3,7 +3,7 @@ sparse solve, and unscaling, bundled with every diagnostic a report needs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -50,13 +50,19 @@ def render_pde(lhs_name: str, term_names, coefficients, sig_figs: int = 6) -> st
 class DiscoveryResult:
     """Sparse PDE identified from one field, with all hyperparameters."""
 
-    library: LibrarySpec
-    basis: TestFunctionBasis
     coefficients: np.ndarray          # original units, dense over the library
     solution: SparseSolution = field(repr=False)  # scaled-system solve
     system: WeakSystem = field(repr=False)
     corner_x: CornerDiagnostic | None = None
     corner_t: CornerDiagnostic | None = None
+
+    @property
+    def library(self) -> LibrarySpec:
+        return self.system.library
+
+    @property
+    def basis(self) -> TestFunctionBasis:
+        return self.system.basis
 
     @property
     def term_names(self) -> tuple[str, ...]:
@@ -105,14 +111,7 @@ class DiscoveryResult:
                 "x": self.system.gamma_x,
                 "t": self.system.gamma_t,
             },
-            "basis": {
-                "p_x": self.basis.p_x,
-                "p_t": self.basis.p_t,
-                "m_x": self.basis.m_x,
-                "m_t": self.basis.m_t,
-                "s_x": self.basis.s_x,
-                "s_t": self.basis.s_t,
-            },
+            "basis": asdict(self.basis),
             "corner": {
                 "x": None
                 if self.corner_x is None
@@ -143,16 +142,15 @@ def discover(
     grid: FieldGrid,
     tau: float = 1e-9,
     tau_hat: float | tuple[float, float] | None = None,
-    library: LibrarySpec | None = None,
 ) -> DiscoveryResult:
-    """Identify a sparse PDE from one space-time field.
+    """Identify a sparse PDE from one space-time field, regressing ``w_tt``
+    onto the candidate terms of :func:`default_library`.
 
     Hyperparameters are selected from the data unless ``tau_hat`` pins
     the spectral corner (log10-bin units), in which case no corner is
     reported.  The regression runs on the rescaled system; reported
     coefficients are mapped back to the original units.
     """
-    library = library or default_library()
     corner_x = corner_t = None
     if tau_hat is None:
         corner_x = spectral_corner(grid.values, 0)
@@ -160,14 +158,12 @@ def discover(
         bins = (corner_x.corner_bin, corner_t.corner_bin)
     else:
         bins = _tau_hat_bins(grid, tau_hat)
-    basis = select_support(grid, bins, tau=tau, library=library)
+    basis = select_support(grid, bins, tau=tau)
     gammas = rescale(grid, basis)
-    system = assemble(grid, library, basis, scales=gammas)
+    system = assemble(grid, default_library(), basis, scales=gammas)
     solution = optimize_lambda(system.G, system.b)
     coefficients = unscale_coefficients(system, solution.coefficients)
     return DiscoveryResult(
-        library=library,
-        basis=basis,
         coefficients=coefficients,
         solution=solution,
         system=system,

@@ -10,33 +10,23 @@ scratch, and per-term statistics summarize the spread.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .discovery import DiscoveryResult, discover
 from .errors import AggregationError, ParameterError, WeakbeamError
 from .grid import FieldGrid
-from .weakform import LibrarySpec, default_library
+from .preprocess import subsample_time
+from .weakform import default_library
 
 __all__ = [
     "TermStats",
     "EnsembleRun",
     "EnsembleResult",
-    "subsample_time",
     "run_ensemble",
     "aggregate",
 ]
-
-
-def subsample_time(grid: FieldGrid, d: int, offset: int) -> FieldGrid:
-    """Every d-th time sample starting at 1-based offset (1 <= offset <= d)."""
-    if d < 1 or d != int(d):
-        raise ParameterError(f"decimation step must be a positive integer, got {d}")
-    if not (1 <= offset <= d) or offset != int(offset):
-        raise ParameterError(f"offset must lie in [1, {d}], got {offset}")
-    sl = slice(int(offset) - 1, None, int(d))
-    return FieldGrid(grid.x, grid.t[sl], grid.values[:, sl])
 
 
 @dataclass(frozen=True)
@@ -57,7 +47,6 @@ class EnsembleRun:
 class TermStats:
     """Coefficient statistics over the runs where a term was active."""
 
-    name: str
     n_active: int
     mean: float
     median: float
@@ -85,17 +74,7 @@ class EnsembleResult:
             "n_success": self.n_success,
             "modal_support": list(self.modal_support),
             "support_agreement": self.support_agreement,
-            "stats": {
-                name: {
-                    "n_active": s.n_active,
-                    "mean": s.mean,
-                    "median": s.median,
-                    "std": s.std,
-                    "min": s.min,
-                    "max": s.max,
-                }
-                for name, s in sorted(self.stats.items())
-            },
+            "stats": {name: asdict(s) for name, s in sorted(self.stats.items())},
             "failures": [
                 {"d": r.d, "offset": r.offset, "error": r.error}
                 for r in self.runs
@@ -108,7 +87,6 @@ def run_ensemble(
     grid: FieldGrid,
     max_ds: int = 10,
     tau: float = 1e-9,
-    library: LibrarySpec | None = None,
 ) -> EnsembleResult:
     """Discover on every time-decimated subset and aggregate.
 
@@ -118,24 +96,22 @@ def run_ensemble(
     """
     if max_ds < 1 or max_ds != int(max_ds):
         raise ParameterError(f"max_ds must be a positive integer, got {max_ds}")
-    library = library or default_library()
     runs = []
     for d in range(1, int(max_ds) + 1):
         for offset in range(1, d + 1):
             sub = subsample_time(grid, d, offset)
             try:
-                result = discover(sub, tau=tau, library=library)
+                result = discover(sub, tau=tau)
                 runs.append(EnsembleRun(d=d, offset=offset, result=result))
             except WeakbeamError as exc:
                 runs.append(
                     EnsembleRun(d=d, offset=offset, error=f"{type(exc).__name__}: {exc}")
                 )
-    return aggregate(tuple(runs), library)
+    return aggregate(tuple(runs))
 
 
-def aggregate(runs: tuple[EnsembleRun, ...], library: LibrarySpec | None = None) -> EnsembleResult:
+def aggregate(runs: tuple[EnsembleRun, ...]) -> EnsembleResult:
     """Per-term statistics and modal support over successful runs."""
-    library = library or default_library()
     successes = [r for r in runs if r.ok]
     if not successes:
         detail = "; ".join(
@@ -144,7 +120,7 @@ def aggregate(runs: tuple[EnsembleRun, ...], library: LibrarySpec | None = None)
         raise AggregationError(f"all {len(runs)} ensemble runs failed ({detail} ...)")
 
     stats: dict[str, TermStats] = {}
-    for name in library.term_names:
+    for name in default_library().term_names:
         values = np.array(
             [r.result.coefficient(name) for r in successes if name in r.result.support]
         )
@@ -152,7 +128,6 @@ def aggregate(runs: tuple[EnsembleRun, ...], library: LibrarySpec | None = None)
             continue
         spread = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
         stats[name] = TermStats(
-            name=name,
             n_active=int(values.size),
             mean=float(np.mean(values)),
             median=float(np.median(values)),

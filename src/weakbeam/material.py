@@ -43,12 +43,12 @@ class CrossSection:
 
     def __post_init__(self):
         if self.kind == "circle":
-            if not (self.diameter > 0):
-                raise ParameterError(f"circle needs diameter > 0, got {self.diameter}")
+            if not (0 < self.diameter < math.inf):
+                raise ParameterError(f"circle needs a finite diameter > 0, got {self.diameter}")
         elif self.kind == "rectangle":
-            if not (self.width > 0 and self.thickness > 0):
+            if not (0 < self.width < math.inf and 0 < self.thickness < math.inf):
                 raise ParameterError(
-                    f"rectangle needs width, thickness > 0, got "
+                    f"rectangle needs finite width, thickness > 0, got "
                     f"{self.width}, {self.thickness}"
                 )
         else:
@@ -85,14 +85,12 @@ class BeamModel:
     youngs_modulus: float | None = None
 
     def __post_init__(self):
-        if not (self.length > 0):
-            raise ParameterError(f"length must be positive, got {self.length}")
-        if not (self.density > 0):
-            raise ParameterError(f"density must be positive, got {self.density}")
-        if self.youngs_modulus is not None and not (self.youngs_modulus > 0):
-            raise ParameterError(
-                f"youngs_modulus must be positive, got {self.youngs_modulus}"
-            )
+        named = {"length": self.length, "density": self.density}
+        if self.youngs_modulus is not None:
+            named["youngs_modulus"] = self.youngs_modulus
+        for name, value in named.items():
+            if not (0 < value < math.inf):
+                raise ParameterError(f"{name} must be finite and positive, got {value}")
 
     def require_modulus(self) -> float:
         if self.youngs_modulus is None:
@@ -106,8 +104,8 @@ def modulus_from_alpha(alpha: float, beam: BeamModel) -> float:
     alpha must be positive; a non-positive value indicates the discovered
     fourth-derivative coefficient had the wrong sign.
     """
-    if not (alpha > 0):
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    if not (0 < alpha < math.inf):
+        raise ParameterError(f"alpha must be finite and positive, got {alpha}")
     return alpha * beam.density * beam.section.area / beam.section.second_moment
 
 
@@ -165,6 +163,8 @@ def smape(values: np.ndarray, nominal: float) -> float:
     values = np.atleast_1d(np.asarray(values, dtype=float))
     if values.size == 0:
         raise ParameterError("smape needs at least one value")
+    if not (np.isfinite(values).all() and math.isfinite(nominal)):
+        raise ParameterError("smape needs finite values and a finite nominal")
     denom = (np.abs(values) + abs(nominal)) / 2.0
     terms = np.where(denom > 0, np.abs(values - nominal) / np.maximum(denom, 1e-300), 0.0)
     return float(100.0 * terms.mean())

@@ -25,7 +25,7 @@ from .ensemble import EnsembleResult, run_ensemble
 from .errors import DegenerateDataError, ParameterError, WeakbeamError
 from .grid import FieldGrid, load_field, window_time
 from .material import BeamModel, CrossSection, modulus_from_alpha
-from .preprocess import bandpass_time, downsample_time
+from .preprocess import bandpass_time, subsample_time
 from .weakform import default_library
 
 __all__ = [
@@ -214,7 +214,6 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
     report: dict = {"config": config.to_dict(), "stages": []}
     timing: dict[str, float] = {}
     beam: BeamModel | None = None
-    library = default_library()
 
     with _stage(report, timing, "ingest", OSError):
         data = load_field(config.field_path)
@@ -227,7 +226,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
     with _stage(report, timing, "preprocess"):
         processed = data
         if config.downsample != 1:
-            processed = downsample_time(processed, config.downsample)
+            processed = subsample_time(processed, config.downsample, 1)
         if config.band is not None:
             processed = bandpass_time(
                 processed, config.band[0], config.band[1], config.taper_frac
@@ -250,12 +249,11 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
     result = None
     with _stage(report, timing, "discover"):
         try:
-            result = discover(
-                windowed, tau=config.tau, tau_hat=config.tau_hat, library=library
-            )
+            result = discover(windowed, tau=config.tau, tau_hat=config.tau_hat)
             report["discovery"] = result.as_report() | {"degenerate": False}
         except DegenerateDataError as exc:
             degenerate = True
+            library = default_library()
             report["discovery"] = {
                 "pde": render_pde(
                     library.lhs.name, library.term_names, np.zeros(library.n_terms)
@@ -267,13 +265,11 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
     ensemble = None
     if config.max_ds >= 1 and not degenerate:
         with _stage(report, timing, "ensemble"):
-            ensemble = run_ensemble(
-                windowed, max_ds=config.max_ds, tau=config.tau, library=library
-            )
+            ensemble = run_ensemble(windowed, max_ds=config.max_ds, tau=config.tau)
             report["ensemble"] = ensemble.as_report()
 
     if config.section is not None and config.density is not None and not degenerate:
-        with _stage(report, timing, "material", KeyError):
+        with _stage(report, timing, "material"):
             beam = BeamModel(
                 section=config.section,
                 length=windowed.x_extent,

@@ -7,19 +7,21 @@ import numpy as np
 from .errors import ParameterError
 from .grid import FieldGrid
 
-__all__ = ["downsample_time", "bandpass_time"]
+__all__ = ["subsample_time", "bandpass_time"]
 
 
-def downsample_time(grid: FieldGrid, factor: int) -> FieldGrid:
-    """Keep every ``factor``-th time sample, starting at the first.
+def subsample_time(grid: FieldGrid, d: int, offset: int) -> FieldGrid:
+    """Every d-th time sample starting at 1-based offset (1 <= offset <= d).
 
-    The result's time step is ``factor * dt``; no anti-alias filter is
-    applied (pair with :func:`bandpass_time` when the band demands one).
+    The result's time step is ``d * dt``; no anti-alias filter is applied
+    (pair with :func:`bandpass_time` when the band demands one).
     """
-    if factor < 1 or factor != int(factor):
-        raise ParameterError(f"downsample factor must be a positive integer, got {factor}")
-    factor = int(factor)
-    return FieldGrid(grid.x, grid.t[::factor], grid.values[:, ::factor])
+    if d < 1 or d != int(d):
+        raise ParameterError(f"decimation step must be a positive integer, got {d}")
+    if not (1 <= offset <= d) or offset != int(offset):
+        raise ParameterError(f"offset must lie in [1, {d}], got {offset}")
+    sl = slice(int(offset) - 1, None, int(d))
+    return FieldGrid(grid.x, grid.t[sl], grid.values[:, sl])
 
 
 def bandpass_time(

@@ -136,7 +136,11 @@ class SparseSolution:
     lambda_hat: float
     relative_residual: float          # ||b - G c|| / ||b|| on that same system
     loss_curve: np.ndarray = field(repr=False)  # (n_lambda, 2): lam, loss
-    support: tuple[int, ...] = ()
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        """Indices of the nonzero coefficients, ascending."""
+        return tuple(int(j) for j in np.flatnonzero(self.coefficients))
 
 
 def optimize_lambda(G: np.ndarray, b: np.ndarray) -> SparseSolution:
@@ -157,7 +161,6 @@ def optimize_lambda(G: np.ndarray, b: np.ndarray) -> SparseSolution:
             lambda_hat=float(_LAMBDA_GRID[0]),
             relative_residual=0.0,
             loss_curve=np.column_stack([_LAMBDA_GRID, np.zeros_like(_LAMBDA_GRID)]),
-            support=(),
         )
 
     sweep = _Sweep(G, b)
@@ -184,5 +187,4 @@ def optimize_lambda(G: np.ndarray, b: np.ndarray) -> SparseSolution:
         lambda_hat=float(_LAMBDA_GRID[best]),
         relative_residual=residual,
         loss_curve=np.column_stack([_LAMBDA_GRID, losses]),
-        support=tuple(int(j) for j in np.flatnonzero(c_hat)),
     )

@@ -35,14 +35,13 @@ class BurstSpec:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not (self.center_frequency > 0):
+        if not (0 < self.center_frequency < math.inf and 0 < self.amplitude < math.inf):
             raise ParameterError(
-                f"center_frequency must be positive, got {self.center_frequency}"
+                f"center_frequency and amplitude must be finite and positive, "
+                f"got {self.center_frequency}, {self.amplitude}"
             )
         if self.cycles < 1 or self.cycles != int(self.cycles):
             raise ParameterError(f"cycles must be a positive integer, got {self.cycles}")
-        if not (self.amplitude > 0):
-            raise ParameterError(f"amplitude must be positive, got {self.amplitude}")
 
     @property
     def duration(self) -> float:
@@ -87,14 +86,15 @@ def generate_beam_data(
     ``numpy.random.default_rng(seed)`` so fields are reproducible across
     platforms.
     """
-    if not (dt > 0):
-        raise ParameterError(f"dt must be positive, got {dt}")
-    if not (t_end > dt):
-        raise ParameterError(f"t_end must exceed dt, got {t_end}")
-    if sigma_rel < 0:
-        raise ParameterError(f"sigma_rel must be non-negative, got {sigma_rel}")
-    if margin_frac < 0:
-        raise ParameterError(f"margin_frac must be non-negative, got {margin_frac}")
+    if not (0 < dt < t_end < math.inf):
+        raise ParameterError(f"need finite 0 < dt < t_end, got dt={dt}, t_end={t_end}")
+    if not (0 <= sigma_rel < math.inf and 0 <= margin_frac < math.inf):
+        raise ParameterError(
+            f"sigma_rel and margin_frac must be finite and non-negative, "
+            f"got {sigma_rel}, {margin_frac}"
+        )
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     period_samples = 1.0 / (spec.center_frequency * dt)
     if period_samples < _MIN_SAMPLES_PER_PERIOD:
         raise ParameterError(

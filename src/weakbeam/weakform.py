@@ -20,8 +20,8 @@ hold one candidate term each; ``b`` holds the second time derivative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as poly
@@ -361,9 +361,9 @@ def select_support(
     grid: FieldGrid,
     corner_bins: tuple[int, int],
     tau: float = 1e-9,
-    library: LibrarySpec | None = None,
 ) -> TestFunctionBasis:
-    """Choose test function degree, half-widths, and strides from the data.
+    """Choose test function degree, half-widths, and strides from the data,
+    for the terms of :func:`default_library`.
 
     ``corner_bins`` holds the corner frequency bin of each axis, (x, t),
     as :func:`spectral_corner` reports it; the support half-width is the
@@ -375,7 +375,7 @@ def select_support(
         raise ParameterError(f"tau must lie in (0, 1), got {tau}")
     if len(corner_bins) != 2 or min(corner_bins) < 1:
         raise ParameterError(f"corner_bins must be two positive bins, got {corner_bins}")
-    library = library or default_library()
+    library = default_library()
     max_dx, max_dt = library.max_orders()
     m_x, p_x = _support_for_axis(grid.n_x, corner_bins[0], tau, max_dx + 1)
     m_t, p_t = _support_for_axis(grid.n_t, corner_bins[1], tau, max_dt + 1)
@@ -414,7 +414,6 @@ class WeakSystem:
     gamma_w: float
     gamma_x: float
     gamma_t: float
-    condition_number: float = field(default=np.nan)
 
     def __post_init__(self):
         G = np.asarray(self.G, dtype=float)
@@ -429,6 +428,10 @@ class WeakSystem:
     @property
     def n_queries(self) -> int:
         return self.G.shape[0]
+
+    @cached_property
+    def condition_number(self) -> float:
+        return float(np.linalg.cond(self.G))
 
 
 def _valid_convolve(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -526,18 +529,15 @@ def assemble(
         return sign * weight * tconv[term.dx_order, term.dt_order][:, ts - m_t].ravel()
 
     G = np.column_stack([column(t) for t in library.terms])
-    b = column(library.lhs)
-    cond = float(np.linalg.cond(G))
     return WeakSystem(
         G=G,
-        b=b,
+        b=column(library.lhs),
         query_points=np.column_stack([np.repeat(xs, ts.size), np.tile(ts, xs.size)]),
         basis=basis,
         library=library,
         gamma_w=gw,
         gamma_x=gx,
         gamma_t=gt,
-        condition_number=cond,
     )
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_beam
+from conftest import AL_BURST, make_beam
 from oracles import (
     analytic_beam_frequencies,
     dense_beam_matrices,
@@ -28,10 +28,12 @@ from weakbeam.beamfem import (
 from weakbeam.errors import (
     DegenerateDataError,
     DimensionError,
+    GridError,
     ParameterError,
     WeakbeamError,
 )
 from weakbeam.grid import FieldGrid
+from weakbeam.synth import generate_beam_data
 
 
 def beam_frequencies(beam, length, boundary, n_modes):
@@ -400,12 +402,30 @@ def test_newmark_solve_allocates_the_loads_and_the_recorded_nodes_only():
 
 
 def test_solver_rejects_nonuniform_history():
-    beam = make_beam()
     t = np.array([0.0, 1e-6, 2e-6, 4e-6, 8e-6])
     zeros = np.zeros((t.size, 2))
-    bc = BoundaryHistory(t=t, displacement=zeros, acceleration=zeros)
-    with pytest.raises(ParameterError):
-        newmark_solve(mesh_for(beam, 4), beam, bc)
+    with pytest.raises(GridError):
+        BoundaryHistory(t=t, displacement=zeros)
+    with pytest.raises(GridError):  # the same rule as a field's
+        FieldGrid(np.arange(2.0), t, zeros.T)
+
+
+def test_replay_accepts_every_time_axis_the_grid_accepts():
+    # steps of dt (1 + 0.9e-9), then dt (1 - 0.9e-9): each within the grid's
+    # 1e-9 spacing rule, while the drift from t0 + k dt reaches 9e-7 dt
+    beam = make_beam()
+    dt, half = 8e-7, 1000
+    clean = generate_beam_data(
+        beam, FemMesh(39, 5e-4), AL_BURST, dt=dt, t_end=2 * half * dt, margin_frac=0.5
+    )
+    steps = np.repeat([dt * (1 + 0.9e-9), dt * (1 - 0.9e-9)], half)
+    t = np.concatenate([[0.0], np.cumsum(steps)])
+    skewed = FieldGrid(clean.x, t, clean.values)
+    assert skewed.values.shape == (40, 2001)
+    replay = simulate_measured(skewed, beam)
+    assert replay.frobenius_rel == pytest.approx(
+        simulate_measured(clean, beam).frobenius_rel, rel=1e-6
+    )
 
 
 # -------------------------------------------------------- boundary extraction
@@ -438,7 +458,6 @@ def test_boundary_history_validation():
         BoundaryHistory(
             t=t,
             displacement=np.zeros((t.size, 3)),  # right rotation missing
-            acceleration=np.zeros((t.size, 3)),
         )
     bc = BoundaryHistory.from_ends(t=t, left_w=zeros, left_rot=zeros)
     assert bc.free_right

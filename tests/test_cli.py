@@ -403,3 +403,108 @@ def test_any_pipeline_config_gives_a_documented_exit_code(data, tiny_field):
     assert code in DOCUMENTED_EXIT_CODES, (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
+
+
+ROD = ["--section", "circle:d=6.35e-3", "--density", "2721.9"]
+MODES = ["modes", *ROD, "--modulus", "6.9e10", "--length", "0.097"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*MODES, "--measured", "1,abc"],
+        ["synth", *SYNTH_FLAGS, "--t-end", "inf"],
+        ["synth", *SYNTH_FLAGS, "--margin-frac", "inf"],
+        ["synth", *SYNTH_FLAGS, "--sigma-rel", "0.1", "--seed", "-1"],
+        ["modulus", "--section", "circle:d=inf", "--density", "2721.9", "--alpha", "58.5"],
+        ["modulus", *ROD, "--alpha", "58.5", "--nominal", "nan"],
+        ["modes", "--section", "circle:d=6.35e-3", "--density", "inf",
+         "--modulus", "6.9e10", "--length", "0.097"],
+        [*MODES, "--measured", "nan"],
+    ],
+)
+def test_non_finite_or_out_of_range_number_is_an_error(capsys, tmp_path, argv):
+    # argparse keeps the last of a repeated flag, so these override SYNTH_FLAGS
+    out = ["--out", str(tmp_path / "x.field")] if argv[0] == "synth" else []
+    assert main(argv + out) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert not (tmp_path / "x.field").exists()
+
+
+# Each subcommand's flags with one valid value; "{in}", "{config}" and
+# "{out}" stand for the fuzz fixture's field, config and output folder.
+# Sizes stay tiny: 12 points and 50 steps for synth, max-ds 2, 3 moduli.
+ARGV_GRAMMAR = {
+    "synth": {
+        **dict(zip(ROD[::2], ROD[1::2])), "--modulus": "6.9e10", "--n-points": "12",
+        "--dx": "5e-4", "--fc": "1e4", "--cycles": "2", "--amplitude": "1",
+        "--dt": "2e-6", "--t-end": "1e-4", "--sigma-rel": "0.01", "--seed": "3",
+        "--margin-frac": "0.5", "--out": "{out}/synth.field",
+    },
+    "preprocess": {
+        "--in": "{in}", "--out": "{out}/pre.field", "--downsample": "2",
+        "--band": "1e4,1e5", "--taper-frac": "0.1", "--window": "0,1e-4",
+    },
+    "discover": {"--in": "{in}", "--tau": "1e-9", "--tau-hat": "1,1", "--json": "{out}/d.json"},
+    "ensemble": {
+        "--in": "{in}", "--max-ds": "2", "--tau": "1e-9",
+        "--json": "{out}/e.json", "--csv": "{out}/e.csv",
+    },
+    "modulus": {**dict(zip(ROD[::2], ROD[1::2])), "--alpha": "58.5", "--nominal": "6.9e10"},
+    "modes": {
+        **dict(zip(MODES[1::2], MODES[2::2])), "--boundary": "pinned-pinned",
+        "--n-modes": "3", "--measured": "1e3,2e3",
+    },
+    "simulate": {
+        **dict(zip(ROD[::2], ROD[1::2])), "--modulus": "6.9e10", "--in": "{in}",
+        "--window": "0,1e-4", "--n-fit": "7", "--order": "2", "--out-field": "{out}/sim.field",
+    },
+    "sweep-e": {
+        **dict(zip(ROD[::2], ROD[1::2])), "--in": "{in}", "--e-lo": "6e10", "--e-hi": "8e10",
+        "--n": "3", "--window": "0,1e-4", "--n-fit": "7", "--order": "2",
+        "--csv": "{out}/s.csv",
+    },
+    "pipeline": {"--config": "{config}", "--out-dir": "{out}/pipeline"},
+}
+BAD_VALUES = ["0", "-1", "inf", "nan", "abc", ""]
+USAGE_EXIT_CODE = 2  # argparse's
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tiny_field):
+    config = {
+        "field_path": str(tiny_field), "tau_hat": [0.8, 2.0], "max_ds": 1,
+        "section": {"kind": "circle", "diameter": 6.35e-3}, "density": 2721.9,
+        "sweep": [6e10, 8e10, 2], "n_fit": 7, "fourier_order": 2,
+    }
+    (tiny_field.parent / "argv.json").write_text(json.dumps(config), encoding="utf-8")
+    return tiny_field.parent
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argv_gives_a_reserved_exit_code(data, fuzz_dir, monkeypatch):
+    # valid argv of one subcommand, with at most two flags given a bad value
+    # or left out; relative paths such as "abc" land in the fixture's folder
+    monkeypatch.chdir(fuzz_dir)
+    command = data.draw(st.sampled_from(sorted(ARGV_GRAMMAR)))
+    flags = ARGV_GRAMMAR[command]
+    bad = data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True))
+    argv = [command]
+    for flag, value in flags.items():
+        if flag in bad:
+            value = data.draw(st.sampled_from([*BAD_VALUES, None]))
+        if value is not None:
+            argv += [flag, value.format(**{"in": "tiny.field", "config": "argv.json", "out": "."})]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == USAGE_EXIT_CODE, argv
+    assert code in DOCUMENTED_EXIT_CODES | {USAGE_EXIT_CODE}, (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code not in (0, USAGE_EXIT_CODE):
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())

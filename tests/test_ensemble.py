@@ -156,9 +156,11 @@ def test_aggregate_is_order_invariant(template_run):
 
 
 def test_aggregate_modal_tie_breaks_lexicographically(template_run):
+    only_w = np.zeros(len(template_run.term_names))
+    only_w[template_run.term_names.index("w")] = 1.0
     other = dataclasses.replace(
         template_run,
-        solution=dataclasses.replace(template_run.solution, support=(5,)),
+        solution=dataclasses.replace(template_run.solution, coefficients=only_w),
     )
     runs = (
         EnsembleRun(d=1, offset=1, result=template_run),   # support (w_xxxx,)

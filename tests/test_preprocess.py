@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from weakbeam.errors import ParameterError
 from weakbeam.grid import FieldGrid
-from weakbeam.preprocess import bandpass_time, downsample_time
+from weakbeam.preprocess import bandpass_time, subsample_time
 
 
 def tone_field(freqs, amps, n_t=1000, dt=1e-6, n_x=4):
@@ -23,7 +23,7 @@ def interior(values, frac=0.1):
 
 def test_downsample_factor_one_is_identity():
     g = tone_field([1e4], [1.0], n_t=64)
-    d = downsample_time(g, 1)
+    d = subsample_time(g, 1, 1)
     assert np.array_equal(d.values, g.values)
     assert np.array_equal(d.t, g.t)
 
@@ -34,25 +34,25 @@ def test_downsample_keeps_first_sample_of_each_stride():
         np.arange(10) * 1.0,
         np.arange(20, dtype=float).reshape(2, 10),
     )
-    d = downsample_time(g, 3)
+    d = subsample_time(g, 3, 1)
     assert np.array_equal(d.t, [0.0, 3.0, 6.0, 9.0])
     assert np.array_equal(d.values, g.values[:, ::3])
 
 
 def test_downsample_ten_of_ten_leaves_one_sample():
     g = FieldGrid(np.array([0.0, 1.0]), np.arange(10) * 1.0, np.ones((2, 10)))
-    assert downsample_time(g, 10).n_t == 1
+    assert subsample_time(g, 10, 1).n_t == 1
 
 
 def test_downsample_scales_dt():
     g = FieldGrid(np.array([0.0, 1.0]), np.arange(100) * 1.6e-8, np.ones((2, 100)))
-    assert downsample_time(g, 10).dt == pytest.approx(1.6e-7, rel=1e-12)
+    assert subsample_time(g, 10, 1).dt == pytest.approx(1.6e-7, rel=1e-12)
 
 
 def test_downsample_composes():
     g = tone_field([1e4], [1.0], n_t=600)
-    ab = downsample_time(g, 6)
-    a_then_b = downsample_time(downsample_time(g, 2), 3)
+    ab = subsample_time(g, 6, 1)
+    a_then_b = subsample_time(subsample_time(g, 2, 1), 3, 1)
     assert np.array_equal(ab.values, a_then_b.values)
     assert np.array_equal(ab.t, a_then_b.t)
 
@@ -61,7 +61,7 @@ def test_downsample_composes():
 def test_downsample_bad_factor(factor):
     g = tone_field([1e4], [1.0], n_t=64)
     with pytest.raises(ParameterError):
-        downsample_time(g, factor)
+        subsample_time(g, factor, 1)
 
 
 # ------------------------------------------------------------------ bandpass
