@@ -514,8 +514,8 @@ def sweep_modulus(
     A trial that fails with a :class:`WeakbeamError` of any class raises
     a :class:`WeakbeamError` naming its modulus, chained to that error.
     """
-    if not (0 < e_lo < e_hi):
-        raise ParameterError(f"need 0 < e_lo < e_hi, got [{e_lo}, {e_hi}]")
+    if not (0 < e_lo < e_hi < np.inf):
+        raise ParameterError(f"need finite 0 < e_lo < e_hi, got [{e_lo}, {e_hi}]")
     if n_values < 2:
         raise ParameterError(f"n_values must be >= 2, got {n_values}")
     moduli = np.linspace(e_lo, e_hi, n_values)

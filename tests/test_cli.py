@@ -405,22 +405,25 @@ def test_any_pipeline_config_gives_a_documented_exit_code(data, tiny_field):
     assert (code == 0) == (err.getvalue() == "")
 
 
-ROD = ["--section", "circle:d=6.35e-3", "--density", "2721.9"]
-MODES = ["modes", *ROD, "--modulus", "6.9e10", "--length", "0.097"]
+ROD = {"--section": "circle:d=6.35e-3", "--density": "2721.9"}
+MODES = {**ROD, "--modulus": "6.9e10", "--length": "0.097"}
+
+
+def as_argv(flags: dict) -> list[str]:
+    return [token for pair in flags.items() for token in pair]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        [*MODES, "--measured", "1,abc"],
+        ["modes", *as_argv(MODES), "--measured", "1,abc"],
         ["synth", *SYNTH_FLAGS, "--t-end", "inf"],
         ["synth", *SYNTH_FLAGS, "--margin-frac", "inf"],
         ["synth", *SYNTH_FLAGS, "--sigma-rel", "0.1", "--seed", "-1"],
         ["modulus", "--section", "circle:d=inf", "--density", "2721.9", "--alpha", "58.5"],
-        ["modulus", *ROD, "--alpha", "58.5", "--nominal", "nan"],
-        ["modes", "--section", "circle:d=6.35e-3", "--density", "inf",
-         "--modulus", "6.9e10", "--length", "0.097"],
-        [*MODES, "--measured", "nan"],
+        ["modulus", *as_argv(ROD), "--alpha", "58.5", "--nominal", "nan"],
+        ["modes", *as_argv({**MODES, "--density": "inf"})],
+        ["modes", *as_argv(MODES), "--measured", "nan"],
     ],
 )
 def test_non_finite_or_out_of_range_number_is_an_error(capsys, tmp_path, argv):
@@ -437,7 +440,7 @@ def test_non_finite_or_out_of_range_number_is_an_error(capsys, tmp_path, argv):
 # Sizes stay tiny: 12 points and 50 steps for synth, max-ds 2, 3 moduli.
 ARGV_GRAMMAR = {
     "synth": {
-        **dict(zip(ROD[::2], ROD[1::2])), "--modulus": "6.9e10", "--n-points": "12",
+        **ROD, "--modulus": "6.9e10", "--n-points": "12",
         "--dx": "5e-4", "--fc": "1e4", "--cycles": "2", "--amplitude": "1",
         "--dt": "2e-6", "--t-end": "1e-4", "--sigma-rel": "0.01", "--seed": "3",
         "--margin-frac": "0.5", "--out": "{out}/synth.field",
@@ -451,17 +454,17 @@ ARGV_GRAMMAR = {
         "--in": "{in}", "--max-ds": "2", "--tau": "1e-9",
         "--json": "{out}/e.json", "--csv": "{out}/e.csv",
     },
-    "modulus": {**dict(zip(ROD[::2], ROD[1::2])), "--alpha": "58.5", "--nominal": "6.9e10"},
+    "modulus": {**ROD, "--alpha": "58.5", "--nominal": "6.9e10"},
     "modes": {
-        **dict(zip(MODES[1::2], MODES[2::2])), "--boundary": "pinned-pinned",
+        **MODES, "--boundary": "pinned-pinned",
         "--n-modes": "3", "--measured": "1e3,2e3",
     },
     "simulate": {
-        **dict(zip(ROD[::2], ROD[1::2])), "--modulus": "6.9e10", "--in": "{in}",
+        **ROD, "--modulus": "6.9e10", "--in": "{in}",
         "--window": "0,1e-4", "--n-fit": "7", "--order": "2", "--out-field": "{out}/sim.field",
     },
     "sweep-e": {
-        **dict(zip(ROD[::2], ROD[1::2])), "--in": "{in}", "--e-lo": "6e10", "--e-hi": "8e10",
+        **ROD, "--in": "{in}", "--e-lo": "6e10", "--e-hi": "8e10",
         "--n": "3", "--window": "0,1e-4", "--n-fit": "7", "--order": "2",
         "--csv": "{out}/s.csv",
     },
