@@ -11,7 +11,6 @@ from .beamfem import (
     FemMesh,
     SimulationResult,
     SweepResult,
-    beam_eigenfrequencies,
     compare,
     extract_boundaries,
     newmark_solve,

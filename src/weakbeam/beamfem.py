@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cholesky_banded, eigh
+from scipy.linalg import cholesky_banded
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrs
 
@@ -34,7 +34,6 @@ __all__ = [
     "extract_boundaries",
     "newmark_march",
     "newmark_solve",
-    "beam_eigenfrequencies",
     "compare",
     "simulate_measured",
     "sweep_modulus",
@@ -119,13 +118,6 @@ def assemble_matrices(mesh: FemMesh, beam: BeamModel) -> tuple[np.ndarray, np.nd
             M[row, cols] += me[i, j]
             K[row, cols] += ke[i, j]
     return M, K
-
-
-def _dense(band: np.ndarray) -> np.ndarray:
-    """The symmetric matrix held in upper banded storage."""
-    h = _HALF_BANDWIDTH
-    upper = sum(np.diag(band[h - k, k:], k) for k in range(1, h + 1))
-    return np.diag(band[h]) + upper + upper.T
 
 
 def second_difference(series: np.ndarray, dt: float) -> np.ndarray:
@@ -283,6 +275,7 @@ def newmark_march(
     d0: np.ndarray | None = None,
     v0: np.ndarray | None = None,
     record: slice = slice(None),
+    loaded: slice | np.ndarray = slice(None),
 ) -> np.ndarray:
     """Integrate ``M a + K d = f(t)`` with the average-acceleration rule,
     Newmark's ``beta = 1/4``, ``gamma = 1/2``: the unconditionally stable,
@@ -290,27 +283,34 @@ def newmark_march(
 
     ``M`` and ``K`` are symmetric, in the upper banded storage that
     :func:`assemble_matrices` returns.  ``forces`` has one row per time
-    step (including step 0); ``d0`` and ``v0``, the initial state
-    (default: rest), have one entry per dof.  Returns the displacement
-    history of the dofs ``record`` selects (default: all), shape
+    step (including step 0) and one column per dof that ``loaded``
+    names: a slice of dofs or an array of distinct dof indices (default:
+    all dofs).  Every other dof is unloaded, so only the loaded columns
+    need be stored.  ``d0`` and ``v0``, the initial state (default:
+    rest), have one entry per dof.  Returns the displacement history of
+    the dofs ``record`` selects (default: all), shape
     ``(n_steps + 1, len(range(n_dof)[record]))``; no velocity history is
     kept.  Every dof is marched whatever ``record`` is, so the recorded
-    columns equal the full history's ``[:, record]`` bit for bit.  For
-    undamped linear systems the discrete energy ``(v' M v + d' K d) / 2``
-    is conserved up to round-off.
+    columns equal the full history's ``[:, record]`` bit for bit, and
+    loads given as columns march bit for bit like their dense scatter.
+    For undamped linear systems the discrete energy
+    ``(v' M v + d' K d) / 2`` is conserved up to round-off.
 
     The state is carried as the predictor ``p = d + dt v + q a`` with
     ``q = dt**2 / 4`` and its increment ``s``, which advances by
-    ``dt**2 a`` each step, so one step costs one banded product (BLAS
-    ``dsbmv``), one banded solve with the factor of ``M + q K`` (LAPACK
-    ``dpbtrs``, in place on the product) and five in-place vector
-    operations; nothing but the product is allocated.  A step writes
-    ``q a[record] + p[record]`` into its row of the history.
+    ``dt**2 a`` each step, so one step costs a scatter of the loaded
+    columns into one zeroed load vector, one banded product (BLAS
+    ``dsbmv``, which adds into a copy of that vector), one banded solve
+    with the factor of ``M + q K`` (LAPACK ``dpbtrs``, in place on the
+    product) and five in-place vector operations; nothing but the
+    product is allocated.  A step writes ``q a[record] + p[record]`` into
+    its row of the history.
     """
     forces = np.asarray(forces, dtype=float)
-    if forces.ndim != 2:
-        raise ParameterError("forces must be (n_steps + 1, n_dof)")
-    n_steps, n = forces.shape[0] - 1, forces.shape[1]
+    if forces.ndim != 2 or forces.shape[0] < 1:
+        raise ParameterError("forces must be (n_steps + 1, n_loaded) with n_steps >= 0")
+    n_steps = forces.shape[0] - 1
+    n = np.shape(M)[-1] if np.ndim(M) else 0
     band = (_HALF_BANDWIDTH + 1, n)
     if np.shape(M) != band or np.shape(K) != band:
         raise ParameterError(f"M and K must be banded {band}, got {np.shape(M)}, {np.shape(K)}")
@@ -318,6 +318,22 @@ def newmark_march(
         raise ParameterError(f"dt must be positive, got {dt}")
     if not isinstance(record, slice):
         raise ParameterError(f"record must be a slice of dofs, got {type(record).__name__}")
+    if isinstance(loaded, slice):
+        n_loaded = len(range(n)[loaded])
+    else:
+        loaded = np.asarray(loaded)
+        if not (
+            loaded.ndim == 1
+            and loaded.dtype.kind in "iu"
+            and np.all((0 <= loaded) & (loaded < n))
+            and np.unique(loaded).size == loaded.size
+        ):
+            raise ParameterError(f"loaded must be distinct dofs in 0 .. {n - 1}, got {loaded}")
+        n_loaded = loaded.size
+    if forces.shape[1] != n_loaded:
+        raise ParameterError(
+            f"forces must have one column per loaded dof ({n_loaded}), got {forces.shape[1]}"
+        )
     d = np.zeros(n) if d0 is None else np.asarray(d0, dtype=float)
     v = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
     if d.shape != (n,) or v.shape != (n,):
@@ -330,7 +346,10 @@ def newmark_march(
     q = 0.25 * dt**2
     mass = cholesky_banded(M)
     effective = cholesky_banded(M + q * K)
-    a, info = dpbtrs(mass, forces[0] - dsbmv(_HALF_BANDWIDTH, 1.0, K, d))
+    # zero off the loaded dofs for good: dsbmv adds into a copy of its y
+    f = np.zeros(n)
+    f[loaded] = forces[0]
+    a, info = dpbtrs(mass, f - dsbmv(_HALF_BANDWIDTH, 1.0, K, d))
     _check_info(info)
 
     d_hist = np.empty((n_steps + 1, len(range(n)[record])))
@@ -339,10 +358,11 @@ def newmark_march(
     p = d + dt * v + q * a
     s = dt * v + 0.5 * dt**2 * a
     for k in range(n_steps):
+        f[loaded] = forces[k + 1]
         # a' = (M + q K)^-1 (f' - K p), solved in place on the product
         a, info = dpbtrs(
             effective,
-            dsbmv(_HALF_BANDWIDTH, -1.0, K, p, beta=1.0, y=forces[k + 1]),
+            dsbmv(_HALF_BANDWIDTH, -1.0, K, p, beta=1.0, y=f),
             overwrite_b=1,
         )
         _check_info(info)
@@ -366,12 +386,16 @@ def newmark_solve(
 
     The boundary dofs follow ``bc`` exactly; interior dofs obey the
     semidiscrete equations with the prescribed motion moved to the load:
-    ``f_i = -M_ib a_b - K_ib d_b``.  Optional ``d0``/``v0`` set the
-    interior initial state (defaults: rest).  Returns the deflection
-    field over ``bc.t`` on the leading ``n_nodes`` mesh nodes (default:
-    all), shape ``(n_nodes, bc.t.size)``.  The whole mesh is marched
-    either way, but only those nodes' deflections are recorded, so the
-    rows equal the leading rows of the full field bit for bit.
+    ``f_i = -M_ib a_b - K_ib d_b``.  Only the interior dofs next to a
+    prescribed end are loaded, so the march is given just those load
+    columns (its ``loaded`` dofs): two for a free far end, four when both
+    ends are prescribed, and two on a two-element mesh, whose ends load
+    the same dofs and sum there.  Optional ``d0``/``v0`` set the interior
+    initial state (defaults: rest).  Returns the deflection field over ``bc.t`` on the
+    leading ``n_nodes`` mesh nodes (default: all), shape
+    ``(n_nodes, bc.t.size)``.  The whole mesh is marched either way, but
+    only those nodes' deflections are recorded, so the rows equal the
+    leading rows of the full field bit for bit.
     """
     if n_nodes is None:
         n_nodes = mesh.n_nodes
@@ -387,8 +411,10 @@ def newmark_solve(
     inner = slice(2, 2 + n_inner)
 
     # Each prescribed end belongs to one element, so it loads only the two
-    # interior dofs next to it, through that element's off-diagonal block.
-    forces = np.zeros((bc.t.size, n_inner))
+    # interior dofs next to it, through that element's off-diagonal block:
+    # the first and the last two loaded columns, one pair on two elements.
+    loaded = np.unique([0, 1] if bc.free_right else [0, 1, n_inner - 2, n_inner - 1])
+    forces = np.zeros((bc.t.size, loaded.size))
     forces[:, :2] -= bc.acceleration[:, :2] @ me[:2, 2:] + bc.displacement[:, :2] @ ke[:2, 2:]
     if not bc.free_right:
         forces[:, -2:] -= (
@@ -400,9 +426,8 @@ def newmark_solve(
     n_recorded = min(n_nodes - 1, n_inner // 2)
     w_hist = newmark_march(
         M[:, inner], K[:, inner], forces, bc.dt, d0=d0, v0=v0,
-        record=slice(0, 2 * n_recorded, 2),
+        record=slice(0, 2 * n_recorded, 2), loaded=loaded,
     )
-    del forces  # the loads and the deflection field below are never alive together
 
     deflection = np.empty((n_nodes, bc.t.size))
     deflection[1 : 1 + n_recorded] = w_hist.T
@@ -410,33 +435,6 @@ def newmark_solve(
     if n_recorded < n_nodes - 1:  # the prescribed far end is returned too
         deflection[-1] = bc.displacement[:, 2]
     return FieldGrid(mesh.node_positions[:n_nodes], bc.t, deflection)
-
-
-def beam_eigenfrequencies(
-    mesh: FemMesh,
-    beam: BeamModel,
-    boundary: str = "pinned-pinned",
-    n_modes: int = 5,
-) -> np.ndarray:
-    """Lowest bending natural frequencies (Hz) of the discrete model."""
-    if n_modes < 1:
-        raise ParameterError(f"n_modes must be >= 1, got {n_modes}")
-    n = mesh.n_dof
-    if boundary == "pinned-pinned":
-        fixed = [0, n - 2]
-    elif boundary == "clamped-free":
-        fixed = [0, 1]
-    elif boundary == "clamped-clamped":
-        fixed = [0, 1, n - 2, n - 1]
-    else:
-        raise ParameterError(f"unknown boundary {boundary!r}")
-    keep = np.ones(n, dtype=bool)
-    keep[fixed] = False
-    if n_modes > keep.sum():
-        raise ParameterError(f"mesh supports at most {keep.sum()} modes")
-    M, K = (_dense(a)[keep][:, keep] for a in assemble_matrices(mesh, beam))
-    vals = eigh(K, M, eigvals_only=True, subset_by_index=[0, n_modes - 1])
-    return np.sqrt(np.maximum(vals, 0.0)) / (2.0 * np.pi)
 
 
 def compare(measured: FieldGrid, simulated: FieldGrid) -> float:

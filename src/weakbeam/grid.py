@@ -135,8 +135,10 @@ def window_time(grid: FieldGrid, t_lo: float, t_hi: float) -> FieldGrid:
 
     Bounds snap to the nearest sample within dt/2; the window keeps every
     sample between the snapped bounds inclusive.  Windowing twice with the
-    same bounds is a no-op.
+    same bounds is a no-op.  Both bounds must be finite.
     """
+    if not np.isfinite([t_lo, t_hi]).all():
+        raise WindowError(f"window bounds must be finite, got [{t_lo}, {t_hi}]")
     if t_hi < t_lo:
         raise WindowError(f"empty window: t_lo={t_lo} > t_hi={t_hi}")
     t = grid.t

@@ -106,6 +106,14 @@ class PipelineConfig:
     n_fit: int = 25
     fourier_order: int = 3
 
+    def __post_init__(self):
+        # the material stage divides by it for the percent error
+        if self.nominal_modulus is not None and not 0 < self.nominal_modulus < math.inf:
+            raise ParameterError(
+                f"pipeline config key 'nominal_modulus' must be finite and positive, "
+                f"got {self.nominal_modulus}"
+            )
+
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
         with open(path, "r", encoding="utf-8") as fh:
@@ -279,7 +287,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
             modulus = modulus_from_alpha(alpha, beam)
             beam = replace(beam, youngs_modulus=modulus)
             material = {"alpha": alpha, "youngs_modulus": modulus}
-            if config.nominal_modulus:
+            if config.nominal_modulus is not None:
                 material["nominal_modulus"] = config.nominal_modulus
                 material["percent_error"] = (
                     100.0 * abs(modulus - config.nominal_modulus) / config.nominal_modulus

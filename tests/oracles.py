@@ -11,7 +11,9 @@ import math
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as poly
+from scipy.linalg import eigh
 
+from weakbeam.beamfem import assemble_matrices
 from weakbeam.errors import DegenerateDataError, ParameterError
 from weakbeam.weakform import CornerDiagnostic, mean_power_spectrum
 
@@ -226,6 +228,29 @@ def dense_beam_matrices(mesh, beam):
         M[sl, sl] += me
         K[sl, sl] += ke
     return M, K
+
+
+def beam_eigenfrequencies(mesh, beam, boundary="pinned-pinned", n_modes=5):
+    """Lowest bending natural frequencies (Hz) of the package's assembled
+    model, from a dense generalized eigensolve with the fixed dofs of
+    ``boundary`` removed."""
+    if n_modes < 1:
+        raise ParameterError(f"n_modes must be >= 1, got {n_modes}")
+    n = mesh.n_dof
+    fixed = {
+        "pinned-pinned": [0, n - 2],
+        "clamped-free": [0, 1],
+        "clamped-clamped": [0, 1, n - 2, n - 1],
+    }
+    if boundary not in fixed:
+        raise ParameterError(f"unknown boundary {boundary!r}")
+    keep = np.ones(n, dtype=bool)
+    keep[fixed[boundary]] = False
+    if n_modes > keep.sum():
+        raise ParameterError(f"mesh supports at most {keep.sum()} modes")
+    M, K = (dense_from_band(a)[keep][:, keep] for a in assemble_matrices(mesh, beam))
+    vals = eigh(K, M, eigvals_only=True, subset_by_index=[0, n_modes - 1])
+    return np.sqrt(np.maximum(vals, 0.0)) / (2.0 * np.pi)
 
 
 def dense_newmark_solve(mesh, beam, bc, d0=None, v0=None):

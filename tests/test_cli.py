@@ -322,6 +322,9 @@ def test_modulus_flag_where_it_is_unused_is_a_usage_error(capsys, argv):
         ('{"field_path": "x",', "config.json"),
         ('{"field_path": "x", "max-ds": 3}', "max-ds"),
         ('{"max_ds": 3}', "field_path"),
+        # a nominal modulus is a finite positive number or absent
+        *(('{"field_path": "x", "nominal_modulus": %s}' % v, "nominal_modulus")
+          for v in ("NaN", "1e999", "-6.9e10", "0")),
     ],
 )
 def test_bad_pipeline_config_is_an_error(capsys, tmp_path, text, culprit):
@@ -424,11 +427,15 @@ def as_argv(flags: dict) -> list[str]:
         ["modulus", *as_argv(ROD), "--alpha", "58.5", "--nominal", "nan"],
         ["modes", *as_argv({**MODES, "--density": "inf"})],
         ["modes", *as_argv(MODES), "--measured", "nan"],
+        # the argv fuzz gives single tokens, never a bad "a,b" pair
+        ["preprocess", "--in", "{in}", "--window", "nan,nan"],
+        ["preprocess", "--in", "{in}", "--window", "0,inf"],
     ],
 )
-def test_non_finite_or_out_of_range_number_is_an_error(capsys, tmp_path, argv):
+def test_non_finite_or_out_of_range_number_is_an_error(capsys, tmp_path, tiny_field, argv):
     # argparse keeps the last of a repeated flag, so these override SYNTH_FLAGS
-    out = ["--out", str(tmp_path / "x.field")] if argv[0] == "synth" else []
+    argv = [token.replace("{in}", str(tiny_field)) for token in argv]
+    out = ["--out", str(tmp_path / "x.field")] if argv[0] in ("synth", "preprocess") else []
     assert main(argv + out) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err

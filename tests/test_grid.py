@@ -287,3 +287,7 @@ def test_empty_window_rejected():
         window_time(g, 1.0, 2.0)  # beyond the time span
     with pytest.raises(WindowError):
         window_time(g, 1e-7, 0.0)  # reversed bounds
+    nan, inf = float("nan"), float("inf")
+    for bounds in ((nan, nan), (nan, 1e-7), (0.0, nan), (0.0, inf), (-inf, inf)):
+        with pytest.raises(WindowError):
+            window_time(g, *bounds)  # every comparison with NaN is false
