@@ -137,11 +137,16 @@ def window_time(grid: FieldGrid, t_lo: float, t_hi: float) -> FieldGrid:
     sample between the snapped bounds inclusive.  Windowing twice with the
     same bounds is a no-op.  Both bounds must be finite.
     """
+    cols = _window_columns(grid.t, t_lo, t_hi)
+    return FieldGrid(grid.x, grid.t[cols], grid.values[:, cols])
+
+
+def _window_columns(t: np.ndarray, t_lo: float, t_hi: float) -> slice:
+    """The slice of the time axis ``t`` that :func:`window_time` keeps."""
     if not np.isfinite([t_lo, t_hi]).all():
         raise WindowError(f"window bounds must be finite, got [{t_lo}, {t_hi}]")
     if t_hi < t_lo:
         raise WindowError(f"empty window: t_lo={t_lo} > t_hi={t_hi}")
-    t = grid.t
     if t_hi < t[0] or t_lo > t[-1]:
         raise WindowError(
             f"window [{t_lo}, {t_hi}] does not intersect grid span "
@@ -151,7 +156,7 @@ def window_time(grid: FieldGrid, t_lo: float, t_hi: float) -> FieldGrid:
     i_hi = int(np.argmin(np.abs(t - t_hi)))
     if i_hi < i_lo:
         raise WindowError(f"window [{t_lo}, {t_hi}] snaps to no samples")
-    return FieldGrid(grid.x, t[i_lo : i_hi + 1], grid.values[:, i_lo : i_hi + 1])
+    return slice(i_lo, i_hi + 1)
 
 
 def save_field(grid: FieldGrid, path: str | os.PathLike) -> None:

@@ -30,7 +30,7 @@ from weakbeam.errors import (
     DimensionError,
     GridError,
     ParameterError,
-    WeakbeamError,
+    WindowError,
 )
 from weakbeam.grid import FieldGrid
 from weakbeam.synth import generate_beam_data
@@ -612,16 +612,70 @@ def test_sweep_validation(edge_field):
         sweep_modulus(edge_field, beam, 1.0, 2.0, 1)
 
 
-def test_sweep_chains_a_failed_trial(edge_field, monkeypatch):
-    # StageError's constructor takes (stage, cause), not one message
-    from weakbeam import beamfem
-    from weakbeam.pipeline import StageError
+def three_point_field():
+    """The smallest mesh: two elements, so both ends load the same two dofs."""
+    t = np.arange(400) * 1e-6
+    phase = np.array([[0.0], [0.4], [0.7]])
+    return FieldGrid(np.arange(3) * 1e-3, t, np.sin(2e4 * t + phase) * [[1.0], [0.8], [1.1]])
 
+
+@pytest.mark.parametrize("case", ["edge-field", "windowed", "three-points"])
+def test_sweep_matches_per_trial_simulation(edge_field, case):
+    data, kwargs = {
+        "edge-field": (edge_field, {}),
+        "windowed": (edge_field, {"window": (2e-4, 1.5e-3)}),
+        "three-points": (three_point_field(), {"n_fit": 3, "order": 1}),
+    }[case]
+    beam = make_beam()
+    sweep = sweep_modulus(data, beam, 0.9 * 6.9e10, 1.1 * 6.9e10, 7, **kwargs)
+    per_trial = np.array(
+        [
+            simulate_measured(data, make_beam(modulus=float(e)), **kwargs).frobenius_rel
+            for e in sweep.moduli
+        ]
+    )
+    assert np.abs(sweep.errors - per_trial).max() <= 1e-6
+    assert sweep.best_modulus == sweep.moduli[np.argmin(per_trial)]
+
+
+def test_sweep_failed_eigensolve_is_degenerate_data(edge_field, monkeypatch):
     def fail(*args, **kwargs):
-        raise StageError("simulate", ParameterError("no usable edges"))
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(beamfem, "simulate_measured", fail)
-    with pytest.raises(WeakbeamError, match="at trial modulus E=1") as info:
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(DegenerateDataError, match="modal basis") as info:
         sweep_modulus(edge_field, make_beam(), 1.0, 2.0, 3)
-    assert isinstance(info.value.__cause__, StageError)
-    assert info.value.__cause__.stage == "simulate"
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"window": (1e-3, 0.0)}, WindowError),
+        ({"window": (1.0, 2.0)}, WindowError),
+        ({"n_fit": 500}, ParameterError),
+    ],
+    ids=["reversed-window", "window-past-the-data", "n-fit-above-n-x"],
+)
+def test_sweep_fails_before_any_march(edge_field, monkeypatch, kwargs, error):
+    from weakbeam import beamfem
+
+    def never(*_, **__):
+        raise AssertionError("marched")
+
+    for name in ("_modal_basis", "_march_modes", "newmark_march"):
+        monkeypatch.setattr(beamfem, name, never)
+    with pytest.raises(error):
+        sweep_modulus(edge_field, make_beam(), 1.0, 2.0, 3, **kwargs)
+
+
+def test_simulate_checks_the_window_before_the_march(edge_field, monkeypatch):
+    from weakbeam import beamfem
+
+    def never(*_, **__):
+        raise AssertionError("marched")
+
+    monkeypatch.setattr(beamfem, "newmark_march", never)
+    for window in ((1e-3, 0.0), (np.nan, np.nan)):
+        with pytest.raises(WindowError):
+            simulate_measured(edge_field, make_beam(), window=window)

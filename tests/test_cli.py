@@ -202,6 +202,25 @@ def test_sweep_subcommand(capsys, synth_file, tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep-e"])
+def test_bad_window_exits_before_the_march(capsys, monkeypatch, synth_file, command):
+    from weakbeam import beamfem
+
+    def never(*_, **__):
+        raise AssertionError("marched")
+
+    monkeypatch.setattr(beamfem, "newmark_march", never)
+    if command == "simulate":
+        flags = ["--modulus", "6.9e10"]
+    else:
+        monkeypatch.setattr(beamfem, "_modal_basis", never)
+        flags = ["--e-lo", "1", "--e-hi", "2"]
+    argv = [command, "--in", str(synth_file), "--section", "circle:d=6.35e-3",
+            "--density", "2721.9", *flags, "--window", "1e-3,0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_pipeline_subcommand_missing_input(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(
