@@ -35,7 +35,6 @@ from .grid import FieldGrid, load_field, save_field, window_time
 from .material import (
     BeamModel,
     CrossSection,
-    alpha_from_modulus,
     modulus_from_alpha,
     natural_frequencies,
     smape,
@@ -45,12 +44,13 @@ from .preprocess import bandpass_time, subsample_time
 from .sparse import SparseSolution, mstls, optimize_lambda
 from .synth import BurstSpec, burst, generate_beam_data
 from .weakform import (
-    LibrarySpec,
+    LHS,
+    TERM_NAMES,
+    TERMS,
     TermSpec,
     TestFunctionBasis,
     WeakSystem,
     assemble,
-    default_library,
     rescale,
     select_support,
     spectral_corner,

@@ -60,8 +60,14 @@ class FemMesh:
             raise ParameterError(
                 f"n_elements must be an integer >= 2, got {self.n_elements}"
             )
-        if not (self.dx > 0):
-            raise ParameterError(f"dx must be positive, got {self.dx}")
+        # the element matrices scale as dx**-3 .. dx**3: both ends must be
+        # finite positive floats (this also rejects dx <= 0 and NaN)
+        with np.errstate(all="ignore"):
+            powers = np.float64(self.dx) ** np.array([-3.0, 3.0])
+        if not np.all((powers > 0) & (powers < np.inf)):
+            raise ParameterError(
+                f"dx must be positive with finite element matrices, got {self.dx}"
+            )
 
     @property
     def n_nodes(self) -> int:
@@ -493,14 +499,16 @@ def simulate_measured(
     """Drive a mesh matching the data grid by its own edges and compare.
 
     One element per sample gap, so nodes coincide with measurement
-    points.  If ``window`` is given, both fields are restricted to it
-    before comparison (the simulation always starts from rest at the
-    data's first sample); a bad window fails before the march.
+    points, and the simulated field is returned on the data's own ``x``
+    and ``t``, wherever its x axis starts.  If ``window`` is given, both
+    fields are restricted to it before comparison (the simulation always
+    starts from rest at the data's first sample); a bad window fails
+    before the march.
     """
     data_c = data if window is None else window_time(data, *window)
     mesh = FemMesh(data.n_x - 1, data.dx)
     bc = extract_boundaries(data, n_fit=n_fit, order=order)
-    sim = newmark_solve(mesh, beam, bc)
+    sim = FieldGrid(data.x, data.t, newmark_solve(mesh, beam, bc).values)
     sim_c = sim if window is None else window_time(sim, *window)
     return SimulationResult(field=sim_c, frobenius_rel=compare(data_c, sim_c))
 

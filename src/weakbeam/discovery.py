@@ -11,12 +11,12 @@ from .errors import ParameterError
 from .grid import FieldGrid
 from .sparse import SparseSolution, optimize_lambda
 from .weakform import (
+    LHS,
+    TERM_NAMES,
     CornerDiagnostic,
-    LibrarySpec,
     TestFunctionBasis,
     WeakSystem,
     assemble,
-    default_library,
     rescale,
     select_support,
     spectral_corner,
@@ -57,16 +57,12 @@ class DiscoveryResult:
     corner_t: CornerDiagnostic | None = None
 
     @property
-    def library(self) -> LibrarySpec:
-        return self.system.library
-
-    @property
     def basis(self) -> TestFunctionBasis:
         return self.system.basis
 
     @property
     def term_names(self) -> tuple[str, ...]:
-        return self.library.term_names
+        return TERM_NAMES
 
     @property
     def support(self) -> tuple[str, ...]:
@@ -92,7 +88,7 @@ class DiscoveryResult:
 
     @property
     def pde_text(self) -> str:
-        return render_pde(self.library.lhs.name, self.term_names, self.coefficients)
+        return render_pde(LHS.name, self.term_names, self.coefficients)
 
     def as_report(self) -> dict:
         """JSON-ready summary of the discovery."""
@@ -144,7 +140,7 @@ def discover(
     tau_hat: float | tuple[float, float] | None = None,
 ) -> DiscoveryResult:
     """Identify a sparse PDE from one space-time field, regressing ``w_tt``
-    onto the candidate terms of :func:`default_library`.
+    onto the candidate terms of the library table :data:`weakform.TERMS`.
 
     Hyperparameters are selected from the data unless ``tau_hat`` pins
     the spectral corner (log10-bin units), in which case no corner is
@@ -160,7 +156,7 @@ def discover(
         bins = _tau_hat_bins(grid, tau_hat)
     basis = select_support(grid, bins, tau=tau)
     gammas = rescale(grid, basis)
-    system = assemble(grid, default_library(), basis, scales=gammas)
+    system = assemble(grid, basis, scales=gammas)
     solution = optimize_lambda(system.G, system.b)
     coefficients = unscale_coefficients(system, solution.coefficients)
     return DiscoveryResult(

@@ -18,7 +18,7 @@ from .discovery import DiscoveryResult, discover
 from .errors import AggregationError, ParameterError, WeakbeamError
 from .grid import FieldGrid
 from .preprocess import subsample_time
-from .weakform import default_library
+from .weakform import TERM_NAMES
 
 __all__ = [
     "TermStats",
@@ -120,7 +120,7 @@ def aggregate(runs: tuple[EnsembleRun, ...]) -> EnsembleResult:
         raise AggregationError(f"all {len(runs)} ensemble runs failed ({detail} ...)")
 
     stats: dict[str, TermStats] = {}
-    for name in default_library().term_names:
+    for name in TERM_NAMES:
         values = np.array(
             [r.result.coefficient(name) for r in successes if name in r.result.support]
         )

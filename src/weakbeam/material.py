@@ -19,7 +19,6 @@ __all__ = [
     "CrossSection",
     "BeamModel",
     "modulus_from_alpha",
-    "alpha_from_modulus",
     "frequency_roots",
     "natural_frequencies",
     "smape",
@@ -107,12 +106,6 @@ def modulus_from_alpha(alpha: float, beam: BeamModel) -> float:
     if not (0 < alpha < math.inf):
         raise ParameterError(f"alpha must be finite and positive, got {alpha}")
     return alpha * beam.density * beam.section.area / beam.section.second_moment
-
-
-def alpha_from_modulus(modulus: float, beam: BeamModel) -> float:
-    if not (modulus > 0):
-        raise ParameterError(f"modulus must be positive, got {modulus}")
-    return modulus * beam.section.second_moment / (beam.density * beam.section.area)
 
 
 def _sech(x: float) -> float:

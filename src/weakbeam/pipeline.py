@@ -26,7 +26,7 @@ from .errors import DegenerateDataError, ParameterError, WeakbeamError
 from .grid import FieldGrid, load_field, window_time
 from .material import BeamModel, CrossSection, modulus_from_alpha
 from .preprocess import bandpass_time, subsample_time
-from .weakform import default_library
+from .weakform import LHS, TERM_NAMES
 
 __all__ = [
     "PipelineConfig",
@@ -261,11 +261,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
             report["discovery"] = result.as_report() | {"degenerate": False}
         except DegenerateDataError as exc:
             degenerate = True
-            library = default_library()
             report["discovery"] = {
-                "pde": render_pde(
-                    library.lhs.name, library.term_names, np.zeros(library.n_terms)
-                ),
+                "pde": render_pde(LHS.name, TERM_NAMES, np.zeros(len(TERM_NAMES))),
                 "degenerate": True,
                 "reason": str(exc),
             }

@@ -14,7 +14,8 @@ Inner products are discretized with the uniform quadrature weight
 axis at a time: the x-kernels are applied to the ``2 m_x + 1`` rows
 around each query x-centre, and the t-kernels by FFT
 convolution along those few rows.  Columns of the resulting matrix ``G``
-hold one candidate term each; ``b`` holds the second time derivative.
+hold one term each of the fixed library table ``TERMS``; ``b`` holds its
+left-hand side ``LHS``, the second time derivative.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from .grid import FieldGrid
 
 __all__ = [
     "TermSpec",
-    "LibrarySpec",
-    "default_library",
+    "LHS",
+    "TERMS",
+    "TERM_NAMES",
     "TestFunctionBasis",
     "CornerDiagnostic",
     "WeakSystem",
@@ -65,14 +67,6 @@ class TermSpec:
     dt_order: int
     power: int
 
-    def __post_init__(self):
-        if self.dx_order < 0 or self.dt_order < 0:
-            raise ParameterError("derivative orders must be non-negative")
-        if self.power not in (0, 1):
-            raise ParameterError(f"unsupported field power {self.power}")
-        if self.power == 0 and (self.dx_order or self.dt_order):
-            raise ParameterError("constant term cannot carry derivatives")
-
     @property
     def name(self) -> str:
         if self.power == 0:
@@ -81,51 +75,23 @@ class TermSpec:
                       if self.dx_order or self.dt_order else "")
 
 
-@dataclass(frozen=True)
-class LibrarySpec:
-    """Left-hand side plus the candidate terms it is regressed onto."""
+# The discovery library: ``w_tt`` regressed onto
+# {w_t, w_x, w_xx, w_xxx, w_xxxx, w, 1}, one column of G per term.
+LHS = TermSpec(0, 2, 1)
+TERMS = (
+    TermSpec(0, 1, 1),
+    TermSpec(1, 0, 1),
+    TermSpec(2, 0, 1),
+    TermSpec(3, 0, 1),
+    TermSpec(4, 0, 1),
+    TermSpec(0, 0, 1),
+    TermSpec(0, 0, 0),
+)
+TERM_NAMES = tuple(t.name for t in TERMS)
 
-    lhs: TermSpec
-    terms: tuple[TermSpec, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
-            raise ParameterError("library needs at least one candidate term")
-        if len(set(self.terms)) != len(self.terms):
-            raise ParameterError("duplicate library terms")
-        if self.lhs in self.terms:
-            raise ParameterError("lhs may not appear among the candidates")
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
-
-    @property
-    def term_names(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.terms)
-
-    def max_orders(self) -> tuple[int, int]:
-        """Largest (dx, dt) orders over candidates and lhs."""
-        dx = max([t.dx_order for t in self.terms] + [self.lhs.dx_order])
-        dt = max([t.dt_order for t in self.terms] + [self.lhs.dt_order])
-        return dx, dt
-
-
-def default_library() -> LibrarySpec:
-    """``w_tt`` against {w_t, w_x, w_xx, w_xxx, w_xxxx, w, 1}."""
-    return LibrarySpec(
-        lhs=TermSpec(0, 2, 1),
-        terms=(
-            TermSpec(0, 1, 1),
-            TermSpec(1, 0, 1),
-            TermSpec(2, 0, 1),
-            TermSpec(3, 0, 1),
-            TermSpec(4, 0, 1),
-            TermSpec(0, 0, 1),
-            TermSpec(0, 0, 0),
-        ),
-    )
+# largest (dx, dt) derivative orders over the terms and the lhs
+_MAX_DX = max(t.dx_order for t in TERMS + (LHS,))
+_MAX_DT = max(t.dt_order for t in TERMS + (LHS,))
 
 
 @dataclass(frozen=True)
@@ -317,16 +283,16 @@ def _support_for_axis(
     return int(m[idx]), int(p[idx])
 
 
-def default_query_strides(
-    grid: FieldGrid, basis: TestFunctionBasis, n_terms: int
-) -> tuple[int, int]:
+def default_query_strides(grid: FieldGrid, basis: TestFunctionBasis) -> tuple[int, int]:
     """Pick query strides giving roughly 44 centers per axis.
 
-    The returned strides satisfy ``K >= 2 * n_terms`` where K is the
-    total number of query points; if necessary they are reduced toward 1,
-    and if even unit strides cannot reach that row count a
+    The returned strides satisfy ``K >= 2 * len(TERMS)`` where K is the
+    total number of query points, two rows per column of the library
+    table :data:`TERMS`; if necessary they are reduced toward 1, and if
+    even unit strides cannot reach that row count a
     :class:`SelectionError` is raised.
     """
+    min_rows = 2 * len(TERMS)
     sizes = (grid.n_x, grid.n_t)
     ms = (basis.m_x, basis.m_t)
     s = [
@@ -345,15 +311,13 @@ def default_query_strides(
     def total():
         return count(sizes[0], ms[0], s[0]) * count(sizes[1], ms[1], s[1])
 
-    while total() < 2 * n_terms and (s[0] > 1 or s[1] > 1):
+    while total() < min_rows and (s[0] > 1 or s[1] > 1):
         i = 0 if s[0] >= s[1] else 1
         if s[i] == 1:
             i = 1 - i
         s[i] = max(1, s[i] // 2)
-    if total() < 2 * n_terms:
-        raise SelectionError(
-            f"only {total()} query points available, need {2 * n_terms}"
-        )
+    if total() < min_rows:
+        raise SelectionError(f"only {total()} query points available, need {min_rows}")
     return s[0], s[1]
 
 
@@ -363,7 +327,7 @@ def select_support(
     tau: float = 1e-9,
 ) -> TestFunctionBasis:
     """Choose test function degree, half-widths, and strides from the data,
-    for the terms of :func:`default_library`.
+    for the library table :data:`TERMS` and its lhs :data:`LHS`.
 
     ``corner_bins`` holds the corner frequency bin of each axis, (x, t),
     as :func:`spectral_corner` reports it; the support half-width is the
@@ -375,12 +339,10 @@ def select_support(
         raise ParameterError(f"tau must lie in (0, 1), got {tau}")
     if len(corner_bins) != 2 or min(corner_bins) < 1:
         raise ParameterError(f"corner_bins must be two positive bins, got {corner_bins}")
-    library = default_library()
-    max_dx, max_dt = library.max_orders()
-    m_x, p_x = _support_for_axis(grid.n_x, corner_bins[0], tau, max_dx + 1)
-    m_t, p_t = _support_for_axis(grid.n_t, corner_bins[1], tau, max_dt + 1)
+    m_x, p_x = _support_for_axis(grid.n_x, corner_bins[0], tau, _MAX_DX + 1)
+    m_t, p_t = _support_for_axis(grid.n_t, corner_bins[1], tau, _MAX_DT + 1)
     basis = TestFunctionBasis(p_x=p_x, p_t=p_t, m_x=m_x, m_t=m_t)
-    s_x, s_t = default_query_strides(grid, basis, n_terms=library.n_terms)
+    s_x, s_t = default_query_strides(grid, basis)
     return TestFunctionBasis(p_x=p_x, p_t=p_t, m_x=m_x, m_t=m_t, s_x=s_x, s_t=s_t)
 
 
@@ -410,7 +372,6 @@ class WeakSystem:
     b: np.ndarray
     query_points: np.ndarray  # (K, 2) integer grid indices
     basis: TestFunctionBasis
-    library: LibrarySpec
     gamma_w: float
     gamma_x: float
     gamma_t: float
@@ -420,7 +381,7 @@ class WeakSystem:
         b = np.asarray(self.b, dtype=float)
         if G.ndim != 2 or b.ndim != 1 or G.shape[0] != b.size:
             raise ParameterError("G must be (K, J) with b of length K")
-        if G.shape[1] != self.library.n_terms:
+        if G.shape[1] != len(TERMS):
             raise ParameterError("G column count must match the library")
         if not (np.all(np.isfinite(G)) and np.all(np.isfinite(b))):
             raise ParameterError("assembled system contains non-finite entries")
@@ -449,19 +410,19 @@ def _valid_convolve(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 def assemble(
     grid: FieldGrid,
-    library: LibrarySpec,
     basis: TestFunctionBasis,
     scales: tuple[float, float, float] = (1.0, 1.0, 1.0),
 ) -> WeakSystem:
-    """Build the weak-form system at the query points.
+    """Build the weak-form system of the library table at the query points.
 
     The query points are the strided grid of every ``s_x``-th x-centre
     and ``s_t``-th t-centre whose support lies inside the field, listed
     x-major.
 
-    Each column of G is the discrete inner product of the field term with
-    the appropriately differentiated test function at every query point,
-    carrying the integration-by-parts sign ``(-1)^(dx + dt)``.
+    Column j of G belongs to ``TERMS[j]`` and b to :data:`LHS`; each is
+    the discrete inner product of the field term with the appropriately
+    differentiated test function at every query point, carrying the
+    integration-by-parts sign ``(-1)^(dx + dt)``.
 
     x stage: the x-kernels of the ``#dx`` spatial orders, stacked into
     one ``(#dx, 2 m_x + 1)`` matrix, multiply the field rows under each
@@ -479,14 +440,13 @@ def assemble(
     gw, gx, gt = scales
     if gw <= 0 or gx <= 0 or gt <= 0:
         raise ParameterError(f"scale factors must be positive, got {scales}")
-    max_dx, max_dt = library.max_orders()
-    if basis.p_x < max_dx + 1:
+    if basis.p_x < _MAX_DX + 1:
         raise ParameterError(
-            f"p_x={basis.p_x} too low for spatial order {max_dx} (need >= {max_dx + 1})"
+            f"p_x={basis.p_x} too low for spatial order {_MAX_DX} (need >= {_MAX_DX + 1})"
         )
-    if basis.p_t < max_dt + 1:
+    if basis.p_t < _MAX_DT + 1:
         raise ParameterError(
-            f"p_t={basis.p_t} too low for temporal order {max_dt} (need >= {max_dt + 1})"
+            f"p_t={basis.p_t} too low for temporal order {_MAX_DT} (need >= {_MAX_DT + 1})"
         )
     n_x, n_t = grid.n_x, grid.n_t
     m_x, m_t = basis.m_x, basis.m_t
@@ -500,12 +460,12 @@ def assemble(
 
     hx, ht = gx * grid.dx, gt * grid.dt
     weight = (gx * grid.x_extent / n_x) * (gt * grid.t_extent / n_t)
-    kx = _testfn_rows(basis.p_x, m_x, max_dx, hx)
-    kt = _testfn_rows(basis.p_t, m_t, max_dt, ht)
+    kx = _testfn_rows(basis.p_x, m_x, _MAX_DX, hx)
+    kt = _testfn_rows(basis.p_t, m_t, _MAX_DT, ht)
     scaled = gw * grid.values
 
     # x stage: one product per query x-centre
-    live = [t for t in library.terms + (library.lhs,) if t.power == 1]
+    live = [t for t in TERMS + (LHS,) if t.power == 1]
     dx_orders = sorted({t.dx_order for t in live})
     kx_live = kx[dx_orders]
     xrows = np.empty((xs.size, len(dx_orders), n_t))
@@ -528,13 +488,12 @@ def assemble(
             return np.full(xs.size * ts.size, sign * weight * (kx[0].sum() * kt[0].sum()))
         return sign * weight * tconv[term.dx_order, term.dt_order][:, ts - m_t].ravel()
 
-    G = np.column_stack([column(t) for t in library.terms])
+    G = np.column_stack([column(t) for t in TERMS])
     return WeakSystem(
         G=G,
-        b=column(library.lhs),
+        b=column(LHS),
         query_points=np.column_stack([np.repeat(xs, ts.size), np.tile(ts, xs.size)]),
         basis=basis,
-        library=library,
         gamma_w=gw,
         gamma_x=gx,
         gamma_t=gt,
@@ -549,15 +508,14 @@ def unscale_coefficients(system: WeakSystem, c_scaled: np.ndarray) -> np.ndarray
     ``gamma_w^(q - q_lhs) * gamma_x^(i_lhs - i) * gamma_t^(k_lhs - k)``.
     """
     c_scaled = np.asarray(c_scaled, dtype=float)
-    if c_scaled.shape != (system.library.n_terms,):
+    if c_scaled.shape != (len(TERMS),):
         raise ParameterError("coefficient vector length must match the library")
-    lhs = system.library.lhs
     factors = np.array(
         [
-            system.gamma_w ** (t.power - lhs.power)
-            * system.gamma_x ** (lhs.dx_order - t.dx_order)
-            * system.gamma_t ** (lhs.dt_order - t.dt_order)
-            for t in system.library.terms
+            system.gamma_w ** (t.power - LHS.power)
+            * system.gamma_x ** (LHS.dx_order - t.dx_order)
+            * system.gamma_t ** (LHS.dt_order - t.dt_order)
+            for t in TERMS
         ]
     )
     return c_scaled * factors

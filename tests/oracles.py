@@ -15,7 +15,7 @@ from scipy.linalg import eigh
 
 from weakbeam.beamfem import assemble_matrices
 from weakbeam.errors import DegenerateDataError, ParameterError
-from weakbeam.weakform import CornerDiagnostic, mean_power_spectrum
+from weakbeam.weakform import LHS, TERMS, CornerDiagnostic, mean_power_spectrum
 
 BETA_L = {
     # characteristic roots beta_n * L of the Euler-Bernoulli frequency
@@ -34,6 +34,11 @@ def analytic_beam_frequencies(modulus, inertia, density, area, length,
     root = BETA_L[boundary]
     c = np.sqrt(modulus * inertia / (density * area)) / (2.0 * np.pi * length**2)
     return np.array([root(n) ** 2 * c for n in range(1, n_modes + 1)])
+
+
+def alpha_from_modulus(modulus, beam):
+    """alpha = E I / (rho A), the inverse of ``material.modulus_from_alpha``."""
+    return modulus * beam.section.second_moment / (beam.density * beam.section.area)
 
 
 def testfn_poly(p, m, deriv, h):
@@ -145,8 +150,9 @@ def reference_spectral_corner(values, axis):
     return CornerDiagnostic(b, n_bins)
 
 
-def dense_weak_system(grid, library, basis, scales=(1.0, 1.0, 1.0)):
-    """Direct-summation weak-form assembly.
+def dense_weak_system(grid, basis, scales=(1.0, 1.0, 1.0)):
+    """Direct-summation weak-form assembly of the library table
+    (``weakform.TERMS`` onto ``weakform.LHS``).
 
     Every entry is an explicit windowed sum
         (-1)^(i+k) * (X/N_x) * (T/N_t) * sum_ab W^q[ix+a, it+b]
@@ -179,9 +185,9 @@ def dense_weak_system(grid, library, basis, scales=(1.0, 1.0, 1.0)):
         return sign * weight * np.einsum("ab,a,b->", window, fx, ft)
 
     K = len(query_points)
-    b = np.array([inner(library.lhs, ix, it) for ix, it in query_points])
-    G = np.empty((K, library.n_terms))
-    for j, term in enumerate(library.terms):
+    b = np.array([inner(LHS, ix, it) for ix, it in query_points])
+    G = np.empty((K, len(TERMS)))
+    for j, term in enumerate(TERMS):
         G[:, j] = [inner(term, ix, it) for ix, it in query_points]
     return G, b, np.asarray(query_points)
 

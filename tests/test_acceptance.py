@@ -30,7 +30,7 @@ from weakbeam.grid import FieldGrid, load_field
 from weakbeam.material import BeamModel, CrossSection, modulus_from_alpha
 from weakbeam.sparse import optimize_lambda
 from weakbeam.synth import generate_beam_data
-from weakbeam.weakform import TestFunctionBasis, assemble, default_library
+from weakbeam.weakform import TestFunctionBasis, assemble
 
 
 def true_alpha():
@@ -86,7 +86,6 @@ def test_ensemble_consistency(noisy_fields):
 
 def test_weakform_matches_dense_oracle():
     rng = np.random.default_rng(7)
-    lib = default_library()
     for _ in range(20):
         n_x = int(rng.integers(24, 65))
         n_t = int(rng.integers(24, 65))
@@ -105,8 +104,8 @@ def test_weakform_matches_dense_oracle():
             s_x=int(rng.integers(1, 4)),
             s_t=int(rng.integers(1, 4)),
         )
-        system = assemble(field, lib, basis)
-        G, b, pts = oracles.dense_weak_system(field, lib, basis)
+        system = assemble(field, basis)
+        G, b, pts = oracles.dense_weak_system(field, basis)
         assert np.array_equal(system.query_points, pts)
         assert np.linalg.norm(system.G - G) <= 1e-10 * np.linalg.norm(G)
         assert np.linalg.norm(system.b - b) <= 1e-10 * np.linalg.norm(b)

@@ -67,6 +67,9 @@ def test_mesh_validation():
         FemMesh(1, 0.01)
     with pytest.raises(ParameterError):
         FemMesh(10, 0.0)
+    for dx in (1e-200, 1e150):  # dx**3 underflows, dx**2 overflows
+        with pytest.raises(ParameterError, match="dx"):
+            FemMesh(10, dx)
 
 
 # ------------------------------------------------------------ global matrices
@@ -585,6 +588,32 @@ def test_simulation_reproduces_generated_data(edge_field):
     assert result.field.values.shape == edge_field.values.shape
     assert np.array_equal(result.field.x, edge_field.x)
     assert extract_boundaries(edge_field).free_right is False
+
+
+def corner_at(edge_field, x0, dx=5e-4):
+    """The 10x200 corner of the edge field, its x axis moved to ``x0 + k dx``."""
+    return FieldGrid(x0 + dx * np.arange(10), edge_field.t[:200], edge_field.values[:10, :200])
+
+
+def test_simulation_keeps_the_data_positions(edge_field):
+    # a scan stored with its true positions replays like the same samples at 0
+    kwargs = {"n_fit": 7, "order": 2}
+    offset = corner_at(edge_field, 0.01)
+    result = simulate_measured(offset, make_beam(), **kwargs)
+    assert np.array_equal(result.field.x, offset.x)
+    assert np.array_equal(result.field.t, offset.t)
+    at_zero = simulate_measured(corner_at(edge_field, 0.0), make_beam(), **kwargs)
+    assert result.frobenius_rel == pytest.approx(at_zero.frobenius_rel, rel=1e-9)
+
+
+@pytest.mark.parametrize("dx", [1e-200, 1e150])
+def test_replay_rejects_a_dx_without_finite_element_matrices(edge_field, dx):
+    data = corner_at(edge_field, 0.0, dx=dx)
+    beam = make_beam()
+    with pytest.raises(ParameterError, match="dx"):
+        simulate_measured(data, beam, n_fit=7, order=2)
+    with pytest.raises(ParameterError, match="dx"):
+        sweep_modulus(data, beam, 6e10, 8e10, 3, n_fit=7, order=2)
 
 
 def test_simulation_error_grows_with_wrong_modulus(edge_field):

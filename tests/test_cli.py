@@ -181,6 +181,26 @@ def test_simulate_subcommand(capsys, synth_file, tmp_path):
     assert sim.values.shape == measured.values.shape
 
 
+def test_simulate_accepts_a_field_whose_x_starts_off_zero(capsys, edge_field, tmp_path):
+    # a measured scan stored with its true positions
+    data = FieldGrid(0.01 + 5e-4 * np.arange(10), edge_field.t[:200], edge_field.values[:10, :200])
+    path, out = tmp_path / "offset.field", tmp_path / "sim.field"
+    save_field(data, path)
+    payload = run_json(
+        capsys,
+        [
+            "simulate", "--in", str(path),
+            "--section", "circle:d=6.35e-3",
+            "--density", "2721.9",
+            "--modulus", "6.9e10",
+            "--n-fit", "7", "--order", "2",
+            "--out-field", str(out),
+        ],
+    )
+    assert np.isfinite(payload["frobenius_rel"])
+    assert np.array_equal(load_field(out).x, data.x)
+
+
 def test_sweep_subcommand(capsys, synth_file, tmp_path):
     csv_path = tmp_path / "sweep.csv"
     payload = run_json(
@@ -449,6 +469,8 @@ def as_argv(flags: dict) -> list[str]:
         # the argv fuzz gives single tokens, never a bad "a,b" pair
         ["preprocess", "--in", "{in}", "--window", "nan,nan"],
         ["preprocess", "--in", "{in}", "--window", "0,inf"],
+        # dx**3 underflows in the element stiffness
+        ["synth", *SYNTH_FLAGS, "--dx", "1e-200"],
     ],
 )
 def test_non_finite_or_out_of_range_number_is_an_error(capsys, tmp_path, tiny_field, argv):

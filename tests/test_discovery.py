@@ -4,7 +4,7 @@ import pytest
 from conftest import AL_DENSITY, AL_MODULUS, make_beam
 from weakbeam.discovery import discover, render_pde
 from weakbeam.grid import FieldGrid
-from weakbeam.weakform import default_library
+from weakbeam.weakform import TERM_NAMES
 
 
 # ------------------------------------------------------------------ rendering
@@ -54,7 +54,7 @@ def test_discovery_on_clean_beam_data(edge_field):
 
 def test_discovery_result_accessors(edge_field):
     result = discover(edge_field)
-    assert result.term_names == default_library().term_names
+    assert result.term_names == TERM_NAMES
     assert result.coefficient("w_x") == 0.0  # inactive term reads as zero
     with pytest.raises(KeyError):
         result.coefficient("w_xxxxx")
@@ -87,7 +87,7 @@ def test_discovery_report_is_json_ready(edge_field):
         "corner",
     }
     assert report["support"] == ["w_xxxx"]
-    assert report["terms"] == list(default_library().term_names)
+    assert report["terms"] == list(TERM_NAMES)
     assert report["corner"]["x"] is not None and report["corner"]["t"] is not None
     parsed = json.loads(json.dumps(report))
     assert parsed["basis"]["m_x"] == result.basis.m_x

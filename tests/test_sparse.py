@@ -7,7 +7,7 @@ from weakbeam import sparse
 from weakbeam.errors import ParameterError, RankDeficiencyWarning
 from weakbeam.grid import FieldGrid
 from weakbeam.sparse import least_squares, mstls, optimize_lambda
-from weakbeam.weakform import TestFunctionBasis, assemble, default_library, rescale
+from weakbeam.weakform import TestFunctionBasis, assemble, rescale
 
 
 def planted_system(seed, n_rows=200, n_cols=7, index=4, value=10.0, noise=0.0):
@@ -197,7 +197,7 @@ def noisy_weak_system(seed=0, sigma=0.02):
     w += sigma * np.random.default_rng(seed).standard_normal(w.shape)
     g = FieldGrid(x, t, w)
     basis = TestFunctionBasis(p_x=9, p_t=9, m_x=20, m_t=40, s_x=4, s_t=8)
-    system = assemble(g, default_library(), basis, scales=rescale(g, basis))
+    system = assemble(g, basis, scales=rescale(g, basis))
     return system.G, system.b
 
 

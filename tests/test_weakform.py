@@ -17,20 +17,25 @@ from weakbeam.errors import DegenerateDataError, ParameterError, SelectionError
 from weakbeam.grid import FieldGrid
 from weakbeam.sparse import optimize_lambda
 from weakbeam.weakform import (
-    LibrarySpec,
-    TermSpec,
+    LHS,
+    TERM_NAMES,
+    TERMS,
     TestFunctionBasis,
     assemble,
-    default_library,
     default_query_strides,
     rescale,
     select_support,
     spectral_corner,
     unscale_coefficients,
 )
-from weakbeam.weakform import _changepoint, _segment_ssr_prefix, _testfn_rows, _valid_convolve
-
-LIB = default_library()
+from weakbeam.weakform import (
+    _MAX_DT,
+    _MAX_DX,
+    _changepoint,
+    _segment_ssr_prefix,
+    _testfn_rows,
+    _valid_convolve,
+)
 
 
 def corners(g):
@@ -47,25 +52,10 @@ def random_field(n_x, n_t, seed, dx=1e-3, dt=1e-6):
 # ------------------------------------------------------------- test functions
 
 def test_library_term_names():
-    assert LIB.term_names == ("w_t", "w_x", "w_xx", "w_xxx", "w_xxxx", "w", "1")
-    assert LIB.lhs.name == "w_tt"
-    assert LIB.n_terms == 7
-    assert LIB.max_orders() == (4, 2)
-
-
-def test_library_validation():
-    with pytest.raises(ParameterError):
-        LibrarySpec(lhs=TermSpec(0, 2, 1), terms=())
-    with pytest.raises(ParameterError):
-        LibrarySpec(lhs=TermSpec(0, 2, 1), terms=(TermSpec(0, 2, 1),))
-    with pytest.raises(ParameterError):
-        LibrarySpec(
-            lhs=TermSpec(0, 2, 1), terms=(TermSpec(1, 0, 1), TermSpec(1, 0, 1))
-        )
-    with pytest.raises(ParameterError):
-        TermSpec(0, 0, 2)  # only powers 0 and 1 supported
-    with pytest.raises(ParameterError):
-        TermSpec(1, 0, 0)  # differentiated constant
+    assert TERM_NAMES == ("w_t", "w_x", "w_xx", "w_xxx", "w_xxxx", "w", "1")
+    assert LHS.name == "w_tt"
+    assert len(TERMS) == 7
+    assert (_MAX_DX, _MAX_DT) == (4, 2)
 
 
 @pytest.mark.parametrize("p", [2, 5, 9])
@@ -153,8 +143,8 @@ def test_assembly_matches_dense_oracle():
     for seed in range(3):
         g = random_field(48, 64, seed)
         for scales in ((1.0, 1.0, 1.0), rescale(g, basis)):
-            system = assemble(g, LIB, basis, scales=scales)
-            G, b, pts = dense_weak_system(g, LIB, basis, scales=scales)
+            system = assemble(g, basis, scales=scales)
+            G, b, pts = dense_weak_system(g, basis, scales=scales)
             assert np.array_equal(system.query_points, pts)
             assert np.linalg.norm(system.G - G) <= 1e-10 * np.linalg.norm(G)
             assert np.linalg.norm(system.b - b) <= 1e-10 * np.linalg.norm(b)
@@ -170,12 +160,8 @@ def test_assembly_matches_dense_oracle():
 def test_assembly_oracle_property(n_x, n_t, m_x, m_t, seed):
     g = random_field(n_x, n_t, seed)
     basis = TestFunctionBasis(p_x=5, p_t=4, m_x=m_x, m_t=m_t, s_x=3, s_t=3)
-    lib = LibrarySpec(
-        lhs=TermSpec(0, 2, 1),
-        terms=(TermSpec(1, 0, 1), TermSpec(2, 0, 1), TermSpec(0, 0, 1), TermSpec(0, 0, 0)),
-    )
-    system = assemble(g, lib, basis)
-    G, b, _ = dense_weak_system(g, lib, basis)
+    system = assemble(g, basis)
+    G, b, _ = dense_weak_system(g, basis)
     scale = max(np.linalg.norm(G), np.linalg.norm(b))
     assert np.linalg.norm(system.G - G) <= 1e-10 * scale
     assert np.linalg.norm(system.b - b) <= 1e-10 * scale
@@ -204,8 +190,8 @@ def test_valid_convolve_is_bit_identical_to_fftconvolve(shape, L):
 
 def assert_matches_dense_oracle(g, basis):
     for scales in ((1.0, 1.0, 1.0), rescale(g, basis)):
-        system = assemble(g, LIB, basis, scales=scales)
-        G, b, pts = dense_weak_system(g, LIB, basis, scales=scales)
+        system = assemble(g, basis, scales=scales)
+        G, b, pts = dense_weak_system(g, basis, scales=scales)
         assert np.array_equal(system.query_points, pts)
         assert np.linalg.norm(system.G - G) <= 1e-10 * np.linalg.norm(G)
         assert np.linalg.norm(system.b - b) <= 1e-10 * np.linalg.norm(b)
@@ -219,17 +205,17 @@ def test_unit_strides_match_dense_oracle():
 def test_single_x_centre_matches_dense_oracle():
     g = random_field(17, 90, seed=22)
     basis = TestFunctionBasis(p_x=6, p_t=5, m_x=8, m_t=12, s_x=1, s_t=5)
-    assert np.unique(assemble(g, LIB, basis).query_points[:, 0]).size == 1
+    assert np.unique(assemble(g, basis).query_points[:, 0]).size == 1
     assert_matches_dense_oracle(g, basis)
 
 
 def test_zero_field_assembles_to_zero_system():
     g = FieldGrid(np.arange(40) * 1e-3, np.arange(50) * 1e-6, np.zeros((40, 50)))
     basis = TestFunctionBasis(p_x=6, p_t=5, m_x=8, m_t=10, s_x=4, s_t=5)
-    system = assemble(g, LIB, basis)
-    j1 = LIB.term_names.index("1")
+    system = assemble(g, basis)
+    j1 = TERM_NAMES.index("1")
     assert np.all(system.b == 0.0)
-    for j in range(LIB.n_terms):
+    for j in range(len(TERMS)):
         if j != j1:
             assert np.all(system.G[:, j] == 0.0)
     col = system.G[:, j1]
@@ -243,8 +229,8 @@ def test_assembly_is_additive_in_the_field():
     v = rng.standard_normal((40, 50))
     mk = lambda w: FieldGrid(np.arange(40) * 1e-3, np.arange(50) * 1e-6, w)
     basis = TestFunctionBasis(p_x=6, p_t=5, m_x=8, m_t=10, s_x=4, s_t=5)
-    a, b, s = (assemble(mk(w), LIB, basis) for w in (u, v, u + v))
-    live = [j for j, term in enumerate(LIB.terms) if term.power == 1]
+    a, b, s = (assemble(mk(w), basis) for w in (u, v, u + v))
+    live = [j for j, term in enumerate(TERMS) if term.power == 1]
     dG = np.abs(s.G[:, live] - a.G[:, live] - b.G[:, live]).max()
     assert dG <= 1e-12 * np.abs(s.G[:, live]).max()
     assert np.abs(s.b - a.b - b.b).max() <= 1e-12 * np.abs(s.b).max()
@@ -257,9 +243,9 @@ def test_constant_offset_shifts_only_the_w_column():
     g = random_field(40, 50, seed=5)
     shifted = FieldGrid(g.x, g.t, g.values + 3.7)
     basis = TestFunctionBasis(p_x=6, p_t=5, m_x=8, m_t=10, s_x=4, s_t=5)
-    a = assemble(g, LIB, basis)
-    b = assemble(shifted, LIB, basis)
-    names = LIB.term_names
+    a = assemble(g, basis)
+    b = assemble(shifted, basis)
+    names = TERM_NAMES
     for nm in ("w_t", "w_x", "w_xxx"):
         j = names.index(nm)
         diff = np.abs(a.G[:, j] - b.G[:, j]).max()
@@ -278,8 +264,8 @@ def test_linear_field_column_identities():
     x = np.arange(n_x) * 0.01
     g = FieldGrid(x, np.arange(n_t) * 0.02, np.tile(x[:, None], (1, n_t)))
     basis = TestFunctionBasis(p_x=7, p_t=7, m_x=120, m_t=10, s_x=5, s_t=5)
-    system = assemble(g, LIB, basis)
-    names = LIB.term_names
+    system = assemble(g, basis)
+    names = TERM_NAMES
     jx, jxx, j1 = names.index("w_x"), names.index("w_xx"), names.index("1")
     scale = np.abs(system.G[:, j1]).max()
     assert np.max(np.abs(system.G[:, jx] - system.G[:, j1])) <= 1e-10 * scale
@@ -298,11 +284,11 @@ def manufactured_mode(alpha=2.5, n_x=129, n_t=257, waves=3, periods=2):
 def test_manufactured_mode_satisfies_weak_form():
     g, alpha = manufactured_mode()
     basis = TestFunctionBasis(p_x=9, p_t=9, m_x=40, m_t=80, s_x=6, s_t=12)
-    system = assemble(g, LIB, basis, scales=rescale(g, basis))
-    j = LIB.term_names.index("w_xxxx")
-    c_star = np.zeros(LIB.n_terms)
+    system = assemble(g, basis, scales=rescale(g, basis))
+    j = TERM_NAMES.index("w_xxxx")
+    c_star = np.zeros(len(TERMS))
     c_star[j] = -alpha
-    c_star /= unscale_coefficients(system, np.ones(LIB.n_terms))
+    c_star /= unscale_coefficients(system, np.ones(len(TERMS)))
     resid = np.linalg.norm(system.b - system.G @ c_star) / np.linalg.norm(system.b)
     assert resid < 1e-6
     rows = np.abs(system.b) >= 1e-3 * np.abs(system.b).max()
@@ -311,25 +297,26 @@ def test_manufactured_mode_satisfies_weak_form():
 
 
 def test_single_term_library_recovers_alpha():
+    # the w_xxxx column of the library's G, fitted alone
     g, alpha = manufactured_mode()
-    lib1 = LibrarySpec(lhs=TermSpec(0, 2, 1), terms=(TermSpec(4, 0, 1),))
     basis = TestFunctionBasis(p_x=9, p_t=9, m_x=40, m_t=80, s_x=6, s_t=12)
-    system = assemble(g, lib1, basis, scales=rescale(g, basis))
-    solution = optimize_lambda(system.G, system.b)
-    c = unscale_coefficients(system, solution.coefficients)
-    assert abs(c[0] + alpha) <= 1e-6 * alpha
+    system = assemble(g, basis, scales=rescale(g, basis))
+    j = TERM_NAMES.index("w_xxxx")
+    solution = optimize_lambda(system.G[:, [j]], system.b)
+    c = unscale_coefficients(system, np.ones(len(TERMS)))[j] * solution.coefficients[0]
+    assert abs(c + alpha) <= 1e-6 * alpha
 
 
 def test_assemble_validation():
     g = random_field(30, 30, seed=0)
     with pytest.raises(ParameterError):
-        assemble(g, LIB, TestFunctionBasis(p_x=4, p_t=5, m_x=5, m_t=5))  # p_x < 5
+        assemble(g, TestFunctionBasis(p_x=4, p_t=5, m_x=5, m_t=5))  # p_x < 5
     with pytest.raises(ParameterError):
-        assemble(g, LIB, TestFunctionBasis(p_x=6, p_t=2, m_x=5, m_t=5))  # p_t < 3
+        assemble(g, TestFunctionBasis(p_x=6, p_t=2, m_x=5, m_t=5))  # p_t < 3
     with pytest.raises(ParameterError):
-        assemble(g, LIB, TestFunctionBasis(p_x=6, p_t=5, m_x=15, m_t=5))  # 2m+1 > N
+        assemble(g, TestFunctionBasis(p_x=6, p_t=5, m_x=15, m_t=5))  # 2m+1 > N
     with pytest.raises(ParameterError):
-        assemble(g, LIB, TestFunctionBasis(p_x=6, p_t=5, m_x=5, m_t=5),
+        assemble(g, TestFunctionBasis(p_x=6, p_t=5, m_x=5, m_t=5),
                  scales=(0.0, 1.0, 1.0))
 
 
@@ -338,22 +325,22 @@ def test_assemble_validation():
 def test_al_window_strides_and_row_count():
     g = random_field(195, 1501, seed=1, dx=5e-4, dt=1.6e-7)
     basis = TestFunctionBasis(p_x=8, p_t=7, m_x=42, m_t=82)
-    assert default_query_strides(g, basis, n_terms=LIB.n_terms) == (3, 30)
-    system = assemble(g, LIB, basis.__class__(p_x=8, p_t=7, m_x=42, m_t=82, s_x=3, s_t=30))
+    assert default_query_strides(g, basis) == (3, 30)
+    system = assemble(g, basis.__class__(p_x=8, p_t=7, m_x=42, m_t=82, s_x=3, s_t=30))
     assert system.n_queries == 1665  # 37 x-centers times 45 t-centers
 
 
 def test_unit_strides_tile_whole_interior():
     g = random_field(20, 30, seed=2)
     basis = TestFunctionBasis(p_x=6, p_t=5, m_x=4, m_t=6, s_x=1, s_t=1)
-    system = assemble(g, LIB, basis)
+    system = assemble(g, basis)
     assert system.n_queries == (20 - 8) * (30 - 12)
 
 
 def test_full_width_support_gives_single_spatial_column():
     g = random_field(21, 200, seed=3)
     basis = TestFunctionBasis(p_x=6, p_t=5, m_x=10, m_t=20, s_x=1, s_t=4)
-    system = assemble(g, LIB, basis)
+    system = assemble(g, basis)
     assert np.unique(system.query_points[:, 0]).size == 1
 
 
@@ -363,8 +350,8 @@ def test_too_few_query_points_is_selection_error():
     # interior is 3 x 5 = 15 + one extra hits; shrink further
     with pytest.raises(SelectionError):
         default_query_strides(random_field(13, 11, seed=4), TestFunctionBasis(
-            p_x=6, p_t=5, m_x=5, m_t=4), n_terms=7)
-    assert default_query_strides(g, basis, n_terms=7) == (1, 1)
+            p_x=6, p_t=5, m_x=5, m_t=4))
+    assert default_query_strides(g, basis) == (1, 1)
 
 
 # ---------------------------------------------------------- corner detection
@@ -473,8 +460,7 @@ def test_tau_hat_scalar_broadcasts():
 def test_selected_support_respects_invariants():
     g = random_field(100, 300, seed=12)
     basis = select_support(g, corners(g))
-    max_dx, max_dt = LIB.max_orders()
-    assert basis.p_x >= max_dx + 1 and basis.p_t >= max_dt + 1
+    assert basis.p_x >= _MAX_DX + 1 and basis.p_t >= _MAX_DT + 1
     assert 2 * basis.m_x + 1 <= g.n_x and 2 * basis.m_t + 1 <= g.n_t
     assert basis.s_x >= 1 and basis.s_t >= 1
 
@@ -512,7 +498,7 @@ def test_rescale_rejects_zero_field():
 def test_unscale_identity_at_unit_gammas():
     g = random_field(40, 50, seed=5)
     basis = TestFunctionBasis(p_x=6, p_t=5, m_x=8, m_t=10, s_x=4, s_t=5)
-    system = assemble(g, LIB, basis)  # scales default to 1
+    system = assemble(g, basis)  # scales default to 1
     c = np.arange(1.0, 8.0)
     assert np.array_equal(unscale_coefficients(system, c), c)
 
@@ -520,15 +506,15 @@ def test_unscale_identity_at_unit_gammas():
 def test_unscale_dimensional_bookkeeping():
     g = random_field(40, 50, seed=6)
     basis = TestFunctionBasis(p_x=6, p_t=5, m_x=8, m_t=10, s_x=4, s_t=5)
-    system = assemble(g, LIB, basis, scales=(1.0, 2.0, 1.0))
-    c = np.ones(LIB.n_terms)
+    system = assemble(g, basis, scales=(1.0, 2.0, 1.0))
+    c = np.ones(len(TERMS))
     out = unscale_coefficients(system, c)
-    names = LIB.term_names
+    names = TERM_NAMES
     # w_tt = c w_xxxx under x -> 2x picks up gamma_x^(0-4)
     assert out[names.index("w_xxxx")] == pytest.approx(1.0 / 16.0, rel=1e-14)
     assert out[names.index("w_xx")] == pytest.approx(1.0 / 4.0, rel=1e-14)
     assert out[names.index("w")] == pytest.approx(1.0, rel=1e-14)
-    system = assemble(g, LIB, basis, scales=(4.0, 1.0, 1.0))
+    system = assemble(g, basis, scales=(4.0, 1.0, 1.0))
     out = unscale_coefficients(system, c)
     # the constant term is the only power-0 entry: gamma_w^(0-1)
     assert out[names.index("1")] == pytest.approx(0.25, rel=1e-14)
@@ -537,11 +523,11 @@ def test_unscale_dimensional_bookkeeping():
 
 def test_coefficients_invariant_under_rescaling(edge_field):
     basis = select_support(edge_field, corners(edge_field))
-    scaled = assemble(edge_field, LIB, basis, scales=rescale(edge_field, basis))
-    raw = assemble(edge_field, LIB, basis)
+    scaled = assemble(edge_field, basis, scales=rescale(edge_field, basis))
+    raw = assemble(edge_field, basis)
     c_scaled = unscale_coefficients(scaled, optimize_lambda(scaled.G, scaled.b).coefficients)
     c_raw = unscale_coefficients(raw, optimize_lambda(raw.G, raw.b).coefficients)
-    j = LIB.term_names.index("w_xxxx")
+    j = TERM_NAMES.index("w_xxxx")
     assert c_scaled[j] != 0.0
     assert abs(c_scaled[j] - c_raw[j]) <= 1e-8 * abs(c_scaled[j])
     assert np.linalg.norm(c_scaled - c_raw) <= 1e-8 * np.linalg.norm(c_scaled)
