@@ -22,13 +22,13 @@ from weakbeam.beamfem import FemMesh
 from weakbeam.ensemble import run_ensemble
 from weakbeam.material import BeamModel, CrossSection, modulus_from_alpha, smape
 from weakbeam.pipeline import write_csv, write_json
-from weakbeam.synth import BurstSpec, generate_beam_data
+from weakbeam.synth import generate_beam_data
 
 SECTION = CrossSection.circle(6.35e-3)
 DENSITY = 2721.9
 MODULUS = 6.9e10
 MESH = FemMesh(194, 5e-4)
-BURST = BurstSpec(center_frequency=1e4)
+FC = 1e4  # burst center frequency, Hz
 
 
 def main() -> int:
@@ -55,7 +55,7 @@ def main() -> int:
         field = generate_beam_data(
             beam,
             MESH,
-            BURST,
+            FC,
             dt=args.dt,
             t_end=args.t_end,
             sigma_rel=args.sigma,

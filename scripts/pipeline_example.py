@@ -22,13 +22,13 @@ from weakbeam.beamfem import FemMesh
 from weakbeam.grid import save_field
 from weakbeam.material import BeamModel, CrossSection
 from weakbeam.pipeline import PipelineConfig, run_pipeline
-from weakbeam.synth import BurstSpec, generate_beam_data
+from weakbeam.synth import generate_beam_data
 
 SECTION = CrossSection.circle(6.35e-3)
 DENSITY = 2721.9
 MODULUS = 6.9e10
 MESH = FemMesh(194, 5e-4)
-BURST = BurstSpec(center_frequency=1e4)
+FC = 1e4  # burst center frequency, Hz
 
 
 def main() -> int:
@@ -45,7 +45,7 @@ def main() -> int:
         youngs_modulus=MODULUS,
     )
     field = generate_beam_data(
-        beam, MESH, BURST, dt=8e-7, t_end=2e-3, margin_frac=0.5
+        beam, MESH, FC, dt=8e-7, t_end=2e-3, margin_frac=0.5
     )
     field_path = args.out / "synthetic.field"
     save_field(field, field_path)

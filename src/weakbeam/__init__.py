@@ -26,7 +26,6 @@ from .errors import (
     FieldFormatError,
     GridError,
     ParameterError,
-    RankDeficiencyWarning,
     SelectionError,
     WeakbeamError,
     WindowError,
@@ -42,7 +41,7 @@ from .material import (
 from .pipeline import PipelineConfig, run_pipeline
 from .preprocess import bandpass_time, subsample_time
 from .sparse import SparseSolution, mstls, optimize_lambda
-from .synth import BurstSpec, burst, generate_beam_data
+from .synth import burst, generate_beam_data
 from .weakform import (
     LHS,
     TERM_NAMES,

@@ -30,7 +30,6 @@ __all__ = [
     "SimulationResult",
     "SweepResult",
     "assemble_matrices",
-    "second_difference",
     "extract_boundaries",
     "newmark_march",
     "newmark_solve",
@@ -142,20 +141,6 @@ def _dense(band: np.ndarray) -> np.ndarray:
     return full
 
 
-def second_difference(series: np.ndarray, dt: float) -> np.ndarray:
-    """Second time derivative: centered inside, one-sided 2nd order at ends."""
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 1 or series.size < 4:
-        raise ParameterError("second_difference needs a 1-d series of >= 4 samples")
-    if not (dt > 0):
-        raise ParameterError(f"dt must be positive, got {dt}")
-    out = np.empty_like(series)
-    out[1:-1] = (series[2:] - 2.0 * series[1:-1] + series[:-2]) / dt**2
-    out[0] = (2.0 * series[0] - 5.0 * series[1] + 4.0 * series[2] - series[3]) / dt**2
-    out[-1] = (2.0 * series[-1] - 5.0 * series[-2] + 4.0 * series[-3] - series[-4]) / dt**2
-    return out
-
-
 @dataclass(frozen=True)
 class BoundaryHistory:
     """Prescribed edge motion: deflections and rotations over ``t``.
@@ -184,8 +169,14 @@ class BoundaryHistory:
 
     @cached_property
     def acceleration(self) -> np.ndarray:
-        """Second time differences of ``displacement``, column by column."""
-        return np.column_stack([second_difference(s, self.dt) for s in self.displacement.T])
+        """Second time differences of ``displacement``: centered inside,
+        one-sided second order at the first and last samples."""
+        d, dt2 = self.displacement, self.dt**2
+        out = np.empty(d.shape)
+        out[1:-1] = (d[2:] - 2.0 * d[1:-1] + d[:-2]) / dt2
+        out[0] = (2.0 * d[0] - 5.0 * d[1] + 4.0 * d[2] - d[3]) / dt2
+        out[-1] = (2.0 * d[-1] - 5.0 * d[-2] + 4.0 * d[-3] - d[-4]) / dt2
+        return out
 
     @property
     def free_right(self) -> bool:
@@ -194,26 +185,6 @@ class BoundaryHistory:
     @property
     def dt(self) -> float:
         return float((self.t[-1] - self.t[0]) / (self.t.size - 1))
-
-    @classmethod
-    def from_ends(
-        cls,
-        t: np.ndarray,
-        left_w: np.ndarray,
-        left_rot: np.ndarray,
-        right_w: np.ndarray | None = None,
-        right_rot: np.ndarray | None = None,
-    ) -> "BoundaryHistory":
-        """Build a history from deflection/rotation series (no right series
-        for a free far end)."""
-        t = np.asarray(t, dtype=float)
-        ends = [left_w, left_rot]
-        if right_w is not None:
-            ends += [right_w, right_rot]
-        series = [np.asarray(s, dtype=float) for s in ends]
-        if any(s.shape != t.shape for s in series):
-            raise ParameterError("every edge series must match the length of t")
-        return cls(t=t, displacement=np.column_stack(series))
 
 
 def extract_boundaries(
@@ -273,12 +244,8 @@ def extract_boundaries(
     right_coeff = pinv @ data.values[-n_fit:, :]
     left_rot = slope_row(0.0) @ left_coeff
     right_rot = slope_row(xi[-1]) @ right_coeff
-    return BoundaryHistory.from_ends(
-        t=data.t,
-        left_w=data.values[0, :],
-        left_rot=left_rot,
-        right_w=data.values[-1, :],
-        right_rot=right_rot,
+    return BoundaryHistory(
+        data.t, np.column_stack([data.values[0], left_rot, data.values[-1], right_rot])
     )
 
 
@@ -419,11 +386,9 @@ def newmark_solve(
     mesh: FemMesh,
     beam: BeamModel,
     bc: BoundaryHistory,
-    d0: np.ndarray | None = None,
-    v0: np.ndarray | None = None,
     n_nodes: int | None = None,
 ) -> FieldGrid:
-    """Simulate the beam driven by prescribed edge motion.
+    """Simulate the beam driven by prescribed edge motion, from rest.
 
     The boundary dofs follow ``bc`` exactly; interior dofs obey the
     semidiscrete equations with the prescribed motion moved to the load:
@@ -431,9 +396,8 @@ def newmark_solve(
     prescribed end are loaded, so the march is given just those load
     columns (its ``loaded`` dofs): two for a free far end, four when both
     ends are prescribed, and two on a two-element mesh, whose ends load
-    the same dofs and sum there.  Optional ``d0``/``v0`` set the interior
-    initial state (defaults: rest).  Returns the deflection field over ``bc.t`` on the
-    leading ``n_nodes`` mesh nodes (default: all), shape
+    the same dofs and sum there.  Returns the deflection field over
+    ``bc.t`` on the leading ``n_nodes`` mesh nodes (default: all), shape
     ``(n_nodes, bc.t.size)``.  The whole mesh is marched either way, but
     only those nodes' deflections are recorded, so the rows equal the
     leading rows of the full field bit for bit.
@@ -455,7 +419,7 @@ def newmark_solve(
     # record those of the nodes returned
     n_recorded = min(n_nodes - 1, n_inner // 2)
     w_hist = newmark_march(
-        M[:, inner], K[:, inner], forces, bc.dt, d0=d0, v0=v0,
+        M[:, inner], K[:, inner], forces, bc.dt,
         record=slice(0, 2 * n_recorded, 2), loaded=loaded,
     )
 
@@ -554,8 +518,8 @@ def sweep_modulus(
     """
     if not (0 < e_lo < e_hi < np.inf):
         raise ParameterError(f"need finite 0 < e_lo < e_hi, got [{e_lo}, {e_hi}]")
-    if n_values < 2:
-        raise ParameterError(f"n_values must be >= 2, got {n_values}")
+    if not (isinstance(n_values, (int, np.integer)) and n_values >= 2):
+        raise ParameterError(f"n_values must be an integer >= 2, got {n_values!r}")
     cols = slice(None) if window is None else _window_columns(data.t, *window)
     start, stop, _ = cols.indices(data.n_t)
     norm = float(np.linalg.norm(data.values[:, cols]))

@@ -43,7 +43,7 @@ from .pipeline import (
     write_sweep_csv,
 )
 from .preprocess import bandpass_time, subsample_time
-from .synth import BurstSpec, generate_beam_data
+from .synth import generate_beam_data
 
 __all__ = ["main"]
 
@@ -97,8 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-points", type=int, default=195, help="spatial samples")
     p.add_argument("--dx", type=float, default=5e-4, help="spatial spacing m")
     p.add_argument("--fc", type=float, required=True, help="burst center frequency Hz")
-    p.add_argument("--cycles", type=int, default=5)
-    p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--sigma-rel", type=float, default=0.0, help="noise level vs peak")
@@ -111,19 +109,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--downsample", type=int, default=1)
     p.add_argument("--band", type=_parse_pair, default=None, metavar="LO,HI")
-    p.add_argument("--taper-frac", type=float, default=0.1)
     p.add_argument("--window", type=_parse_pair, default=None, metavar="T0,T1")
 
     p = sub.add_parser("discover", help="identify the sparse PDE of one field")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--tau", type=float, default=1e-9)
     p.add_argument("--tau-hat", type=_parse_pair, default=None, metavar="X,T")
     p.add_argument("--json", dest="json_out", default=None, help="write full report here")
 
     p = sub.add_parser("ensemble", help="discover over time-decimated subsets")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--max-ds", type=int, default=10)
-    p.add_argument("--tau", type=float, default=1e-9)
     p.add_argument("--json", dest="json_out", default=None)
     p.add_argument("--csv", dest="csv_out", default=None, help="per-run alpha CSV")
 
@@ -173,13 +168,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_synth(args) -> int:
     beam = _beam(args, (args.n_points - 1) * args.dx, args.modulus)
     mesh = FemMesh(args.n_points - 1, args.dx)
-    spec = BurstSpec(
-        center_frequency=args.fc, cycles=args.cycles, amplitude=args.amplitude
-    )
     data = generate_beam_data(
         beam,
         mesh,
-        spec,
+        args.fc,
         dt=args.dt,
         t_end=args.t_end,
         sigma_rel=args.sigma_rel,
@@ -196,7 +188,7 @@ def _cmd_preprocess(args) -> int:
     if args.downsample != 1:
         data = subsample_time(data, args.downsample, 1)
     if args.band is not None:
-        data = bandpass_time(data, args.band[0], args.band[1], args.taper_frac)
+        data = bandpass_time(data, *args.band)
     if args.window is not None:
         data = window_time(data, *args.window)
     save_field(data, args.out)
@@ -206,7 +198,7 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_discover(args) -> int:
     data = load_field(args.infile)
-    result = discover(data, tau=args.tau, tau_hat=args.tau_hat)
+    result = discover(data, tau_hat=args.tau_hat)
     report = result.as_report()
     if args.json_out:
         write_json(args.json_out, report)
@@ -223,7 +215,7 @@ def _cmd_discover(args) -> int:
 
 def _cmd_ensemble(args) -> int:
     data = load_field(args.infile)
-    result = run_ensemble(data, max_ds=args.max_ds, tau=args.tau)
+    result = run_ensemble(data, max_ds=args.max_ds)
     payload = result.as_report()
     if args.json_out:
         write_json(args.json_out, payload)

@@ -26,18 +26,19 @@ from .weakform import (
 __all__ = ["DiscoveryResult", "discover", "render_pde"]
 
 
-def render_pde(lhs_name: str, term_names, coefficients, sig_figs: int = 6) -> str:
-    """Human-readable equation, e.g. ``w_tt = -58.5218 w_xxxx``."""
+def render_pde(coefficients) -> str:
+    """The library equation at 6 significant figures, e.g.
+    ``w_tt = -58.5218 w_xxxx``; zero terms are left out."""
     parts = []
-    for name, c in zip(term_names, coefficients):
+    for name, c in zip(TERM_NAMES, coefficients):
         if c == 0.0:
             continue
-        mag = f"{abs(c):.{sig_figs}g}"
+        mag = f"{abs(c):.6g}"
         body = mag if name == "1" else f"{mag} {name}"
         parts.append((c < 0, body))
     if not parts:
-        return f"{lhs_name} = 0"
-    out = f"{lhs_name} = "
+        return f"{LHS.name} = 0"
+    out = f"{LHS.name} = "
     for i, (negative, body) in enumerate(parts):
         if i == 0:
             out += ("-" if negative else "") + body
@@ -61,12 +62,8 @@ class DiscoveryResult:
         return self.system.basis
 
     @property
-    def term_names(self) -> tuple[str, ...]:
-        return TERM_NAMES
-
-    @property
     def support(self) -> tuple[str, ...]:
-        return tuple(self.term_names[j] for j in self.solution.support)
+        return tuple(TERM_NAMES[j] for j in self.solution.support)
 
     @property
     def lambda_hat(self) -> float:
@@ -81,20 +78,19 @@ class DiscoveryResult:
         return self.system.condition_number
 
     def coefficient(self, name: str) -> float:
-        names = self.term_names
-        if name not in names:
-            raise KeyError(f"unknown term {name!r}, library has {names}")
-        return float(self.coefficients[names.index(name)])
+        if name not in TERM_NAMES:
+            raise KeyError(f"unknown term {name!r}, library has {TERM_NAMES}")
+        return float(self.coefficients[TERM_NAMES.index(name)])
 
     @property
     def pde_text(self) -> str:
-        return render_pde(LHS.name, self.term_names, self.coefficients)
+        return render_pde(self.coefficients)
 
     def as_report(self) -> dict:
         """JSON-ready summary of the discovery."""
         return {
             "pde": self.pde_text,
-            "terms": list(self.term_names),
+            "terms": list(TERM_NAMES),
             "coefficients": [float(c) for c in self.coefficients],
             "coefficients_scaled": [float(c) for c in self.solution.coefficients],
             "support": list(self.support),
@@ -136,7 +132,6 @@ def _tau_hat_bins(grid: FieldGrid, tau_hat) -> tuple[int, int]:
 
 def discover(
     grid: FieldGrid,
-    tau: float = 1e-9,
     tau_hat: float | tuple[float, float] | None = None,
 ) -> DiscoveryResult:
     """Identify a sparse PDE from one space-time field, regressing ``w_tt``
@@ -154,7 +149,7 @@ def discover(
         bins = (corner_x.corner_bin, corner_t.corner_bin)
     else:
         bins = _tau_hat_bins(grid, tau_hat)
-    basis = select_support(grid, bins, tau=tau)
+    basis = select_support(grid, bins)
     gammas = rescale(grid, basis)
     system = assemble(grid, basis, scales=gammas)
     solution = optimize_lambda(system.G, system.b)

@@ -83,11 +83,7 @@ class EnsembleResult:
         }
 
 
-def run_ensemble(
-    grid: FieldGrid,
-    max_ds: int = 10,
-    tau: float = 1e-9,
-) -> EnsembleResult:
+def run_ensemble(grid: FieldGrid, max_ds: int = 10) -> EnsembleResult:
     """Discover on every time-decimated subset and aggregate.
 
     Hyperparameters (corner, supports, strides, threshold) are selected
@@ -101,7 +97,7 @@ def run_ensemble(
         for offset in range(1, d + 1):
             sub = subsample_time(grid, d, offset)
             try:
-                result = discover(sub, tau=tau)
+                result = discover(sub)
                 runs.append(EnsembleRun(d=d, offset=offset, result=result))
             except WeakbeamError as exc:
                 runs.append(

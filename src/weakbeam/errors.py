@@ -14,7 +14,6 @@ __all__ = [
     "DegenerateDataError",
     "AggregationError",
     "DimensionError",
-    "RankDeficiencyWarning",
 ]
 
 
@@ -52,7 +51,3 @@ class AggregationError(WeakbeamError):
 
 class DimensionError(WeakbeamError):
     """Two fields that must share a grid do not."""
-
-
-class RankDeficiencyWarning(UserWarning):
-    """Least-squares system was rank deficient; solution is minimum-norm."""

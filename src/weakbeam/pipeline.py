@@ -26,7 +26,7 @@ from .errors import DegenerateDataError, ParameterError, WeakbeamError
 from .grid import FieldGrid, load_field, window_time
 from .material import BeamModel, CrossSection, modulus_from_alpha
 from .preprocess import bandpass_time, subsample_time
-from .weakform import LHS, TERM_NAMES
+from .weakform import TERM_NAMES
 
 __all__ = [
     "PipelineConfig",
@@ -71,9 +71,9 @@ _REAL, _INT = numbers.Real, numbers.Integral
 
 # JSON kind of every config key: a type, or n for a list of n numbers
 _CONFIG_KINDS = dict(
-    field_path=str, downsample=_INT, band=2, taper_frac=_REAL, window=2, tau=_REAL,
-    tau_hat=2, max_ds=_INT, section=(dict, CrossSection), density=_REAL,
-    nominal_modulus=_REAL, simulate=bool, sweep=3, n_fit=_INT, fourier_order=_INT,
+    field_path=str, downsample=_INT, band=2, window=2, tau_hat=2, max_ds=_INT,
+    section=(dict, CrossSection), density=_REAL, nominal_modulus=_REAL, simulate=bool,
+    sweep=3, n_fit=_INT, fourier_order=_INT,
 )
 
 
@@ -93,16 +93,14 @@ class PipelineConfig:
     field_path: str
     downsample: int = 1
     band: tuple[float, float] | None = None
-    taper_frac: float = 0.1
     window: tuple[float, float] | None = None
-    tau: float = 1e-9
     tau_hat: tuple[float, float] | None = None
     max_ds: int = 0  # 0 skips the ensemble stage
     section: CrossSection | None = None
     density: float | None = None
     nominal_modulus: float | None = None
     simulate: bool = True
-    sweep: tuple[float, float, int] | None = None
+    sweep: tuple[float, float, int] | None = None  # e_lo, e_hi and a count >= 2
     n_fit: int = 25
     fourier_order: int = 3
 
@@ -112,6 +110,12 @@ class PipelineConfig:
             raise ParameterError(
                 f"pipeline config key 'nominal_modulus' must be finite and positive, "
                 f"got {self.nominal_modulus}"
+            )
+        # checked here, so a bad count fails as a config error before any stage
+        count = None if self.sweep is None else self.sweep[2]
+        if count is not None and not (isinstance(count, _INT) and count >= 2):
+            raise ParameterError(
+                f"pipeline config key 'sweep' needs an integer count >= 2, got {count!r}"
             )
 
     @classmethod
@@ -236,9 +240,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
         if config.downsample != 1:
             processed = subsample_time(processed, config.downsample, 1)
         if config.band is not None:
-            processed = bandpass_time(
-                processed, config.band[0], config.band[1], config.taper_frac
-            )
+            processed = bandpass_time(processed, *config.band)
         windowed = (
             processed
             if config.window is None
@@ -257,12 +259,12 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
     result = None
     with _stage(report, timing, "discover"):
         try:
-            result = discover(windowed, tau=config.tau, tau_hat=config.tau_hat)
+            result = discover(windowed, tau_hat=config.tau_hat)
             report["discovery"] = result.as_report() | {"degenerate": False}
         except DegenerateDataError as exc:
             degenerate = True
             report["discovery"] = {
-                "pde": render_pde(LHS.name, TERM_NAMES, np.zeros(len(TERM_NAMES))),
+                "pde": render_pde(np.zeros(len(TERM_NAMES))),
                 "degenerate": True,
                 "reason": str(exc),
             }
@@ -270,7 +272,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
     ensemble = None
     if config.max_ds >= 1 and not degenerate:
         with _stage(report, timing, "ensemble"):
-            ensemble = run_ensemble(windowed, max_ds=config.max_ds, tau=config.tau)
+            ensemble = run_ensemble(windowed, max_ds=config.max_ds)
             report["ensemble"] = ensemble.as_report()
 
     if config.section is not None and config.density is not None and not degenerate:
@@ -306,13 +308,10 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
                 "frobenius_rel": sim.frobenius_rel,
             }
             if config.sweep is not None:
-                lo, hi, n = config.sweep
                 sweep = sweep_modulus(
                     processed,
                     beam,
-                    lo,
-                    hi,
-                    int(n),
+                    *config.sweep,
                     n_fit=config.n_fit,
                     order=config.fourier_order,
                     window=config.window,

@@ -9,6 +9,9 @@ from .grid import FieldGrid
 
 __all__ = ["subsample_time", "bandpass_time"]
 
+# Width of each raised-cosine flank of the band-pass, as a fraction of the band.
+_TAPER_FRAC = 0.1
+
 
 def subsample_time(grid: FieldGrid, d: int, offset: int) -> FieldGrid:
     """Every d-th time sample starting at 1-based offset (1 <= offset <= d).
@@ -24,18 +27,13 @@ def subsample_time(grid: FieldGrid, d: int, offset: int) -> FieldGrid:
     return FieldGrid(grid.x, grid.t[sl], grid.values[:, sl])
 
 
-def bandpass_time(
-    grid: FieldGrid,
-    f_lo: float,
-    f_hi: float,
-    taper_frac: float = 0.1,
-) -> FieldGrid:
+def bandpass_time(grid: FieldGrid, f_lo: float, f_hi: float) -> FieldGrid:
     """Zero-phase band-pass along the time axis of every spatial row.
 
     Each row is demeaned, transformed with a real FFT, multiplied by a
     frequency mask, and inverse transformed.  The mask is 1 on
     ``[f_lo, f_hi]``, rolls off with raised-cosine flanks of width
-    ``taper_frac * (f_hi - f_lo)`` placed outside the band, and is 0
+    ``_TAPER_FRAC * (f_hi - f_lo)`` placed outside the band, and is 0
     beyond the flanks.  Filtering is applied in a single pass on the full
     record; no group delay is introduced.
 
@@ -47,8 +45,6 @@ def bandpass_time(
     """
     if not (0.0 <= f_lo < f_hi):
         raise ParameterError(f"need 0 <= f_lo < f_hi, got [{f_lo}, {f_hi}]")
-    if not (0.0 <= taper_frac):
-        raise ParameterError(f"taper_frac must be non-negative, got {taper_frac}")
     dt = grid.dt
     nyquist = 0.5 / dt
     if f_hi > nyquist:
@@ -57,15 +53,14 @@ def bandpass_time(
         )
     n = grid.n_t
     freqs = np.fft.rfftfreq(n, d=dt)
-    width = taper_frac * (f_hi - f_lo)
+    width = _TAPER_FRAC * (f_hi - f_lo)
     mask = np.zeros_like(freqs)
     inside = (freqs >= f_lo) & (freqs <= f_hi)
     mask[inside] = 1.0
-    if width > 0:
-        lo_flank = (freqs >= f_lo - width) & (freqs < f_lo)
-        mask[lo_flank] = 0.5 * (1 + np.cos(np.pi * (f_lo - freqs[lo_flank]) / width))
-        hi_flank = (freqs > f_hi) & (freqs <= f_hi + width)
-        mask[hi_flank] = 0.5 * (1 + np.cos(np.pi * (freqs[hi_flank] - f_hi) / width))
+    lo_flank = (freqs >= f_lo - width) & (freqs < f_lo)
+    mask[lo_flank] = 0.5 * (1 + np.cos(np.pi * (f_lo - freqs[lo_flank]) / width))
+    hi_flank = (freqs > f_hi) & (freqs <= f_hi + width)
+    mask[hi_flank] = 0.5 * (1 + np.cos(np.pi * (freqs[hi_flank] - f_hi) / width))
 
     rows = grid.values - grid.values.mean(axis=1, keepdims=True)
     spectrum = np.fft.rfft(rows, axis=1)

@@ -15,12 +15,11 @@ size without any tuning parameter beyond the threshold grid itself.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, RankDeficiencyWarning
+from .errors import ParameterError
 
 __all__ = [
     "SparseSolution",
@@ -36,19 +35,12 @@ _LAMBDA_GRID.setflags(write=False)
 
 
 def least_squares(G: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least squares; warns instead of failing on rank loss."""
+    """Minimum-norm least squares; a rank-deficient ``G`` is not an error."""
     G = np.asarray(G, dtype=float)
     b = np.asarray(b, dtype=float)
     if G.ndim != 2 or b.ndim != 1 or G.shape[0] != b.size:
         raise ParameterError(f"incompatible shapes {G.shape} and {b.shape}")
-    c, _, rank, _ = np.linalg.lstsq(G, b, rcond=None)
-    if rank < G.shape[1]:
-        warnings.warn(
-            f"system rank {rank} < {G.shape[1]} columns; minimum-norm solution",
-            RankDeficiencyWarning,
-            stacklevel=2,
-        )
-    return c
+    return np.linalg.lstsq(G, b, rcond=None)[0]
 
 
 class _Sweep:
@@ -76,9 +68,7 @@ class _Sweep:
         if mask not in self._fits:
             active = [j for j in range(self.n) if mask >> j & 1]
             c = np.zeros(self.n)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RankDeficiencyWarning)
-                c[active] = least_squares(self.G[:, active], self.b)
+            c[active] = least_squares(self.G[:, active], self.b)
             self._fits[mask] = (c, np.abs(c).tolist())
         return self._fits[mask]
 

@@ -11,7 +11,6 @@ Gaussian noise scaled to the clean field's peak.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,53 +19,32 @@ from .errors import ParameterError
 from .grid import FieldGrid
 from .material import BeamModel
 
-__all__ = ["BurstSpec", "burst", "generate_beam_data"]
+__all__ = ["burst", "generate_beam_data"]
 
 # Minimum carrier sampling to keep the burst well resolved.
 _MIN_SAMPLES_PER_PERIOD = 20
 
-
-@dataclass(frozen=True)
-class BurstSpec:
-    """Sine burst: ``cycles`` carrier periods under a half-sine envelope."""
-
-    center_frequency: float
-    cycles: int = 5
-    amplitude: float = 1.0
-
-    def __post_init__(self):
-        if not (0 < self.center_frequency < math.inf and 0 < self.amplitude < math.inf):
-            raise ParameterError(
-                f"center_frequency and amplitude must be finite and positive, "
-                f"got {self.center_frequency}, {self.amplitude}"
-            )
-        if self.cycles < 1 or self.cycles != int(self.cycles):
-            raise ParameterError(f"cycles must be a positive integer, got {self.cycles}")
-
-    @property
-    def duration(self) -> float:
-        return self.cycles / self.center_frequency
+# Carrier periods under the burst's half-sine envelope; its peak is 1.
+_CYCLES = 5
 
 
-def burst(t: np.ndarray, spec: BurstSpec) -> np.ndarray:
-    """Evaluate the burst; exactly zero outside ``(0, cycles / f_c)``."""
+def burst(t: np.ndarray, fc: float) -> np.ndarray:
+    """A unit sine burst of 5 periods of the carrier ``fc`` (Hz) under a
+    half-sine envelope; exactly zero outside ``(0, 5 / fc)``."""
+    if not (0 < fc < math.inf):
+        raise ParameterError(f"center frequency must be finite and positive, got {fc}")
     t = np.asarray(t, dtype=float)
-    fc = spec.center_frequency
-    inside = (t > 0.0) & (t < spec.duration)
+    inside = (t > 0.0) & (t < _CYCLES / fc)
     out = np.zeros_like(t)
     ti = t[inside]
-    out[inside] = (
-        spec.amplitude
-        * np.sin(math.pi * fc * ti / spec.cycles)
-        * np.sin(2.0 * math.pi * fc * ti)
-    )
+    out[inside] = np.sin(math.pi * fc * ti / _CYCLES) * np.sin(2.0 * math.pi * fc * ti)
     return out
 
 
 def generate_beam_data(
     beam: BeamModel,
     mesh: FemMesh,
-    spec: BurstSpec,
+    fc: float,
     dt: float,
     t_end: float,
     sigma_rel: float = 0.0,
@@ -75,11 +53,12 @@ def generate_beam_data(
 ) -> FieldGrid:
     """Simulate a base-driven beam and sample its deflection field.
 
-    The base node (x = 0) follows the burst with zero rotation; the far
-    end is free.  ``mesh`` describes the reported span; internally the
-    beam is extended by ``margin_frac`` of its elements, so the reported
-    region behaves like a section of a longer structure (set
-    ``margin_frac=0`` for a plain free end at the last reported node).
+    The base node (x = 0) follows the :func:`burst` of carrier ``fc`` (Hz)
+    with zero rotation; the far end is free.  ``mesh`` describes the
+    reported span; internally the beam is extended by ``margin_frac`` of
+    its elements, so the reported region behaves like a section of a
+    longer structure (set ``margin_frac=0`` for a plain free end at the
+    last reported node).
 
     Noise, when ``sigma_rel > 0``, is iid Gaussian with standard
     deviation ``sigma_rel * max |clean field|``, drawn from
@@ -95,10 +74,12 @@ def generate_beam_data(
         )
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
-    period_samples = 1.0 / (spec.center_frequency * dt)
+    if not (0 < fc < math.inf):
+        raise ParameterError(f"center frequency must be finite and positive, got {fc}")
+    period_samples = 1.0 / (fc * dt)
     if period_samples < _MIN_SAMPLES_PER_PERIOD:
         raise ParameterError(
-            f"dt={dt} under-resolves the {spec.center_frequency} Hz carrier: "
+            f"dt={dt} under-resolves the {fc} Hz carrier: "
             f"{period_samples:.1f} samples/period, need >= {_MIN_SAMPLES_PER_PERIOD}"
         )
 
@@ -107,9 +88,7 @@ def generate_beam_data(
     n_margin = int(math.ceil(margin_frac * mesh.n_elements))
     extended = FemMesh(mesh.n_elements + n_margin, mesh.dx)
 
-    bc = BoundaryHistory.from_ends(
-        t=t, left_w=burst(t, spec), left_rot=np.zeros_like(t)
-    )
+    bc = BoundaryHistory(t, np.column_stack([burst(t, fc), np.zeros_like(t)]))
     values = newmark_solve(extended, beam, bc, n_nodes=mesh.n_nodes).values
     if sigma_rel > 0:
         peak = float(np.max(np.abs(values)))

@@ -58,6 +58,10 @@ _TARGET_QUERIES_PER_AXIS = 44
 # cap on corner-refinement passes; every observed case fixes within ~6
 _CORNER_MAX_ZOOMS = 32
 
+# Test-function tolerance: the largest spectral magnitude a test function
+# may keep at the corner, and the decay at the ends of its support.
+_TAU = 1e-9
+
 
 @dataclass(frozen=True)
 class TermSpec:
@@ -256,15 +260,13 @@ def spectral_corner(values: np.ndarray, axis: int) -> CornerDiagnostic:
     return CornerDiagnostic(b, n_bins)
 
 
-def _support_for_axis(
-    n: int, corner_bin: int, tau: float, p_min: int
-) -> tuple[int, int]:
-    """Smallest half-width m whose test function is tau-quiet at the corner.
+def _support_for_axis(n: int, corner_bin: int, p_min: int) -> tuple[int, int]:
+    """Smallest half-width m whose test function is ``_TAU``-quiet at the corner.
 
     The spectral magnitude of the profile at scaled frequency
     ``w = 2 pi k m / N`` is modeled by the Gaussian peak approximation
     ``exp(-w^2 / (4 p))``; p itself is tied to m through the decay
-    condition ``((2m - 1) / m^2)^p <= tau`` (clamped to [p_min, P_MAX]).
+    condition ``((2m - 1) / m^2)^p <= _TAU`` (clamped to [p_min, P_MAX]).
     """
     m_min = 3
     m_max = (n - 1) // 2
@@ -273,12 +275,11 @@ def _support_for_axis(
             f"axis of {n} samples cannot host a support (need >= {2 * m_min + 1})"
         )
     m = np.arange(m_min, m_max + 1, dtype=float)
-    log_tau = math.log(tau)
-    p = np.ceil(log_tau / np.log((2 * m - 1) / m**2))
+    p = np.ceil(math.log(_TAU) / np.log((2 * m - 1) / m**2))
     p = np.clip(p, p_min, P_MAX)
     w = 2.0 * math.pi * corner_bin * m / n
     ratio = np.exp(-(w**2) / (4.0 * p))
-    ok = np.flatnonzero(ratio <= tau)
+    ok = np.flatnonzero(ratio <= _TAU)
     idx = int(ok[0]) if ok.size else m.size - 1
     return int(m[idx]), int(p[idx])
 
@@ -321,26 +322,20 @@ def default_query_strides(grid: FieldGrid, basis: TestFunctionBasis) -> tuple[in
     return s[0], s[1]
 
 
-def select_support(
-    grid: FieldGrid,
-    corner_bins: tuple[int, int],
-    tau: float = 1e-9,
-) -> TestFunctionBasis:
+def select_support(grid: FieldGrid, corner_bins: tuple[int, int]) -> TestFunctionBasis:
     """Choose test function degree, half-widths, and strides from the data,
     for the library table :data:`TERMS` and its lhs :data:`LHS`.
 
     ``corner_bins`` holds the corner frequency bin of each axis, (x, t),
     as :func:`spectral_corner` reports it; the support half-width is the
-    smallest m whose test function spectrum has decayed below ``tau`` at
-    the corner, and the degree p follows from the same ``tau`` through
-    the endpoint decay condition.
+    smallest m whose test function spectrum has decayed below
+    ``_TAU = 1e-9`` at the corner, and the degree p follows from the same
+    tolerance through the endpoint decay condition.
     """
-    if not (0.0 < tau < 1.0):
-        raise ParameterError(f"tau must lie in (0, 1), got {tau}")
     if len(corner_bins) != 2 or min(corner_bins) < 1:
         raise ParameterError(f"corner_bins must be two positive bins, got {corner_bins}")
-    m_x, p_x = _support_for_axis(grid.n_x, corner_bins[0], tau, _MAX_DX + 1)
-    m_t, p_t = _support_for_axis(grid.n_t, corner_bins[1], tau, _MAX_DT + 1)
+    m_x, p_x = _support_for_axis(grid.n_x, corner_bins[0], _MAX_DX + 1)
+    m_t, p_t = _support_for_axis(grid.n_t, corner_bins[1], _MAX_DT + 1)
     basis = TestFunctionBasis(p_x=p_x, p_t=p_t, m_x=m_x, m_t=m_t)
     s_x, s_t = default_query_strides(grid, basis)
     return TestFunctionBasis(p_x=p_x, p_t=p_t, m_x=m_x, m_t=m_t, s_x=s_x, s_t=s_t)

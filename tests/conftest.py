@@ -12,7 +12,7 @@ from hypothesis import settings
 from weakbeam.beamfem import FemMesh
 from weakbeam.grid import save_field
 from weakbeam.material import BeamModel, CrossSection
-from weakbeam.synth import BurstSpec, generate_beam_data
+from weakbeam.synth import generate_beam_data
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -23,7 +23,7 @@ AL_SECTION = CrossSection.circle(6.35e-3)
 AL_DENSITY = 2721.9
 AL_MODULUS = 6.9e10
 AL_MESH = FemMesh(194, 5e-4)
-AL_BURST = BurstSpec(center_frequency=1e4)
+AL_FC = 1e4  # burst center frequency, Hz
 
 
 def make_beam(modulus: float = AL_MODULUS) -> BeamModel:
@@ -44,7 +44,7 @@ def al_beam():
 def edge_field(al_beam):
     """Cheap noise-free field: short margin, coarse dt, still identifiable."""
     return generate_beam_data(
-        al_beam, AL_MESH, AL_BURST, dt=8e-7, t_end=2e-3, margin_frac=0.5
+        al_beam, AL_MESH, AL_FC, dt=8e-7, t_end=2e-3, margin_frac=0.5
     )
 
 
@@ -62,7 +62,7 @@ def noisy_fields(al_beam):
         generate_beam_data(
             al_beam,
             AL_MESH,
-            AL_BURST,
+            AL_FC,
             dt=4e-7,
             t_end=2e-3,
             sigma_rel=0.02,

@@ -259,8 +259,8 @@ def beam_eigenfrequencies(mesh, beam, boundary="pinned-pinned", n_modes=5):
     return np.sqrt(np.maximum(vals, 0.0)) / (2.0 * np.pi)
 
 
-def dense_newmark_solve(mesh, beam, bc, d0=None, v0=None):
-    """Edge-driven deflection field (n_nodes, n_t) on the dense system.
+def dense_newmark_solve(mesh, beam, bc):
+    """Edge-driven deflection field (n_nodes, n_t) on the dense system, from rest.
 
     The boundary dofs (first node, and last node unless ``bc`` leaves the
     far end free) are partitioned off; the interior obeys
@@ -276,7 +276,7 @@ def dense_newmark_solve(mesh, beam, bc, d0=None, v0=None):
     forces = -bc.acceleration @ Mib.T - bc.displacement @ Kib.T
 
     dt = (bc.t[-1] - bc.t[0]) / (bc.t.size - 1)
-    d_hist, _ = state_newmark_march(Mii, Kii, forces, dt, d0=d0, v0=v0)
+    d_hist, _ = state_newmark_march(Mii, Kii, forces, dt)
 
     deflection = np.empty((mesh.n_nodes, bc.t.size))
     deflection[bdofs[::2] // 2] = bc.displacement[:, ::2].T

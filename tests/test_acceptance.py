@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import AL_BURST, AL_DENSITY, AL_MESH, AL_MODULUS, make_beam
+from conftest import AL_DENSITY, AL_FC, AL_MESH, AL_MODULUS, make_beam
 from weakbeam.beamfem import (
     FemMesh,
     assemble_matrices,
@@ -47,7 +47,7 @@ def test_clean_synthetic_roundtrip():
     # within 1%, all inside 30 s
     start = time.perf_counter()
     field = generate_beam_data(
-        make_beam(), AL_MESH, AL_BURST, dt=4e-7, t_end=2e-3, margin_frac=4.0
+        make_beam(), AL_MESH, AL_FC, dt=4e-7, t_end=2e-3, margin_frac=4.0
     )
     result = discover(field)
     elapsed = time.perf_counter() - start

@@ -12,6 +12,7 @@ from weakbeam.ensemble import (
 )
 from weakbeam.errors import AggregationError, ParameterError
 from weakbeam.grid import FieldGrid
+from weakbeam.weakform import TERM_NAMES
 
 
 def toy_grid(n_t=60, n_x=8):
@@ -105,9 +106,8 @@ def template_run(edge_field):
 
 
 def with_alpha(template, alpha):
-    names = template.term_names
-    c = np.zeros(len(names))
-    c[names.index("w_xxxx")] = alpha
+    c = np.zeros(len(TERM_NAMES))
+    c[TERM_NAMES.index("w_xxxx")] = alpha
     return dataclasses.replace(template, coefficients=c)
 
 
@@ -156,8 +156,8 @@ def test_aggregate_is_order_invariant(template_run):
 
 
 def test_aggregate_modal_tie_breaks_lexicographically(template_run):
-    only_w = np.zeros(len(template_run.term_names))
-    only_w[template_run.term_names.index("w")] = 1.0
+    only_w = np.zeros(len(TERM_NAMES))
+    only_w[TERM_NAMES.index("w")] = 1.0
     other = dataclasses.replace(
         template_run,
         solution=dataclasses.replace(template_run.solution, coefficients=only_w),

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import uncached_optimize_lambda
 from weakbeam import sparse
-from weakbeam.errors import ParameterError, RankDeficiencyWarning
+from weakbeam.errors import ParameterError
 from weakbeam.grid import FieldGrid
 from weakbeam.sparse import least_squares, mstls, optimize_lambda
 from weakbeam.weakform import TestFunctionBasis, assemble, rescale
@@ -52,12 +54,15 @@ def test_least_squares_recovers_planted_solution():
     assert np.linalg.norm(c - c_true) <= 1e-10 * np.linalg.norm(c_true)
 
 
-def test_least_squares_warns_on_rank_deficiency():
+def test_least_squares_is_minimum_norm_on_rank_deficiency():
+    # a repeated column: the solution splits its weight evenly, silently
     rng = np.random.default_rng(3)
     G = rng.standard_normal((20, 3))
     G = np.column_stack([G, G[:, 0]])
-    with pytest.warns(RankDeficiencyWarning):
-        least_squares(G, rng.standard_normal(20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = least_squares(G, rng.standard_normal(20))
+    assert c[0] == pytest.approx(c[3], rel=1e-12)
 
 
 def test_least_squares_shape_validation():

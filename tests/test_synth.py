@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import AL_BURST, AL_MESH, make_beam
+from conftest import AL_FC, AL_MESH, make_beam
 from weakbeam.beamfem import FemMesh
 from weakbeam.errors import ParameterError
 from weakbeam.sparse import optimize_lambda
-from weakbeam.synth import BurstSpec, burst, generate_beam_data
+from weakbeam.synth import burst, generate_beam_data
 from weakbeam.weakform import (
     TERM_NAMES,
     assemble,
@@ -22,7 +22,7 @@ def small_field(sigma_rel=0.0, seed=0, margin_frac=0.5):
     return generate_beam_data(
         make_beam(),
         SMALL_MESH,
-        AL_BURST,
+        AL_FC,
         dt=8e-7,
         t_end=4e-4,
         sigma_rel=sigma_rel,
@@ -34,39 +34,35 @@ def small_field(sigma_rel=0.0, seed=0, margin_frac=0.5):
 # ----------------------------------------------------------------- the burst
 
 def test_burst_is_gated_outside_its_window():
-    spec = BurstSpec(center_frequency=1e4)
-    t = np.array([-1.0, -1e-12, 0.0, spec.duration, spec.duration + 1e-12, 1.0])
-    assert np.array_equal(burst(t, spec), np.zeros(6))
+    end = 5 / AL_FC
+    t = np.array([-1.0, -1e-12, 0.0, end, end + 1e-12, 1.0])
+    assert np.array_equal(burst(t, AL_FC), np.zeros(6))
 
 
 def test_burst_center_is_a_carrier_zero():
-    spec = BurstSpec(center_frequency=1e4)
-    mid = 2.5 / spec.center_frequency
-    assert abs(burst(np.array([mid]), spec)[0]) <= 1e-12
+    mid = 2.5 / AL_FC
+    assert abs(burst(np.array([mid]), AL_FC)[0]) <= 1e-12
 
 
 def test_burst_matches_its_formula():
-    spec = BurstSpec(center_frequency=1e4, cycles=5, amplitude=2.0)
     rng = np.random.default_rng(0)
-    t = rng.uniform(0.0, spec.duration, size=64)
-    want = 2.0 * np.sin(0.2 * np.pi * 1e4 * t) * np.sin(2 * np.pi * 1e4 * t)
-    assert np.allclose(burst(t, spec), want, rtol=0, atol=1e-15)
+    t = rng.uniform(0.0, 5 / AL_FC, size=64)
+    want = np.sin(0.2 * np.pi * 1e4 * t) * np.sin(2 * np.pi * 1e4 * t)
+    assert np.allclose(burst(t, AL_FC), want, rtol=0, atol=1e-15)
 
 
 def test_burst_respects_amplitude_bound():
-    spec = BurstSpec(center_frequency=2e3, amplitude=0.7)
-    t = np.linspace(-1e-4, spec.duration + 1e-4, 5001)
-    assert np.abs(burst(t, spec)).max() <= 0.7
+    t = np.linspace(-1e-4, 5 / 2e3 + 1e-4, 5001)
+    assert np.abs(burst(t, 2e3)).max() <= 1.0
 
 
 def test_burst_spec_validation():
-    with pytest.raises(ParameterError):
-        BurstSpec(center_frequency=0.0)
-    with pytest.raises(ParameterError):
-        BurstSpec(center_frequency=1e4, cycles=0)
-    with pytest.raises(ParameterError):
-        BurstSpec(center_frequency=1e4, amplitude=0.0)
-    assert BurstSpec(center_frequency=1e4, cycles=3).duration == pytest.approx(3e-4)
+    # the burst is fixed but for its center frequency, finite and positive
+    for fc in (0.0, -1e4, np.inf, np.nan):
+        with pytest.raises(ParameterError):
+            burst(np.linspace(0.0, 1e-3, 11), fc)
+        with pytest.raises(ParameterError):
+            generate_beam_data(make_beam(), SMALL_MESH, fc, dt=8e-7, t_end=1e-3)
 
 
 # ----------------------------------------------------------- field generation
@@ -119,15 +115,15 @@ def test_margin_changes_late_time_response():
 def test_generation_validation():
     beam = make_beam()
     with pytest.raises(ParameterError):
-        generate_beam_data(beam, SMALL_MESH, AL_BURST, dt=1e-5, t_end=1e-3)
+        generate_beam_data(beam, SMALL_MESH, AL_FC, dt=1e-5, t_end=1e-3)
     with pytest.raises(ParameterError):
-        generate_beam_data(beam, SMALL_MESH, AL_BURST, dt=0.0, t_end=1e-3)
+        generate_beam_data(beam, SMALL_MESH, AL_FC, dt=0.0, t_end=1e-3)
     with pytest.raises(ParameterError):
-        generate_beam_data(beam, SMALL_MESH, AL_BURST, dt=8e-7, t_end=1e-7)
+        generate_beam_data(beam, SMALL_MESH, AL_FC, dt=8e-7, t_end=1e-7)
     with pytest.raises(ParameterError):
-        generate_beam_data(beam, SMALL_MESH, AL_BURST, dt=8e-7, t_end=1e-3, sigma_rel=-0.1)
+        generate_beam_data(beam, SMALL_MESH, AL_FC, dt=8e-7, t_end=1e-3, sigma_rel=-0.1)
     with pytest.raises(ParameterError):
-        generate_beam_data(beam, SMALL_MESH, AL_BURST, dt=8e-7, t_end=1e-3, margin_frac=-1.0)
+        generate_beam_data(beam, SMALL_MESH, AL_FC, dt=8e-7, t_end=1e-3, margin_frac=-1.0)
 
 
 def test_clean_field_satisfies_planted_weak_form():
@@ -135,7 +131,7 @@ def test_clean_field_satisfies_planted_weak_form():
     # the weak residual; what remains is FEM and time-march discretization
     beam = make_beam()
     field = generate_beam_data(
-        beam, AL_MESH, AL_BURST, dt=1.6e-7, t_end=1e-3, margin_frac=4.0
+        beam, AL_MESH, AL_FC, dt=1.6e-7, t_end=1e-3, margin_frac=4.0
     )
     alpha = beam.youngs_modulus * beam.section.second_moment / (
         beam.density * beam.section.area
