@@ -514,12 +514,19 @@ def sweep_modulus(
     the window, one matrix product rebuilds every trial's interior
     deflections; the edge rows are the data's own and add no error.
     Cost: one O(n_dof^3) eigensolve, then O(n_x n_dof) per trial-step.
-    A failed eigensolve raises :class:`DegenerateDataError`.
+    The trial grid is built first, so a count NumPy cannot hold raises
+    :class:`ParameterError` before any of that work; a failed eigensolve
+    raises :class:`DegenerateDataError`.
     """
     if not (0 < e_lo < e_hi < np.inf):
         raise ParameterError(f"need finite 0 < e_lo < e_hi, got [{e_lo}, {e_hi}]")
     if not (isinstance(n_values, (int, np.integer)) and n_values >= 2):
         raise ParameterError(f"n_values must be an integer >= 2, got {n_values!r}")
+    try:
+        moduli = np.linspace(e_lo, e_hi, n_values)
+    except (ValueError, IndexError, MemoryError):
+        # NumPy refuses a count it cannot index or allocate in each of these ways
+        raise ParameterError(f"cannot hold {n_values} trial moduli") from None
     cols = slice(None) if window is None else _window_columns(data.t, *window)
     start, stop, _ = cols.indices(data.n_t)
     norm = float(np.linalg.norm(data.values[:, cols]))
@@ -537,7 +544,6 @@ def sweep_modulus(
     _, f_stiff = _edge_loads(bc, np.zeros_like(me), ke, n_inner)
     lam, phi = _modal_basis(M[:, inner], K[:, inner], mesh.dx)
 
-    moduli = np.linspace(e_lo, e_hi, n_values)
     measured = data.values[1:-1, cols]  # the interior nodes' rows
     rebuild = np.ascontiguousarray(phi[0:n_inner:2].T)  # modes to their deflections
     n_modes, n_w = rebuild.shape

@@ -14,6 +14,7 @@ an unknown key, a missing key or a value of the wrong kind.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -88,10 +89,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weakbeam",
         description="Discover beam dynamics from field data and validate by simulation",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # a flag is only ever its full name: "--tau" must not be read as "--tau-hat"
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("synth", help="generate a synthetic burst-driven field")
+    p = add_command("synth", help="generate a synthetic burst-driven field")
     _beam_args(p)
     p.add_argument("--modulus", type=float, required=True, help="Young's modulus in Pa")
     p.add_argument("--n-points", type=int, default=195, help="spatial samples")
@@ -104,30 +108,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin-frac", type=float, default=0.5)
     p.add_argument("--out", required=True, help="output field file")
 
-    p = sub.add_parser("preprocess", help="downsample / band-pass / window a field")
+    p = add_command("preprocess", help="downsample / band-pass / window a field")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--downsample", type=int, default=1)
     p.add_argument("--band", type=_parse_pair, default=None, metavar="LO,HI")
     p.add_argument("--window", type=_parse_pair, default=None, metavar="T0,T1")
 
-    p = sub.add_parser("discover", help="identify the sparse PDE of one field")
+    p = add_command("discover", help="identify the sparse PDE of one field")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--tau-hat", type=_parse_pair, default=None, metavar="X,T")
     p.add_argument("--json", dest="json_out", default=None, help="write full report here")
 
-    p = sub.add_parser("ensemble", help="discover over time-decimated subsets")
+    p = add_command("ensemble", help="discover over time-decimated subsets")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--max-ds", type=int, default=10)
     p.add_argument("--json", dest="json_out", default=None)
     p.add_argument("--csv", dest="csv_out", default=None, help="per-run alpha CSV")
 
-    p = sub.add_parser("modulus", help="Young's modulus from a stiffness coefficient")
+    p = add_command("modulus", help="Young's modulus from a stiffness coefficient")
     _beam_args(p)
     p.add_argument("--alpha", type=float, required=True, help="w_xxxx coefficient magnitude")
     p.add_argument("--nominal", type=float, default=None)
 
-    p = sub.add_parser("modes", help="analytic bending natural frequencies")
+    p = add_command("modes", help="analytic bending natural frequencies")
     _beam_args(p)
     p.add_argument("--modulus", type=float, required=True, help="Young's modulus in Pa")
     p.add_argument("--length", type=float, required=True)
@@ -138,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated measured frequencies for SMAPE against mode 1",
     )
 
-    p = sub.add_parser("simulate", help="edge-driven FEM replay of a measured field")
+    p = add_command("simulate", help="edge-driven FEM replay of a measured field")
     _beam_args(p)
     p.add_argument("--modulus", type=float, required=True, help="Young's modulus in Pa")
     p.add_argument("--in", dest="infile", required=True)
@@ -147,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--out-field", default=None, help="write simulated field here")
 
-    p = sub.add_parser("sweep-e", help="simulation error over a modulus grid")
+    p = add_command("sweep-e", help="simulation error over a modulus grid")
     _beam_args(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--e-lo", type=float, required=True)
@@ -158,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--csv", dest="csv_out", default=None)
 
-    p = sub.add_parser("pipeline", help="run the staged measured-data pipeline")
+    p = add_command("pipeline", help="run the staged measured-data pipeline")
     p.add_argument("--config", required=True, help="pipeline config JSON")
     p.add_argument("--out-dir", default=None)
 

@@ -133,6 +133,7 @@ def _tau_hat_bins(grid: FieldGrid, tau_hat) -> tuple[int, int]:
 def discover(
     grid: FieldGrid,
     tau_hat: float | tuple[float, float] | None = None,
+    x_power: np.ndarray | None = None,
 ) -> DiscoveryResult:
     """Identify a sparse PDE from one space-time field, regressing ``w_tt``
     onto the candidate terms of the library table :data:`weakform.TERMS`.
@@ -140,11 +141,14 @@ def discover(
     Hyperparameters are selected from the data unless ``tau_hat`` pins
     the spectral corner (log10-bin units), in which case no corner is
     reported.  The regression runs on the rescaled system; reported
-    coefficients are mapped back to the original units.
+    coefficients are mapped back to the original units.  ``x_power`` is
+    the field's x spectrum, ``mean_power_spectrum(grid.values, 0)``, when
+    the caller already holds it (:func:`ensemble.run_ensemble` derives
+    every subset's from one transform of the whole field).
     """
     corner_x = corner_t = None
     if tau_hat is None:
-        corner_x = spectral_corner(grid.values, 0)
+        corner_x = spectral_corner(grid.values, 0, power=x_power)
         corner_t = spectral_corner(grid.values, 1)
         bins = (corner_x.corner_bin, corner_t.corner_bin)
     else:

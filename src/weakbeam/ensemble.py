@@ -83,21 +83,41 @@ class EnsembleResult:
         }
 
 
+def _subset_x_spectra(values: np.ndarray, max_ds: int) -> dict[tuple[int, int], np.ndarray]:
+    """``mean_power_spectrum(subset, 0)`` of every (d, offset) subset, keyed
+    by (d, offset), from one real FFT of the whole field along x.
+
+    The x transform acts on each column alone, so a subset's spectrum is
+    the mean of the whole field's per-column power over the subset's
+    columns ``offset - 1 :: d``; it comes out bit-identical to
+    transforming the subset.  Subsets without columns are left out.
+    """
+    power = np.abs(np.fft.rfft(values, axis=0)[1 : values.shape[0] // 2 + 1]) ** 2
+    return {
+        (d, offset): power[:, offset - 1 :: d].mean(axis=1)
+        for d in range(1, max_ds + 1)
+        for offset in range(1, min(d, values.shape[1]) + 1)
+    }
+
+
 def run_ensemble(grid: FieldGrid, max_ds: int = 10) -> EnsembleResult:
     """Discover on every time-decimated subset and aggregate.
 
     Hyperparameters (corner, supports, strides, threshold) are selected
     independently per subset, so the ensemble probes the full selection
-    pipeline, not just the regression.
+    pipeline, not just the regression.  The subsets' x spectra come from
+    one transform of the whole field (:func:`_subset_x_spectra`), which is
+    freed before the first discovery.
     """
     if max_ds < 1 or max_ds != int(max_ds):
         raise ParameterError(f"max_ds must be a positive integer, got {max_ds}")
+    x_spectra = _subset_x_spectra(grid.values, int(max_ds))
     runs = []
     for d in range(1, int(max_ds) + 1):
         for offset in range(1, d + 1):
             sub = subsample_time(grid, d, offset)
             try:
-                result = discover(sub)
+                result = discover(sub, x_power=x_spectra[d, offset])
                 runs.append(EnsembleRun(d=d, offset=offset, result=result))
             except WeakbeamError as exc:
                 runs.append(

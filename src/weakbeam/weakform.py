@@ -12,8 +12,9 @@ library onto the test function, so the data is never differentiated:
 Inner products are discretized with the uniform quadrature weight
 ``(X / N_x) * (T / N_t)`` and evaluated at the query points only, one
 axis at a time: the x-kernels are applied to the ``2 m_x + 1`` rows
-around each query x-centre, and the t-kernels by FFT
-convolution along those few rows.  Columns of the resulting matrix ``G``
+around each query x-centre, and the t-kernels to the ``2 m_t + 1``
+samples of those few rows around each query t-centre.  Nothing is
+summed at a centre that is not queried.  Columns of the resulting matrix ``G``
 hold one term each of the fixed library table ``TERMS``; ``b`` holds its
 left-hand side ``LHS``, the second time derivative.
 """
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import polynomial as poly
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import DegenerateDataError, ParameterError, SelectionError
 from .grid import FieldGrid
@@ -201,7 +202,9 @@ def mean_power_spectrum(values: np.ndarray, axis: int) -> np.ndarray:
     return power.mean(axis=1 - axis)[1 : values.shape[axis] // 2 + 1]
 
 
-def spectral_corner(values: np.ndarray, axis: int) -> CornerDiagnostic:
+def spectral_corner(
+    values: np.ndarray, axis: int, power: np.ndarray | None = None
+) -> CornerDiagnostic:
     """Locate the knee of the power spectrum along one axis.
 
     The squared magnitude of the real FFT is averaged over the other
@@ -227,14 +230,20 @@ def spectral_corner(values: np.ndarray, axis: int) -> CornerDiagnostic:
     definition does not dominate.  The corner is therefore floored at two
     octaves above the dominant bin.  ``tau_hat`` reports the final
     abscissa in log10-bin units.
+
+    ``power`` is ``mean_power_spectrum(values, axis)`` when the caller
+    already holds it; it is then not computed again.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ParameterError("expected a 2-d field array")
     if axis not in (0, 1):
         raise ParameterError(f"axis must be 0 or 1, got {axis}")
-    power = mean_power_spectrum(values, axis)
     n_bins = values.shape[axis] // 2
+    if power is None:
+        power = mean_power_spectrum(values, axis)
+    elif np.shape(power) != (n_bins,):
+        raise ParameterError(f"power must hold {n_bins} bins, got shape {np.shape(power)}")
     if power.size == 0 or power.max() <= 0.0:
         raise DegenerateDataError("field has no spectral content along axis")
     # exact-zero bins (e.g. a masked stopband) get a relative floor so the
@@ -390,19 +399,6 @@ class WeakSystem:
         return float(np.linalg.cond(self.G))
 
 
-def _valid_convolve(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Valid-mode convolution of ``kernel`` along the last axis of ``rows``.
-
-    The FFT calls ``scipy.signal.fftconvolve(rows, kernel[None, None],
-    mode="valid")`` makes, so the result is bit-identical to it without
-    importing ``scipy.signal``.
-    """
-    n_t, L = rows.shape[-1], kernel.size
-    nfft = next_fast_len(n_t + L - 1, True)
-    spectrum = rfftn(rows, [nfft], axes=[-1]) * rfftn(kernel, [nfft], axes=[-1])
-    return irfftn(spectrum, [nfft], axes=[-1])[..., L - 1 : n_t]
-
-
 def assemble(
     grid: FieldGrid,
     basis: TestFunctionBasis,
@@ -420,13 +416,15 @@ def assemble(
     integration-by-parts sign ``(-1)^(dx + dt)``.
 
     x stage: the x-kernels of the ``#dx`` spatial orders, stacked into
-    one ``(#dx, 2 m_x + 1)`` matrix, multiply the field rows under each
-    of the ``n_qx`` query x-centres, at ``O(n_qx * (2 m_x + 1) * n_t)``
-    per order.  t stage: one valid-mode FFT convolution per temporal
-    order runs along at most ``n_qx * #dx`` of those rows, and the query
-    t-centres are read off.  The constant term is the product of the
-    kernel sums.  The result equals direct summation over each support
-    window up to FFT round-off.
+    one ``(#dx, 2 m_x + 1)`` matrix and scaled by ``gamma_w``, multiply
+    the field rows under each of the ``n_qx`` query x-centres,
+    at ``O(n_qx * (2 m_x + 1) * n_t)`` per order.  t stage: for each live
+    term, the window of ``2 m_t + 1`` samples from ``ts - m_t`` of its
+    x-stage row, one per query t-centre ``ts`` (a strided view, not a
+    copy), times the t-kernel of the term's temporal order, at
+    ``O(n_qx * n_qt * (2 m_t + 1))`` per term.  The constant term is the
+    product of the kernel sums.  This is direct summation over each
+    support window, factored by axis.
 
     ``scales = (gamma_w, gamma_x, gamma_t)`` multiplies the field and the
     axes before assembly; pass :func:`rescale` output for conditioning,
@@ -457,31 +455,27 @@ def assemble(
     weight = (gx * grid.x_extent / n_x) * (gt * grid.t_extent / n_t)
     kx = _testfn_rows(basis.p_x, m_x, _MAX_DX, hx)
     kt = _testfn_rows(basis.p_t, m_t, _MAX_DT, ht)
-    scaled = gw * grid.values
 
-    # x stage: one product per query x-centre
+    # x stage: one product per query x-centre; gamma_w scales the kernel
+    # rows, not a copy of the field
     live = [t for t in TERMS + (LHS,) if t.power == 1]
     dx_orders = sorted({t.dx_order for t in live})
-    kx_live = kx[dx_orders]
+    kx_live = gw * kx[dx_orders]
     xrows = np.empty((xs.size, len(dx_orders), n_t))
     for r, c in enumerate(xs):
-        xrows[r] = kx_live @ scaled[c - m_x : c + m_x + 1]
+        xrows[r] = kx_live @ grid.values[c - m_x : c + m_x + 1]
 
-    # t stage: one valid-mode convolution per dt order, over the rows of
-    # the dx orders it pairs with
-    tconv: dict[tuple[int, int], np.ndarray] = {}
-    for k in sorted({t.dt_order for t in live}):
-        dxs = sorted({t.dx_order for t in live if t.dt_order == k})
-        rows = xrows[:, [dx_orders.index(i) for i in dxs]]
-        out = _valid_convolve(rows, kt[k][::-1])
-        for j, i in enumerate(dxs):
-            tconv[i, k] = out[:, j]
+    # t stage: a view of the 2 m_t + 1 samples from ts - m_t of every
+    # x-stage row, one window per query t-centre; each term multiplies its
+    # row's windows by the t-kernel of its dt order
+    windows = sliding_window_view(xrows, 2 * m_t + 1, axis=-1)[:, :, :: basis.s_t]
 
     def column(term: TermSpec) -> np.ndarray:
         sign = -1.0 if (term.dx_order + term.dt_order) % 2 else 1.0
         if term.power == 0:
             return np.full(xs.size * ts.size, sign * weight * (kx[0].sum() * kt[0].sum()))
-        return sign * weight * tconv[term.dx_order, term.dt_order][:, ts - m_t].ravel()
+        rows = windows[:, dx_orders.index(term.dx_order)]
+        return sign * weight * (rows @ kt[term.dt_order]).ravel()
 
     G = np.column_stack([column(t) for t in TERMS])
     return WeakSystem(

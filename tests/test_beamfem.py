@@ -13,6 +13,7 @@ from oracles import (
     newmark_velocities,
     state_newmark_march,
 )
+from weakbeam import beamfem
 from weakbeam.beamfem import (
     BoundaryHistory,
     FemMesh,
@@ -647,6 +648,18 @@ def test_sweep_validation(edge_field):
     for n_values in (1, 2.7, 3.0, np.nan, True):
         with pytest.raises(ParameterError, match="n_values"):
             sweep_modulus(edge_field, beam, 1.0, 2.0, n_values)
+
+
+@pytest.mark.parametrize("n_values", [10**18, 2**63, 10**30])
+def test_sweep_refuses_a_count_numpy_cannot_hold(edge_field, monkeypatch, n_values):
+    # counts no machine can allocate; NumPy refuses each a different way,
+    # and the refusal comes before the edges are extracted
+    def extract(*args, **kwargs):
+        raise AssertionError("the sweep extracted edges")
+
+    monkeypatch.setattr(beamfem, "extract_boundaries", extract)
+    with pytest.raises(ParameterError, match="trial moduli"):
+        sweep_modulus(edge_field, make_beam(), 6.5e10, 7.3e10, n_values)
 
 
 def three_point_field():

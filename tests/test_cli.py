@@ -437,7 +437,7 @@ _RIGHT_KIND = {
     "sweep": st.sampled_from([[6.6e10, 7.2e10, 3], [7.2e10, 6.6e10, 2], [1.0, 2.0, 0],
                               [0.0, 1e10, 1], [6e10, 7e10, 2.5], [NAN, 7e10, 2],
                               [6.5e10, 7.3e10, NAN], [6.5e10, 7.3e10, 1e30],
-                              [6.5e10, 7.3e10, 2.7]]) | st.none(),
+                              [6.5e10, 7.3e10, 2.7], [6.5e10, 7.3e10, 10**30]]) | st.none(),
     "n_fit": st.sampled_from([-3, 0, 1, 5, 25]),
     "fourier_order": st.sampled_from([-1, 0, 1, 3]),
 }
@@ -506,6 +506,46 @@ def test_non_finite_or_out_of_range_number_is_an_error(capsys, tmp_path, tiny_fi
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert not (tmp_path / "x.field").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # with prefixes allowed this pinned the corner through --tau-hat
+        ["discover", "--in", "{in}", "--tau", "0.5,0.5"],
+        ["ensemble", "--in", "{in}", "--max", "2"],
+    ],
+)
+def test_flag_prefix_is_a_usage_error(capsys, tiny_field, argv):
+    argv = [token.replace("{in}", str(tiny_field)) for token in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+HUGE_COUNT = 10**30  # no machine can hold that many trial moduli
+
+
+def test_huge_sweep_count_is_an_error(capsys, tiny_field):
+    argv = ["sweep-e", "--in", str(tiny_field), *as_argv(ROD),
+            "--e-lo", "6.5e10", "--e-hi", "7.3e10", "--n", str(HUGE_COUNT)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "trial moduli" in err and "Traceback" not in err
+
+
+def test_huge_pipeline_sweep_count_fails_its_stage(capsys, synth_file, tmp_path):
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({
+        "field_path": str(synth_file), "density": 2721.9,
+        "section": {"kind": "circle", "diameter": 6.35e-3},
+        "sweep": [6.5e10, 7.3e10, HUGE_COUNT],
+    }), encoding="utf-8")
+    assert main(["pipeline", "--config", str(config)]) == STAGE_EXIT_CODES["simulate"]
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "trial moduli" in err and "Traceback" not in err
 
 
 # Each subcommand's flags with one valid value; "{in}", "{config}" and

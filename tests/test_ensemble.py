@@ -6,13 +6,14 @@ import pytest
 from weakbeam.discovery import discover
 from weakbeam.ensemble import (
     EnsembleRun,
+    _subset_x_spectra,
     aggregate,
     run_ensemble,
     subsample_time,
 )
 from weakbeam.errors import AggregationError, ParameterError
 from weakbeam.grid import FieldGrid
-from weakbeam.weakform import TERM_NAMES
+from weakbeam.weakform import TERM_NAMES, mean_power_spectrum
 
 
 def toy_grid(n_t=60, n_x=8):
@@ -91,6 +92,28 @@ def test_small_ensemble_on_clean_data(edge_field):
     values = np.array([r.result.coefficient("w_xxxx") for r in ens.runs if r.ok])
     assert values.shape == (6,)
     assert np.all(values < 0)
+
+
+def test_shared_x_spectra_equal_each_subset_transform(noisy_fields):
+    g = noisy_fields[0]
+    spectra = _subset_x_spectra(g.values, 10)
+    assert len(spectra) == 55
+    for (d, offset), power in spectra.items():
+        want = mean_power_spectrum(subsample_time(g, d, offset).values, 0)
+        assert np.array_equal(power, want), (d, offset)
+
+
+def test_ensemble_equals_a_plain_loop_of_discoveries(noisy_fields):
+    g = noisy_fields[0]
+    ens = run_ensemble(g, max_ds=10)
+    assert [(r.d, r.offset) for r in ens.runs] == [
+        (d, o) for d in range(1, 11) for o in range(1, d + 1)
+    ]
+    for run in ens.runs:
+        ref = discover(subsample_time(g, run.d, run.offset))
+        assert run.result.support == ref.support
+        scale = np.abs(ref.coefficients).max()
+        assert np.abs(run.result.coefficients - ref.coefficients).max() <= 1e-12 * scale
 
 
 def test_ensemble_rejects_bad_max_ds(edge_field):

@@ -31,7 +31,7 @@ def test_import_loads_no_unused_scipy():
     script = """
 import json, sys
 import weakbeam, weakbeam.cli
-print(json.dumps(sorted({"scipy.signal", "scipy.optimize", "scipy.stats"} & set(sys.modules))))
+print(json.dumps(sorted({"scipy.signal", "scipy.optimize", "scipy.stats", "scipy.fft"} & set(sys.modules))))
 from weakbeam.material import frequency_roots
 print(json.dumps(frequency_roots("clamped-free", 3).tolist()))
 """

@@ -34,7 +34,6 @@ from weakbeam.weakform import (
     _changepoint,
     _segment_ssr_prefix,
     _testfn_rows,
-    _valid_convolve,
 )
 
 
@@ -167,27 +166,6 @@ def test_assembly_oracle_property(n_x, n_t, m_x, m_t, seed):
     assert np.linalg.norm(system.b - b) <= 1e-10 * scale
 
 
-@pytest.mark.parametrize(
-    "shape, L",
-    [
-        ((4, 2, 5001), 301),
-        ((4, 2, 501), 41),
-        ((11, 2, 2501), 151),
-        ((3, 1, 500), 41),  # even n_t
-        ((1, 3, 64), 7),
-        ((2, 2, 77), 77),  # kernel as long as the row: one valid sample
-    ],
-)
-def test_valid_convolve_is_bit_identical_to_fftconvolve(shape, L):
-    from scipy.signal import fftconvolve
-
-    rng = np.random.default_rng(L)
-    rows, kernel = rng.standard_normal(shape), rng.standard_normal(L)
-    got = _valid_convolve(rows, kernel[::-1])
-    assert got.shape == shape[:-1] + (shape[-1] - L + 1,)
-    assert np.array_equal(got, fftconvolve(rows, kernel[None, None, ::-1], mode="valid"))
-
-
 def assert_matches_dense_oracle(g, basis):
     for scales in ((1.0, 1.0, 1.0), rescale(g, basis)):
         system = assemble(g, basis, scales=scales)
@@ -206,6 +184,22 @@ def test_single_x_centre_matches_dense_oracle():
     g = random_field(17, 90, seed=22)
     basis = TestFunctionBasis(p_x=6, p_t=5, m_x=8, m_t=12, s_x=1, s_t=5)
     assert np.unique(assemble(g, basis).query_points[:, 0]).size == 1
+    assert_matches_dense_oracle(g, basis)
+
+
+def test_single_t_centre_matches_dense_oracle():
+    # 2 m_t + 1 == n_t: one window, the whole record, per row
+    g = random_field(30, 25, seed=23)
+    basis = TestFunctionBasis(p_x=6, p_t=5, m_x=5, m_t=12, s_x=3, s_t=4)
+    assert np.unique(assemble(g, basis).query_points[:, 1]).tolist() == [12]
+    assert_matches_dense_oracle(g, basis)
+
+
+def test_unit_t_stride_matches_dense_oracle():
+    # every t-centre is a query: neighbouring windows share all but one sample
+    g = random_field(22, 70, seed=24)
+    basis = TestFunctionBasis(p_x=6, p_t=5, m_x=6, m_t=15, s_x=4, s_t=1)
+    assert assemble(g, basis).n_queries == 3 * 40
     assert_matches_dense_oracle(g, basis)
 
 
@@ -423,6 +417,9 @@ def test_corner_rejects_zero_and_bad_axis():
         spectral_corner(np.ones((32, 32)), 2)
     with pytest.raises(ParameterError):
         spectral_corner(np.ones(32), 0)
+    # a given spectrum holds the axis' n // 2 bins
+    with pytest.raises(ParameterError, match="bins"):
+        spectral_corner(np.ones((32, 32)), 0, power=np.ones(17))
 
 
 # --------------------------------------------------------- support selection
