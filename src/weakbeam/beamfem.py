@@ -46,6 +46,11 @@ _HALF_BANDWIDTH = 3
 # 400-point rods, 1 MiB ran 10-30 % slower and 16 MiB raised peak RSS.
 _SWEEP_CHUNK_BYTES = 4 << 20
 
+# extract_boundaries fits this many samples nearest each edge with a
+# Fourier series of this order, each capped by the field's size
+_EDGE_FIT_SAMPLES = 25
+_EDGE_FIT_ORDER = 3
+
 
 @dataclass(frozen=True)
 class FemMesh:
@@ -187,18 +192,17 @@ class BoundaryHistory:
         return float((self.t[-1] - self.t[0]) / (self.t.size - 1))
 
 
-def extract_boundaries(
-    data: FieldGrid,
-    n_fit: int = 25,
-    order: int = 3,
-) -> BoundaryHistory:
+def extract_boundaries(data: FieldGrid) -> BoundaryHistory:
     """Edge deflections, rotations, and accelerations from a measured field.
 
     Deflections are the raw first/last spatial samples.  Rotations come
     from differentiating a least-squares fit of
     ``a0 + sum_k a_k cos(k w0 xi) + b_k sin(k w0 xi)`` (``k = 1..order``)
-    over the ``n_fit`` samples nearest each edge.  Accelerations are
-    second differences in time.
+    over the ``n_edge`` samples nearest each edge.  The fit sizes itself
+    from the field: ``n_edge = min(25, n_x)`` and ``order = min(3,
+    (n_edge - 1) // 2)``, so it never has more coefficients than samples;
+    a field with fewer than 3 x-samples raises :class:`ParameterError`.
+    Accelerations are second differences in time.
 
     The fundamental ``w0`` (rad per unit length) is taken from the
     dominant bin of the spatial power spectrum, so the basis resolves the
@@ -208,23 +212,19 @@ def extract_boundaries(
     derivative at scale ``w0`` — orders of magnitude above the true
     rotation for smooth long-wavelength fields.
     """
-    if order < 1:
-        raise ParameterError(f"order must be >= 1, got {order}")
-    if n_fit < 2 * order + 1:
-        raise ParameterError(
-            f"n_fit={n_fit} cannot determine {2 * order + 1} fit coefficients"
-        )
-    if n_fit > data.n_x:
-        raise ParameterError(f"n_fit={n_fit} exceeds {data.n_x} spatial samples")
+    if data.n_x < 3:
+        raise ParameterError(f"the edge fit needs >= 3 spatial samples, got {data.n_x}")
+    n_edge = min(_EDGE_FIT_SAMPLES, data.n_x)
+    order = min(_EDGE_FIT_ORDER, (n_edge - 1) // 2)
     dx = data.dx
     power = mean_power_spectrum(data.values, axis=0)
     k_peak = int(np.argmax(power)) + 1 if power.size and power.max() > 0 else 1
     w0 = 2.0 * np.pi * k_peak / (data.n_x * dx)
-    xi = np.arange(n_fit) * dx
+    xi = np.arange(n_edge) * dx
     ks = np.arange(1, order + 1)
     design = np.hstack(
         [
-            np.ones((n_fit, 1)),
+            np.ones((n_edge, 1)),
             np.cos(np.outer(xi, ks * w0)),
             np.sin(np.outer(xi, ks * w0)),
         ]
@@ -240,8 +240,8 @@ def extract_boundaries(
             ]
         )
 
-    left_coeff = pinv @ data.values[:n_fit, :]
-    right_coeff = pinv @ data.values[-n_fit:, :]
+    left_coeff = pinv @ data.values[:n_edge, :]
+    right_coeff = pinv @ data.values[-n_edge:, :]
     left_rot = slope_row(0.0) @ left_coeff
     right_rot = slope_row(xi[-1]) @ right_coeff
     return BoundaryHistory(
@@ -364,8 +364,10 @@ def newmark_march(
 
 
 def _edge_loads(bc: BoundaryHistory, me: np.ndarray, ke: np.ndarray, n_inner: int):
-    """The interior dofs that the prescribed ends load, and their load
-    columns ``-M_ib a_b - K_ib d_b`` from the element blocks ``me``, ``ke``.
+    """``(loaded, f_mass, f_stiff)``: the interior dofs that the prescribed
+    ends load, and the mass and stiffness parts ``-M_ib a_b`` and
+    ``-K_ib d_b`` of their load columns, from the element blocks ``me``
+    and ``ke``; the loads are ``f_mass + f_stiff``.
 
     Each prescribed end belongs to one element, so it loads only the two
     interior dofs next to it, through that element's off-diagonal block:
@@ -373,13 +375,14 @@ def _edge_loads(bc: BoundaryHistory, me: np.ndarray, ke: np.ndarray, n_inner: in
     where both ends load the same dofs and sum there.
     """
     loaded = np.unique([0, 1] if bc.free_right else [0, 1, n_inner - 2, n_inner - 1])
-    forces = np.zeros((bc.t.size, loaded.size))
-    forces[:, :2] -= bc.acceleration[:, :2] @ me[:2, 2:] + bc.displacement[:, :2] @ ke[:2, 2:]
-    if not bc.free_right:
-        forces[:, -2:] -= (
-            bc.acceleration[:, 2:] @ me[2:, :2] + bc.displacement[:, 2:] @ ke[2:, :2]
-        )
-    return loaded, forces
+    parts = []
+    for history, block in ((bc.acceleration, me), (bc.displacement, ke)):
+        part = np.zeros((bc.t.size, loaded.size))
+        part[:, :2] -= history[:, :2] @ block[:2, 2:]
+        if not bc.free_right:
+            part[:, -2:] -= history[:, 2:] @ block[2:, :2]
+        parts.append(part)
+    return loaded, *parts
 
 
 def newmark_solve(
@@ -413,13 +416,13 @@ def newmark_solve(
     # last node's unless the far end is free
     n_inner = mesh.n_dof - bc.displacement.shape[1]
     inner = slice(2, 2 + n_inner)
-    loaded, forces = _edge_loads(bc, *_element_matrices(mesh, beam), n_inner)
+    loaded, f_mass, f_stiff = _edge_loads(bc, *_element_matrices(mesh, beam), n_inner)
 
     # interior deflections are the even interior dofs, on nodes 1 .. n_inner/2;
     # record those of the nodes returned
     n_recorded = min(n_nodes - 1, n_inner // 2)
     w_hist = newmark_march(
-        M[:, inner], K[:, inner], forces, bc.dt,
+        M[:, inner], K[:, inner], f_mass + f_stiff, bc.dt,
         record=slice(0, 2 * n_recorded, 2), loaded=loaded,
     )
 
@@ -456,8 +459,6 @@ class SimulationResult:
 def simulate_measured(
     data: FieldGrid,
     beam: BeamModel,
-    n_fit: int = 25,
-    order: int = 3,
     window: tuple[float, float] | None = None,
 ) -> SimulationResult:
     """Drive a mesh matching the data grid by its own edges and compare.
@@ -471,7 +472,7 @@ def simulate_measured(
     """
     data_c = data if window is None else window_time(data, *window)
     mesh = FemMesh(data.n_x - 1, data.dx)
-    bc = extract_boundaries(data, n_fit=n_fit, order=order)
+    bc = extract_boundaries(data)
     sim = FieldGrid(data.x, data.t, newmark_solve(mesh, beam, bc).values)
     sim_c = sim if window is None else window_time(sim, *window)
     return SimulationResult(field=sim_c, frobenius_rel=compare(data_c, sim_c))
@@ -497,8 +498,6 @@ def sweep_modulus(
     e_lo: float,
     e_hi: float,
     n_values: int,
-    n_fit: int = 25,
-    order: int = 3,
     window: tuple[float, float] | None = None,
 ) -> SweepResult:
     """Forward-simulation error over a linear grid of trial moduli.
@@ -515,8 +514,9 @@ def sweep_modulus(
     deflections; the edge rows are the data's own and add no error.
     Cost: one O(n_dof^3) eigensolve, then O(n_x n_dof) per trial-step.
     The trial grid is built first, so a count NumPy cannot hold raises
-    :class:`ParameterError` before any of that work; a failed eigensolve
-    raises :class:`DegenerateDataError`.
+    :class:`ParameterError` before any of that work.  A failed eigensolve,
+    or an error that is not finite (``E lam`` overflows the float range on
+    very fine spacings), raises :class:`DegenerateDataError`.
     """
     if not (0 < e_lo < e_hi < np.inf):
         raise ParameterError(f"need finite 0 < e_lo < e_hi, got [{e_lo}, {e_hi}]")
@@ -534,14 +534,13 @@ def sweep_modulus(
         raise DegenerateDataError("measured field is identically zero")
 
     mesh = FemMesh(data.n_x - 1, data.dx)
-    bc = extract_boundaries(data, n_fit=n_fit, order=order)
+    bc = extract_boundaries(data)
     unit = replace(beam, youngs_modulus=1.0)
     M, K = assemble_matrices(mesh, unit)
     me, ke = _element_matrices(mesh, unit)
     n_inner = mesh.n_dof - bc.displacement.shape[1]
     inner = slice(2, 2 + n_inner)
-    loaded, f_mass = _edge_loads(bc, me, np.zeros_like(ke), n_inner)
-    _, f_stiff = _edge_loads(bc, np.zeros_like(me), ke, n_inner)
+    loaded, f_mass, f_stiff = _edge_loads(bc, me, ke, n_inner)
     lam, phi = _modal_basis(M[:, inner], K[:, inner], mesh.dx)
 
     measured = data.values[1:-1, cols]  # the interior nodes' rows
@@ -549,16 +548,22 @@ def sweep_modulus(
     n_modes, n_w = rebuild.shape
     chunk = max(1, _SWEEP_CHUNK_BYTES // (8 * n_values * 2 * (n_modes + n_w)))
     sq = np.zeros(n_values)
-    for k0, y in _march_modes(
-        lam, phi[loaded], f_mass, f_stiff, moduli, bc.dt, stop - 1, chunk
-    ):
-        lo, hi = max(k0, start), min(k0 + len(y), stop)
-        if lo < hi:
-            w = y[lo - k0 : hi - k0].reshape(-1, n_modes) @ rebuild
-            w = w.reshape(hi - lo, n_values, n_w)
-            w -= measured[:, lo - start : hi - start].T[:, None]
-            sq += np.einsum("kvi,kvi->v", w, w)
-    return SweepResult(moduli=moduli, errors=np.sqrt(sq) / norm)
+    marches = _march_modes(lam, phi[loaded], f_mass, f_stiff, moduli, bc.dt, stop - 1, chunk)
+    # a march that overflows is reported by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0, y in marches:
+            lo, hi = max(k0, start), min(k0 + len(y), stop)
+            if lo < hi:
+                w = y[lo - k0 : hi - k0].reshape(-1, n_modes) @ rebuild
+                w = w.reshape(hi - lo, n_values, n_w)
+                w -= measured[:, lo - start : hi - start].T[:, None]
+                sq += np.einsum("kvi,kvi->v", w, w)
+        errors = np.sqrt(sq) / norm
+    if not np.all(np.isfinite(errors)):
+        raise DegenerateDataError(
+            f"the modulus sweep's simulation error is not finite at spacing dx = {mesh.dx:g}"
+        )
+    return SweepResult(moduli=moduli, errors=errors)
 
 
 def _modal_basis(M: np.ndarray, K: np.ndarray, dx: float):

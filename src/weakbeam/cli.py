@@ -147,8 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulus", type=float, required=True, help="Young's modulus in Pa")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--window", type=_parse_pair, default=None, metavar="T0,T1")
-    p.add_argument("--n-fit", type=int, default=25)
-    p.add_argument("--order", type=int, default=3)
     p.add_argument("--out-field", default=None, help="write simulated field here")
 
     p = add_command("sweep-e", help="simulation error over a modulus grid")
@@ -158,8 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e-hi", type=float, required=True)
     p.add_argument("--n", type=int, default=150)
     p.add_argument("--window", type=_parse_pair, default=None, metavar="T0,T1")
-    p.add_argument("--n-fit", type=int, default=25)
-    p.add_argument("--order", type=int, default=3)
     p.add_argument("--csv", dest="csv_out", default=None)
 
     p = add_command("pipeline", help="run the staged measured-data pipeline")
@@ -259,9 +255,7 @@ def _cmd_modes(args) -> int:
 def _cmd_simulate(args) -> int:
     data = load_field(args.infile)
     beam = _beam(args, data.x_extent, args.modulus)
-    result = simulate_measured(
-        data, beam, n_fit=args.n_fit, order=args.order, window=args.window
-    )
+    result = simulate_measured(data, beam, window=args.window)
     if args.out_field:
         save_field(result.field, args.out_field)
     _emit({"youngs_modulus": args.modulus, "frobenius_rel": result.frobenius_rel})
@@ -271,16 +265,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep_e(args) -> int:
     data = load_field(args.infile)
     beam = _beam(args, data.x_extent)
-    result = sweep_modulus(
-        data,
-        beam,
-        args.e_lo,
-        args.e_hi,
-        args.n,
-        n_fit=args.n_fit,
-        order=args.order,
-        window=args.window,
-    )
+    result = sweep_modulus(data, beam, args.e_lo, args.e_hi, args.n, window=args.window)
     if args.csv_out:
         write_sweep_csv(args.csv_out, result)
     _emit(

@@ -115,9 +115,8 @@ def run_ensemble(grid: FieldGrid, max_ds: int = 10) -> EnsembleResult:
     runs = []
     for d in range(1, int(max_ds) + 1):
         for offset in range(1, d + 1):
-            sub = subsample_time(grid, d, offset)
             try:
-                result = discover(sub, x_power=x_spectra[d, offset])
+                result = discover(subsample_time(grid, d, offset), x_power=x_spectra[d, offset])
                 runs.append(EnsembleRun(d=d, offset=offset, result=result))
             except WeakbeamError as exc:
                 runs.append(

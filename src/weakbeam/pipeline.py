@@ -72,8 +72,7 @@ _REAL, _INT = numbers.Real, numbers.Integral
 # JSON kind of every config key: a type, or n for a list of n numbers
 _CONFIG_KINDS = dict(
     field_path=str, downsample=_INT, band=2, window=2, tau_hat=2, max_ds=_INT,
-    section=(dict, CrossSection), density=_REAL, nominal_modulus=_REAL, simulate=bool,
-    sweep=3, n_fit=_INT, fourier_order=_INT,
+    section=(dict, CrossSection), density=_REAL, nominal_modulus=_REAL, simulate=bool, sweep=3,
 )
 
 
@@ -101,8 +100,6 @@ class PipelineConfig:
     nominal_modulus: float | None = None
     simulate: bool = True
     sweep: tuple[float, float, int] | None = None  # e_lo, e_hi and a count >= 2
-    n_fit: int = 25
-    fourier_order: int = 3
 
     def __post_init__(self):
         # the material stage divides by it for the percent error
@@ -296,26 +293,13 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
     sweep = None
     if config.simulate and beam is not None and not degenerate:
         with _stage(report, timing, "simulate"):
-            sim = simulate_measured(
-                processed,
-                beam,
-                n_fit=config.n_fit,
-                order=config.fourier_order,
-                window=config.window,
-            )
+            sim = simulate_measured(processed, beam, window=config.window)
             report["simulation"] = {
                 "youngs_modulus": beam.youngs_modulus,
                 "frobenius_rel": sim.frobenius_rel,
             }
             if config.sweep is not None:
-                sweep = sweep_modulus(
-                    processed,
-                    beam,
-                    *config.sweep,
-                    n_fit=config.n_fit,
-                    order=config.fourier_order,
-                    window=config.window,
-                )
+                sweep = sweep_modulus(processed, beam, *config.sweep, window=config.window)
                 report["sweep"] = {
                     "moduli": [float(e) for e in sweep.moduli],
                     "errors": [float(e) for e in sweep.errors],

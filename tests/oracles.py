@@ -171,16 +171,15 @@ def dense_weak_system(grid, basis, scales=(1.0, 1.0, 1.0)):
     ts = np.arange(m_t, n_t - m_t, basis.s_t)
     query_points = np.array([(ix, it) for ix in xs for it in ts])
 
-    def phix(i):
-        return testfn_poly(basis.p_x, m_x, i, h_x)
-
-    def phit(k):
-        return testfn_poly(basis.p_t, m_t, k, h_t)
+    # one sampled test-function row per derivative order, built once a call
+    terms = (LHS, *TERMS)
+    phix = {i: testfn_poly(basis.p_x, m_x, i, h_x) for i in {t.dx_order for t in terms}}
+    phit = {k: testfn_poly(basis.p_t, m_t, k, h_t) for k in {t.dt_order for t in terms}}
 
     def inner(term, ix, it):
         window = w[ix - m_x : ix + m_x + 1, it - m_t : it + m_t + 1] ** term.power
-        fx = phix(term.dx_order)
-        ft = phit(term.dt_order)
+        fx = phix[term.dx_order]
+        ft = phit[term.dt_order]
         sign = (-1.0) ** (term.dx_order + term.dt_order)
         return sign * weight * np.einsum("ab,a,b->", window, fx, ft)
 

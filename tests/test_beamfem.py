@@ -510,7 +510,7 @@ def test_boundary_history_validation():
 
 def test_extract_constant_field_has_flat_edges():
     g = FieldGrid(np.arange(30) * 1e-3, np.arange(40) * 1e-6, np.full((30, 40), 2.5))
-    bc = extract_boundaries(g, n_fit=15, order=2)
+    bc = extract_boundaries(g)
     left_w, left_rot, right_w, right_rot = bc.displacement.T
     assert np.allclose(left_w, 2.5, rtol=1e-15, atol=0)
     assert np.allclose(right_w, 2.5, rtol=1e-15, atol=0)
@@ -528,7 +528,7 @@ def test_extract_recovers_sinusoid_rotation():
     k = 2 * np.pi * 2 / (n_x * dx)
     c = np.linspace(1.0, 2.0, n_t)
     g = FieldGrid(x, np.arange(n_t) * 1e-6, np.sin(k * x)[:, None] * c[None, :])
-    bc = extract_boundaries(g, n_fit=25, order=3)
+    bc = extract_boundaries(g)
     want_left = k * c
     want_right = k * np.cos(k * x[-1]) * c
     assert np.allclose(bc.displacement[:, 1], want_left, rtol=1e-8, atol=0)
@@ -540,19 +540,20 @@ def test_extract_linear_in_time_has_zero_acceleration():
     x = np.arange(n_x) * 1e-3
     t = np.arange(n_t) * 1e-6
     g = FieldGrid(x, t, np.outer(np.cos(5 * x), 2.0 + 3e4 * t))
-    bc = extract_boundaries(g, n_fit=15, order=2)
+    bc = extract_boundaries(g)
     scale = np.abs(g.values[0]).max() / g.dt**2
     assert np.abs(bc.acceleration[:, 0]).max() <= 1e-10 * scale
 
 
 def test_extract_validation():
-    g = FieldGrid(np.arange(30) * 1e-3, np.arange(10) * 1e-6, np.ones((30, 10)))
-    with pytest.raises(ParameterError):
-        extract_boundaries(g, order=0)
-    with pytest.raises(ParameterError):
-        extract_boundaries(g, n_fit=6, order=3)
-    with pytest.raises(ParameterError):
-        extract_boundaries(g, n_fit=31)
+    # the edge fit needs 3 samples for its smallest basis, order 1
+    t = np.arange(10) * 1e-6
+    for n_x in (1, 2):
+        g = FieldGrid(np.arange(n_x) * 1e-3, t, np.ones((n_x, 10)))
+        with pytest.raises(ParameterError, match="3 spatial samples"):
+            extract_boundaries(g)
+    three = FieldGrid(np.arange(3) * 1e-3, t, np.ones((3, 10)))
+    assert np.abs(extract_boundaries(three).displacement[:, [1, 3]]).max() <= 1e-10
 
 
 # ------------------------------------------------------------------ compare
@@ -604,12 +605,11 @@ def corner_at(edge_field, x0, dx=5e-4):
 
 def test_simulation_keeps_the_data_positions(edge_field):
     # a scan stored with its true positions replays like the same samples at 0
-    kwargs = {"n_fit": 7, "order": 2}
     offset = corner_at(edge_field, 0.01)
-    result = simulate_measured(offset, make_beam(), **kwargs)
+    result = simulate_measured(offset, make_beam())
     assert np.array_equal(result.field.x, offset.x)
     assert np.array_equal(result.field.t, offset.t)
-    at_zero = simulate_measured(corner_at(edge_field, 0.0), make_beam(), **kwargs)
+    at_zero = simulate_measured(corner_at(edge_field, 0.0), make_beam())
     assert result.frobenius_rel == pytest.approx(at_zero.frobenius_rel, rel=1e-9)
 
 
@@ -618,9 +618,19 @@ def test_replay_rejects_a_dx_without_finite_element_matrices(edge_field, dx):
     data = corner_at(edge_field, 0.0, dx=dx)
     beam = make_beam()
     with pytest.raises(ParameterError, match="dx"):
-        simulate_measured(data, beam, n_fit=7, order=2)
+        simulate_measured(data, beam)
     with pytest.raises(ParameterError, match="dx"):
-        sweep_modulus(data, beam, 6e10, 8e10, 3, n_fit=7, order=2)
+        sweep_modulus(data, beam, 6e10, 8e10, 3)
+
+
+@pytest.mark.parametrize("dx", [1e-76, 1e-100])
+def test_sweep_without_a_finite_error_is_degenerate_data(dx):
+    # E lam overflows at 1e-76 and the march reads inf * 0; at 1e-100 the
+    # eigensolve fails first.  Either way the sweep raises, never returns NaN
+    t = np.arange(200) * 1e-6
+    data = FieldGrid(np.arange(10) * dx, t, np.linspace(1.0, 0.5, 10)[:, None] * np.sin(2e4 * t))
+    with pytest.raises(DegenerateDataError):
+        sweep_modulus(data, make_beam(), 6e10, 8e10, 3)
 
 
 def test_simulation_error_grows_with_wrong_modulus(edge_field):
@@ -674,7 +684,7 @@ def test_sweep_matches_per_trial_simulation(edge_field, case):
     data, kwargs = {
         "edge-field": (edge_field, {}),
         "windowed": (edge_field, {"window": (2e-4, 1.5e-3)}),
-        "three-points": (three_point_field(), {"n_fit": 3, "order": 1}),
+        "three-points": (three_point_field(), {}),
     }[case]
     beam = make_beam()
     sweep = sweep_modulus(data, beam, 0.9 * 6.9e10, 1.1 * 6.9e10, 7, **kwargs)
@@ -703,9 +713,8 @@ def test_sweep_failed_eigensolve_is_degenerate_data(edge_field, monkeypatch):
     [
         ({"window": (1e-3, 0.0)}, WindowError),
         ({"window": (1.0, 2.0)}, WindowError),
-        ({"n_fit": 500}, ParameterError),
     ],
-    ids=["reversed-window", "window-past-the-data", "n-fit-above-n-x"],
+    ids=["reversed-window", "window-past-the-data"],
 )
 def test_sweep_fails_before_any_march(edge_field, monkeypatch, kwargs, error):
     from weakbeam import beamfem

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -114,6 +115,20 @@ def test_ensemble_equals_a_plain_loop_of_discoveries(noisy_fields):
         assert run.result.support == ref.support
         scale = np.abs(ref.coefficients).max()
         assert np.abs(run.result.coefficients - ref.coefficients).max() <= 1e-12 * scale
+
+
+def test_record_shorter_than_max_ds_fails_runs_not_the_ensemble():
+    # 8 samples: subsets (9, 9), (10, 9) and (10, 10) have none
+    rng = np.random.default_rng(0)
+    g = FieldGrid(np.arange(40) * 5e-4, np.arange(8) * 1e-6, rng.standard_normal((40, 8)))
+    ens = run_ensemble(g, max_ds=10)
+    assert len(ens.runs) == 55 and ens.n_success == 1
+    failed = [r for r in ens.runs if not r.ok]
+    assert Counter(r.error.split(":")[0] for r in failed) == {
+        "DegenerateDataError": 36, "SelectionError": 15, "GridError": 3,
+    }
+    empty = [(r.d, r.offset) for r in failed if r.error.startswith("GridError")]
+    assert empty == [(9, 9), (10, 9), (10, 10)]
 
 
 def test_ensemble_rejects_bad_max_ds(edge_field):
