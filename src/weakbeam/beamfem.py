@@ -15,9 +15,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cholesky_banded
-from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dpbtrs
 
 from .errors import DegenerateDataError, DimensionError, ParameterError
 from .grid import FieldGrid, _all_finite, _check_axis, _window_columns, window_time
@@ -249,6 +246,17 @@ def extract_boundaries(data: FieldGrid) -> BoundaryHistory:
     )
 
 
+def cholesky_banded(ab: np.ndarray) -> np.ndarray:
+    """SciPy's upper banded Cholesky factor of ``ab``.
+
+    ``scipy.linalg`` is imported on the first call, not with the package:
+    it is slow to load and only :func:`newmark_march` needs it.
+    """
+    from scipy.linalg import cholesky_banded as factor
+
+    return factor(ab)
+
+
 def _check_info(info: int) -> None:
     """Raise on a nonzero ``dpbtrs`` status: only an illegal argument,
     i.e. a bug here, sets it."""
@@ -330,6 +338,9 @@ def newmark_march(
     # the per-step solves skip SciPy's finiteness scan, so check once here
     if not all(_all_finite(x) for x in (forces, d, v)):
         raise ParameterError("forces, d0 and v0 must be finite")
+
+    from scipy.linalg.blas import dsbmv
+    from scipy.linalg.lapack import dpbtrs
 
     K = np.asfortranarray(K, dtype=float)  # dsbmv would copy it every step
     q = 0.25 * dt**2

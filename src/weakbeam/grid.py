@@ -19,6 +19,7 @@ Values are written with shortest round-trip precision, so
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,8 +176,24 @@ def save_field(grid: FieldGrid, path: str | os.PathLike) -> None:
             fh.write(line(row))
 
 
+def _utf8(line: str, lineno: int) -> str:
+    """``line``, checked to have been UTF-8.  Files are read with
+    ``errors="surrogateescape"``, which decodes a bad byte to a lone
+    surrogate instead of failing a whole read-ahead chunk, so the error
+    can name its line."""
+    if not line.isascii():  # O(1) on str
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(line[exc.start]) - 0xDC00
+            raise FieldFormatError(
+                f"line {lineno}: byte 0x{byte:02x} at column {exc.start + 1} is not UTF-8"
+            ) from None
+    return line
+
+
 def _parse_axis_line(line: str, key: str, lineno: int) -> np.ndarray:
-    parts = line.split()
+    parts = _utf8(line, lineno).split()
     if not parts or parts[0] != key + ":":
         raise FieldFormatError(
             f"line {lineno}: expected '{key}:' axis header, got {line[:40]!r}"
@@ -189,47 +206,77 @@ def _parse_axis_line(line: str, key: str, lineno: int) -> np.ndarray:
         raise FieldFormatError(f"line {lineno}: bad {key} value: {exc}") from None
 
 
+def _read_rows(fh, n_x: int, n_t: int) -> np.ndarray:
+    """Parse the value block line by line, starting at line 4.
+
+    Blank lines are skipped and each token is parsed as ``float()`` does,
+    so ``1_000`` and non-ASCII digits are accepted.  The first line that
+    breaks the format is named in the error.
+    """
+    values = np.empty((n_x, n_t))
+    n_rows = 0
+    for lineno, line in enumerate(fh, start=4):
+        parts = _utf8(line, lineno).split()
+        if not parts:
+            continue
+        if len(parts) != n_t:
+            raise FieldFormatError(
+                f"line {lineno}: expected {n_t} values, got {len(parts)}"
+            )
+        if n_rows == n_x:
+            raise FieldFormatError(
+                f"line {lineno}: more than the {n_x} value rows of the x axis"
+            )
+        try:
+            # NumPy parses each token as float() does
+            values[n_rows] = parts
+        except ValueError as exc:
+            raise FieldFormatError(f"line {lineno}: bad value: {exc}") from None
+        n_rows += 1
+    if n_rows != n_x:
+        raise FieldFormatError(f"expected {n_x} value rows, got {n_rows}")
+    return values
+
+
 def load_field(path: str | os.PathLike) -> FieldGrid:
     """Read a field from the v1 text format.
+
+    The value block is parsed in C by one ``np.loadtxt`` call, kept when
+    its shape matches the axes.  ``loadtxt`` splits on the whitespace
+    ``str.split`` does and parses what ``float()`` does, except
+    underscores (``1_000``) and non-ASCII digits.  A block it rejects for
+    those, or for a bad token, a ragged, missing or extra row or a byte
+    that is not UTF-8, is parsed again line by line: the loop accepts
+    those spellings, with the same values, and names the first bad line.
 
     Raises
     ------
     FieldFormatError
-        On a bad magic line, malformed axis header, non-numeric token, or
-        a value block whose shape disagrees with the axes.
+        On a bad magic line, malformed axis header, non-numeric token,
+        a line that is not UTF-8, or a value block whose shape disagrees
+        with the axes.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        magic = fh.readline().rstrip("\n")
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        magic = _utf8(fh.readline(), 1).rstrip("\n")
         if magic.strip() != _MAGIC:
             raise FieldFormatError(
                 f"bad magic line {magic!r}, expected {_MAGIC!r}"
             )
         x = _parse_axis_line(fh.readline(), "x", 2)
         t = _parse_axis_line(fh.readline(), "t", 3)
-        values = np.empty((x.size, t.size))
-        n_rows = 0
-        for lineno, line in enumerate(fh, start=4):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != t.size:
-                raise FieldFormatError(
-                    f"line {lineno}: expected {t.size} values, got {len(parts)}"
-                )
-            if n_rows == x.size:
-                raise FieldFormatError(
-                    f"line {lineno}: more than the {x.size} value rows of the x axis"
-                )
-            try:
-                # NumPy parses each token as float() does
-                values[n_rows] = parts
-            except ValueError as exc:
-                raise FieldFormatError(f"line {lineno}: bad value: {exc}") from None
-            n_rows += 1
-    if n_rows != x.size:
-        raise FieldFormatError(
-            f"expected {x.size} value rows, got {n_rows}"
-        )
+        block = fh.tell()
+        try:
+            with warnings.catch_warnings():
+                # an empty block warns "input contained no data"; the
+                # loop below raises the format error for it instead
+                warnings.simplefilter("ignore", UserWarning)
+                # comments=None: the default would cut a row at '#'
+                values = np.loadtxt(fh, comments=None, ndmin=2)
+        except ValueError:
+            values = None
+        if values is None or values.shape != (x.size, t.size):
+            fh.seek(block)
+            values = _read_rows(fh, x.size, t.size)
     # structural problems are format errors, but an axis that parses and
     # then violates a grid invariant (non-uniform, duplicated sample) is
     # a data problem and surfaces as GridError from the constructor

@@ -273,6 +273,17 @@ def test_pipeline_subcommand_missing_input(capsys, tmp_path):
     assert "ingest" in capsys.readouterr().err
 
 
+def test_non_utf8_field_is_an_error(capsys, tmp_path):
+    path = tmp_path / "bad.field"
+    path.write_bytes(b"# fieldgrid v1\nx: 0 1\nt: 0 1\n1 2\n3 \xff\n")
+    assert main(["ensemble", "--in", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: line 5: byte 0xff")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"field_path": str(path)}), encoding="utf-8")
+    assert main(["pipeline", "--config", str(config)]) == 9
+    assert "line 5" in capsys.readouterr().err
+
+
 def test_pipeline_subcommand_runs(capsys, synth_file, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"field_path": str(synth_file)}), encoding="utf-8")

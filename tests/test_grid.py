@@ -1,9 +1,11 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from weakbeam import grid
 from weakbeam.errors import FieldFormatError, GridError, WindowError
 from weakbeam.grid import FieldGrid, load_field, save_field, window_time
 
@@ -221,6 +223,103 @@ def test_non_finite_tokens_parse_and_fail_the_grid_check(tmp_path, token):
     path.write_text(f"# fieldgrid v1\nx: 0 1\nt: 0 1\n1 2\n3 {token}\n")
     with pytest.raises(GridError, match="non-finite"):
         load_field(path)
+
+
+@pytest.mark.parametrize("lineno", [1, 2, 3, 5])
+def test_non_utf8_byte_names_its_line(tmp_path, lineno):
+    lines = [b"# fieldgrid v1", b"x: 0 1", b"t: 0 1", b"1 2", b"3 4"]
+    lines[lineno - 1] += b" \xff"
+    path = tmp_path / "g.field"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(FieldFormatError, match=f"line {lineno}: byte 0xff .* not UTF-8"):
+        load_field(path)
+
+
+# --------------------------------------------- loadtxt and the line-wise loop
+
+def parse_outcome(path):
+    """The bits a load gives, or the class and message of its error."""
+    try:
+        g = load_field(path)
+    except (FieldFormatError, GridError) as exc:
+        return type(exc), str(exc)
+    return bits(g.x).tolist(), bits(g.t).tolist(), bits(g.values).tolist()
+
+
+# tokens the format accepts: every float64 (subnormals and -0.0 among
+# them), spellings only float() knows, and numbers the grid then rejects
+GOOD_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-3e-308, 3e-308).map(repr),
+    st.sampled_from(["-0.0", "5e-324", "1E5", ".5", "+1.5", "7", "1_000",
+                     "\u0663", "\uff11\uff12", "1e400", "nan"]),
+)
+BAD_TOKENS = st.sampled_from(["#", "1#", "oops", "0x10", "1,5", "1.5e", "\x00"])
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\x0c", "\u3000"])
+PADDING = st.sampled_from(["", " ", "\t", " \t "])
+BLANK_LINES = st.lists(PADDING, max_size=2)
+NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
+FAULTS = st.sampled_from([None, None, None, None, "short row", "long row",
+                          "missing row", "extra row", "no rows", "bad token", "# in a row",
+                          "not UTF-8"])
+
+
+@st.composite
+def field_files(draw):
+    """Bytes of a field file with a well-formed header and a value block
+    that is padded and spaced at random and has at most one fault."""
+    n_x, n_t = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    fault = draw(FAULTS)
+    n_rows = {"missing row": n_x - 1, "extra row": n_x + 1, "no rows": 0}.get(fault, n_x)
+    nl = draw(NEWLINES)
+    lines = ["# fieldgrid v1", "x: " + " ".join(map(str, range(n_x))),
+             "t: " + " ".join(map(str, range(n_t)))]
+    lines += draw(BLANK_LINES)
+    for i in range(n_rows):
+        width = n_t + {"short row": -1, "long row": 1}.get(fault, 0) * (i == n_rows - 1)
+        tokens = draw(st.lists(GOOD_TOKENS, min_size=width, max_size=width))
+        if fault == "bad token" and i == n_rows - 1:
+            tokens[-1] = draw(BAD_TOKENS)
+        row = draw(PADDING)
+        for k, token in enumerate(tokens):
+            row += (draw(SEPARATORS) if k else "") + token
+        if fault == "# in a row" and i == n_rows - 1:
+            # loadtxt's default comments="#" would cut the row here
+            row += " #" + draw(st.sampled_from(["", " 1", "#"]))
+        lines += [row + draw(PADDING), *draw(BLANK_LINES)]
+    data = (nl.join(lines) + draw(st.sampled_from([nl, ""]))).encode("utf-8")
+    if fault == "not UTF-8":
+        # a byte that is not UTF-8 somewhere in the value block
+        start = len(nl.join(lines[:3]).encode("utf-8")) + len(nl)
+        at = draw(st.integers(min(start, len(data)), len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300)
+@given(data=field_files())
+def test_load_field_matches_the_line_wise_loop(tmp_path_factory, data):
+    # bit for bit, or the same error: with loadtxt failing, the loop
+    # parses every block
+    path = tmp_path_factory.mktemp("parse") / "g.field"
+    path.write_bytes(data)
+    got = parse_outcome(path)
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+        assert parse_outcome(path) == got
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (5, 7)])
+def test_saved_field_is_parsed_by_loadtxt(tmp_path, shape):
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    values.flat[0] = -0.0
+    g = FieldGrid(np.arange(shape[0]) * 5e-4, np.arange(shape[1]) * 1e-6, values)
+    path = tmp_path / "g.field"
+    save_field(g, path)
+    with mock.patch.object(grid, "_read_rows", side_effect=AssertionError("line-wise loop ran")):
+        back = load_field(path)
+    assert np.array_equal(bits(back.values), bits(values))
 
 
 def test_duplicated_time_entry_is_grid_error(tmp_path):
