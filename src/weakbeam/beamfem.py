@@ -48,6 +48,16 @@ _SWEEP_CHUNK_BYTES = 4 << 20
 _EDGE_FIT_SAMPLES = 25
 _EDGE_FIT_ORDER = 3
 
+# The Hermite element tables with rotations in units of dx: the element
+# stiffness is EI / dx^3 * _K_HAT and the consistent mass rho A dx / 420 *
+# _M_HAT, where entry (i, j) takes a factor dx for each rotation dof among
+# i and j, which _DX_POWER counts.
+_K_HAT = np.array([[12, 6, -12, 6], [6, 4, -6, 2], [-12, -6, 12, -6], [6, 2, -6, 4]])
+_M_HAT = np.array(
+    [[156, 22, 54, -13], [22, 4, 13, -3], [54, 13, 156, -22], [-13, -3, -22, 4]]
+)
+_DX_POWER = np.add.outer([0, 1, 0, 1], [0, 1, 0, 1])
+
 
 @dataclass(frozen=True)
 class FemMesh:
@@ -92,23 +102,16 @@ def _element_matrices(mesh: FemMesh, beam: BeamModel):
     stiffness = beam.require_modulus() * beam.section.second_moment
     mass = beam.density * beam.section.area
     ell = mesh.dx
-    k = stiffness / ell**3 * np.array(
-        [
-            [12.0, 6.0 * ell, -12.0, 6.0 * ell],
-            [6.0 * ell, 4.0 * ell**2, -6.0 * ell, 2.0 * ell**2],
-            [-12.0, -6.0 * ell, 12.0, -6.0 * ell],
-            [6.0 * ell, 2.0 * ell**2, -6.0 * ell, 4.0 * ell**2],
-        ]
-    )
-    m = mass * ell / 420.0 * np.array(
-        [
-            [156.0, 22.0 * ell, 54.0, -13.0 * ell],
-            [22.0 * ell, 4.0 * ell**2, 13.0 * ell, -3.0 * ell**2],
-            [54.0, 13.0 * ell, 156.0, -22.0 * ell],
-            [-13.0 * ell, -3.0 * ell**2, -22.0 * ell, 4.0 * ell**2],
-        ]
-    )
+    powers = np.array([1.0, ell, ell**2])[_DX_POWER]
+    k = stiffness / ell**3 * (_K_HAT * powers)
+    m = mass * ell / 420.0 * (_M_HAT * powers)
     return m, k
+
+
+def _element_dofs(mesh: FemMesh) -> np.ndarray:
+    """``(n_elements, 4)`` global dofs of each element's local ones: element
+    e puts its local dof i on global dof 2e + i."""
+    return 2 * np.arange(mesh.n_elements)[:, None] + np.arange(4)
 
 
 def assemble_matrices(mesh: FemMesh, beam: BeamModel) -> tuple[np.ndarray, np.ndarray]:
@@ -122,25 +125,13 @@ def assemble_matrices(mesh: FemMesh, beam: BeamModel) -> tuple[np.ndarray, np.nd
     me, ke = _element_matrices(mesh, beam)
     M = np.zeros((_HALF_BANDWIDTH + 1, mesh.n_dof))
     K = np.zeros_like(M)
-    # element e puts its (i, j) entry on global dofs (2e + i, 2e + j)
-    span = 2 * mesh.n_elements
+    dofs = _element_dofs(mesh)
     for i in range(4):
         for j in range(i, 4):
-            row, cols = _HALF_BANDWIDTH + i - j, slice(j, j + span, 2)
+            row, cols = _HALF_BANDWIDTH + i - j, dofs[:, j]
             M[row, cols] += me[i, j]
             K[row, cols] += ke[i, j]
     return M, K
-
-
-def _dense(band: np.ndarray) -> np.ndarray:
-    """A symmetric matrix from the banded storage of :func:`assemble_matrices`,
-    dense."""
-    n = band.shape[1]
-    full = np.zeros((n, n))
-    for off in range(_HALF_BANDWIDTH + 1):
-        i = np.arange(n - off)
-        full[i, i + off] = full[i + off, i] = band[_HALF_BANDWIDTH - off, off:]
-    return full
 
 
 @dataclass(frozen=True)
@@ -515,19 +506,21 @@ def sweep_modulus(
 
     Each error is :func:`simulate_measured`'s ``frobenius_rel`` at that
     modulus, but what does not depend on E is done once per sweep: the
-    window check, the edges, the interior ``M`` and ``K_1`` at E = 1,
-    the edge loads split as ``f(E) = f_M + E f_K``, and one dense
-    generalized eigensolve ``K_1 Phi = M Phi Lambda`` with
-    ``Phi' M Phi = I``.  As ``K = E K_1``, the average-acceleration rule
-    is diagonal in that basis, so one step loop marches every trial and
-    mode at once (:func:`_march_modes`).  Chunk by chunk of steps inside
-    the window, one matrix product rebuilds every trial's interior
-    deflections; the edge rows are the data's own and add no error.
+    window check, the edges, the edge loads split as
+    ``f(E) = f_M + E f_K``, and one dense generalized eigensolve
+    ``K_1 Phi = M Phi Lambda`` with ``Phi' M Phi = I`` of the interior
+    ``M`` and ``K_1`` at E = 1 (:func:`_modal_basis`).  As ``K = E K_1``,
+    the average-acceleration rule is diagonal in that basis, so one step
+    loop marches every trial and mode at once (:func:`_march_modes`).
+    Chunk by chunk of steps inside the window, one matrix product rebuilds
+    every trial's interior deflections; the edge rows are the data's own
+    and add no error.
     Cost: one O(n_dof^3) eigensolve, then O(n_x n_dof) per trial-step.
     The trial grid is built first, so a count NumPy cannot hold raises
     :class:`ParameterError` before any of that work.  A failed eigensolve,
-    or an error that is not finite (``E lam`` overflows the float range on
-    very fine spacings), raises :class:`DegenerateDataError`.
+    or a modal rate ``lam`` or an error that is not finite (``lam`` or
+    ``E lam`` overflows the float range on very fine spacings), raises
+    :class:`DegenerateDataError`.
     """
     if not (0 < e_lo < e_hi < np.inf):
         raise ParameterError(f"need finite 0 < e_lo < e_hi, got [{e_lo}, {e_hi}]")
@@ -547,12 +540,9 @@ def sweep_modulus(
     mesh = FemMesh(data.n_x - 1, data.dx)
     bc = extract_boundaries(data)
     unit = replace(beam, youngs_modulus=1.0)
-    M, K = assemble_matrices(mesh, unit)
-    me, ke = _element_matrices(mesh, unit)
     n_inner = mesh.n_dof - bc.displacement.shape[1]
-    inner = slice(2, 2 + n_inner)
-    loaded, f_mass, f_stiff = _edge_loads(bc, me, ke, n_inner)
-    lam, phi = _modal_basis(M[:, inner], K[:, inner], mesh.dx)
+    loaded, f_mass, f_stiff = _edge_loads(bc, *_element_matrices(mesh, unit), n_inner)
+    lam, phi = _modal_basis(mesh, unit, n_inner)
 
     measured = data.values[1:-1, cols]  # the interior nodes' rows
     rebuild = np.ascontiguousarray(phi[0:n_inner:2].T)  # modes to their deflections
@@ -577,24 +567,41 @@ def sweep_modulus(
     return SweepResult(moduli=moduli, errors=errors)
 
 
-def _modal_basis(M: np.ndarray, K: np.ndarray, dx: float):
+def _modal_basis(mesh: FemMesh, beam: BeamModel, n_inner: int):
     """``(lam, phi)`` with ``K phi = M phi diag(lam)`` and ``phi' M phi = I``,
-    for banded ``M`` and ``K`` on dofs that alternate deflection and rotation.
+    for ``beam``'s ``M`` and ``K`` on the first ``n_inner`` interior dofs,
+    which alternate deflection and rotation.
 
-    Rotations are scaled by ``1 / dx`` into length units first, which
-    takes the mass matrix's condition number from about 1e9 to about 1e2
-    on the reference rod, so the Cholesky factor ``L`` of ``M`` inverts
-    accurately and the problem becomes the standard symmetric one of
-    ``L^-1 K L^-T``.  A failed factorisation or eigensolve raises
+    The eigenproblem is solved on the pure-number matrices assembled from
+    the Hermite tables, with rotations in units of dx: ``M = rho A dx S
+    M_hat S`` and ``K = EI / dx^3 S K_hat S``, ``S = diag(1, dx, ...)``.
+    The Cholesky factor ``L`` of ``M_hat`` inverts accurately and the
+    problem becomes the standard symmetric one of ``L^-1 K_hat L^-T``,
+    whose eigenvalues scale by ``EI / (rho A dx^4)`` and whose modes by
+    ``S^-1 / sqrt(rho A dx)``.  A failed factorisation or eigensolve, or
+    a rate that overflows the float range (dx below about 1e-77), raises
     :class:`DegenerateDataError`.
     """
-    s = np.tile([1.0, 1.0 / dx], M.shape[1] // 2)
-    scale = np.outer(s, s)
+    inner = slice(2, 2 + n_inner)
+    dofs = _element_dofs(mesh)
+    hats = []
+    for table in (_M_HAT / 420.0, _K_HAT):
+        full = np.zeros((mesh.n_dof, mesh.n_dof))
+        np.add.at(full, (dofs[:, :, None], dofs[:, None, :]), table)
+        hats.append(full[inner, inner])
     try:
-        l_inv = np.linalg.inv(np.linalg.cholesky(_dense(M) * scale))
-        lam, v = np.linalg.eigh(l_inv @ (_dense(K) * scale) @ l_inv.T)
+        l_inv = np.linalg.inv(np.linalg.cholesky(hats[0]))
+        mu, v = np.linalg.eigh(l_inv @ hats[1] @ l_inv.T)
     except np.linalg.LinAlgError as exc:
         raise DegenerateDataError(f"no modal basis of the interior dofs: {exc}") from exc
+    stiffness = beam.require_modulus() * beam.section.second_moment
+    mass = beam.density * beam.section.area
+    dx = mesh.dx
+    with np.errstate(over="ignore"):
+        lam = mu * (stiffness / mass / dx**2 / dx**2)
+    if not np.all(np.isfinite(lam)):
+        raise DegenerateDataError(f"the modal rates overflow at spacing dx = {dx:g}")
+    s = np.tile([1.0, 1.0 / dx], n_inner // 2) / np.sqrt(mass * dx)
     return lam, s[:, None] * (l_inv.T @ v)
 
 

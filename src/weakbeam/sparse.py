@@ -54,7 +54,7 @@ class _Sweep:
     def __init__(self, G: np.ndarray, b: np.ndarray):
         self.G, self.b, self.n = G, b, G.shape[1]
         col_norms = np.linalg.norm(G, axis=0)
-        with np.errstate(divide="ignore"):
+        with np.errstate(over="ignore"):  # a ratio past the float range is inf
             ratio = np.where(
                 col_norms > 0, np.linalg.norm(b) / np.maximum(col_norms, 1e-300), np.inf
             )

@@ -339,7 +339,7 @@ def uncached_optimize_lambda(G, b, lambda_grid):
 
     def mstls(lam):
         col_norms = np.linalg.norm(G, axis=0)
-        with np.errstate(divide="ignore"):
+        with np.errstate(over="ignore"):
             ratio = np.where(col_norms > 0,
                              np.linalg.norm(b) / np.maximum(col_norms, 1e-300), np.inf)
         lower = lam * np.maximum(1.0, ratio)

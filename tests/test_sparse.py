@@ -234,14 +234,41 @@ SWEEP_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
-def test_sweep_matches_the_uncached_oracle(case):
-    G, b = SWEEP_CASES[case]()
+@st.composite
+def drawn_systems(draw):
+    """Small systems with zero and duplicated columns, rank deficiency,
+    column scales over +-6 decades, and sometimes b = 0."""
+    n_rows, n_cols = draw(st.integers(4, 60)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(1, min(n_rows, n_cols)))
+    G = rng.standard_normal((n_rows, rank)) @ rng.standard_normal((rank, n_cols))
+    G *= 10.0 ** rng.uniform(-6, 6, n_cols)
+    columns = st.integers(0, n_cols - 1)
+    for j, k in draw(st.lists(st.tuples(columns, columns), max_size=2)):
+        G[:, j] = G[:, k]
+    for j in draw(st.lists(columns, max_size=2)):
+        G[:, j] = 0.0
+    rhs = draw(st.sampled_from(["zero", "planted", "random"]))
+    if rhs == "zero":
+        b = np.zeros(n_rows)
+    else:
+        c = np.where(rng.random(n_cols) < 0.4, 10.0 ** rng.uniform(-6, 6, n_cols), 0.0)
+        b = G @ c + (rng.standard_normal(n_rows) * 10.0 ** rng.uniform(-6, 6)
+                     if rhs == "random" else 0.0)
+    return G, b
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES) + ["drawn"])
+@given(data=st.data())
+def test_sweep_matches_the_uncached_oracle(case, data):
+    # a fixed case draws nothing, so Hypothesis runs it once
+    G, b = data.draw(drawn_systems()) if case == "drawn" else SWEEP_CASES[case]()
     sol = optimize_lambda(G, b)
     coefficients, lambda_hat, curve = uncached_optimize_lambda(G, b, sparse._LAMBDA_GRID)
     assert np.array_equal(sol.loss_curve, curve)
     assert sol.lambda_hat == lambda_hat
     assert np.array_equal(sol.coefficients, coefficients)
+    assert np.array_equal(mstls(G, b, sol.lambda_hat), sol.coefficients)
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
