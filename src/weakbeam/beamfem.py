@@ -405,7 +405,9 @@ def newmark_solve(
     ``bc.t`` on the leading ``n_nodes`` mesh nodes (default: all), shape
     ``(n_nodes, bc.t.size)``.  The whole mesh is marched either way, but
     only those nodes' deflections are recorded, so the rows equal the
-    leading rows of the full field bit for bit.
+    leading rows of the full field bit for bit.  A stiffness, loads or
+    deflections that are not finite (they overflow on very fine
+    spacings) raise :class:`DegenerateDataError`.
     """
     if n_nodes is None:
         n_nodes = mesh.n_nodes
@@ -413,20 +415,30 @@ def newmark_solve(
         raise ParameterError(
             f"n_nodes must be an integer in 1 .. {mesh.n_nodes}, got {n_nodes!r}"
         )
-    M, K = assemble_matrices(mesh, beam)
     # the interior dofs are contiguous: all but the first node's, and the
     # last node's unless the far end is free
     n_inner = mesh.n_dof - bc.displacement.shape[1]
     inner = slice(2, 2 + n_inner)
-    loaded, f_mass, f_stiff = _edge_loads(bc, *_element_matrices(mesh, beam), n_inner)
-
     # interior deflections are the even interior dofs, on nodes 1 .. n_inner/2;
     # record those of the nodes returned
     n_recorded = min(n_nodes - 1, n_inner // 2)
-    w_hist = newmark_march(
-        M[:, inner], K[:, inner], f_mass + f_stiff, bc.dt,
-        record=slice(0, 2 * n_recorded, 2), loaded=loaded,
-    )
+    # matrices, loads or a march that overflow are reported by the
+    # finiteness checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        M, K = assemble_matrices(mesh, beam)
+        loaded, f_mass, f_stiff = _edge_loads(bc, *_element_matrices(mesh, beam), n_inner)
+        forces = f_mass + f_stiff
+        finite = _all_finite(K) and _all_finite(forces)
+        if finite:
+            w_hist = newmark_march(
+                M[:, inner], K[:, inner], forces, bc.dt,
+                record=slice(0, 2 * n_recorded, 2), loaded=loaded,
+            )
+            finite = _all_finite(w_hist)
+    if not finite:
+        raise DegenerateDataError(
+            f"the simulated deflections are not finite at spacing dx = {mesh.dx:g}"
+        )
 
     deflection = np.empty((n_nodes, bc.t.size))
     deflection[1 : 1 + n_recorded] = w_hist.T
@@ -437,7 +449,8 @@ def newmark_solve(
 
 
 def compare(measured: FieldGrid, simulated: FieldGrid) -> float:
-    """Relative Frobenius error of a simulation."""
+    """Relative Frobenius error of a simulation; one that is not finite
+    raises :class:`DegenerateDataError`."""
     if measured.values.shape != simulated.values.shape:
         raise DimensionError(
             f"shape mismatch: {measured.values.shape} vs {simulated.values.shape}"
@@ -449,7 +462,25 @@ def compare(measured: FieldGrid, simulated: FieldGrid) -> float:
     denom = float(np.linalg.norm(measured.values))
     if denom == 0.0:
         raise DegenerateDataError("measured field is identically zero")
-    return float(np.linalg.norm(measured.values - simulated.values) / denom)
+    # a simulation far larger than the data overflows the sum of squares
+    with np.errstate(over="ignore", invalid="ignore"):
+        error = float(np.linalg.norm(measured.values - simulated.values) / denom)
+    if not np.isfinite(error):
+        raise DegenerateDataError("the simulation error is not finite")
+    return error
+
+
+def _unit_scaled(data: FieldGrid) -> tuple[FieldGrid, int]:
+    """``(data * 2^-e, e)``, with ``e = 0`` when ``max |values|`` is 0 or
+    lies in [2^-200, 2^200], else the exponent that brings it into
+    [1/2, 1).  The replay is linear in the field and the scaling exact,
+    so relative errors do not change, a simulated field scales back by
+    ``2^e``, and no sum of squares overflows or underflows."""
+    amax = float(max(-data.values.min(), data.values.max()))
+    if amax == 0.0 or 2.0**-200 <= amax <= 2.0**200:
+        return data, 0
+    e = int(np.frexp(amax)[1])
+    return FieldGrid(data.x, data.t, np.ldexp(data.values, -e)), e
 
 
 @dataclass(frozen=True)
@@ -470,14 +501,24 @@ def simulate_measured(
     and ``t``, wherever its x axis starts.  If ``window`` is given, both
     fields are restricted to it before comparison (the simulation always
     starts from rest at the data's first sample); a bad window fails
-    before the march.
+    before the march.  A field far from unit scale is replayed times a
+    power of two (:func:`_unit_scaled`) and its simulation scaled back,
+    so the error does not depend on the field's units.
     """
+    data, e = _unit_scaled(data)
     data_c = data if window is None else window_time(data, *window)
     mesh = FemMesh(data.n_x - 1, data.dx)
     bc = extract_boundaries(data)
     sim = FieldGrid(data.x, data.t, newmark_solve(mesh, beam, bc).values)
     sim_c = sim if window is None else window_time(sim, *window)
-    return SimulationResult(field=sim_c, frobenius_rel=compare(data_c, sim_c))
+    error = compare(data_c, sim_c)
+    if e:
+        with np.errstate(over="ignore"):
+            values = np.ldexp(sim_c.values, e)
+        if not _all_finite(values):
+            raise DegenerateDataError("the simulated deflections overflow the data's units")
+        sim_c = FieldGrid(sim_c.x, sim_c.t, values)
+    return SimulationResult(field=sim_c, frobenius_rel=error)
 
 
 @dataclass(frozen=True)
@@ -505,9 +546,10 @@ def sweep_modulus(
     """Forward-simulation error over a linear grid of trial moduli.
 
     Each error is :func:`simulate_measured`'s ``frobenius_rel`` at that
-    modulus, but what does not depend on E is done once per sweep: the
-    window check, the edges, the edge loads split as
-    ``f(E) = f_M + E f_K``, and one dense generalized eigensolve
+    modulus, on the same scaled field (:func:`_unit_scaled`), but what does
+    not depend on E is done once per sweep: the window check, the edges,
+    the edge loads split as ``f(E) = f_M + E f_K``, and one dense
+    generalized eigensolve
     ``K_1 Phi = M Phi Lambda`` with ``Phi' M Phi = I`` of the interior
     ``M`` and ``K_1`` at E = 1 (:func:`_modal_basis`).  As ``K = E K_1``,
     the average-acceleration rule is diagonal in that basis, so one step
@@ -531,6 +573,7 @@ def sweep_modulus(
     except (ValueError, IndexError, MemoryError):
         # NumPy refuses a count it cannot index or allocate in each of these ways
         raise ParameterError(f"cannot hold {n_values} trial moduli") from None
+    data, _ = _unit_scaled(data)
     cols = slice(None) if window is None else _window_columns(data.t, *window)
     start, stop, _ = cols.indices(data.n_t)
     norm = float(np.linalg.norm(data.values[:, cols]))
@@ -541,7 +584,6 @@ def sweep_modulus(
     bc = extract_boundaries(data)
     unit = replace(beam, youngs_modulus=1.0)
     n_inner = mesh.n_dof - bc.displacement.shape[1]
-    loaded, f_mass, f_stiff = _edge_loads(bc, *_element_matrices(mesh, unit), n_inner)
     lam, phi = _modal_basis(mesh, unit, n_inner)
 
     measured = data.values[1:-1, cols]  # the interior nodes' rows
@@ -549,9 +591,10 @@ def sweep_modulus(
     n_modes, n_w = rebuild.shape
     chunk = max(1, _SWEEP_CHUNK_BYTES // (8 * n_values * 2 * (n_modes + n_w)))
     sq = np.zeros(n_values)
-    marches = _march_modes(lam, phi[loaded], f_mass, f_stiff, moduli, bc.dt, stop - 1, chunk)
-    # a march that overflows is reported by the finiteness check below
+    # loads or a march that overflow are reported by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
+        loaded, f_mass, f_stiff = _edge_loads(bc, *_element_matrices(mesh, unit), n_inner)
+        marches = _march_modes(lam, phi[loaded], f_mass, f_stiff, moduli, bc.dt, stop - 1, chunk)
         for k0, y in marches:
             lo, hi = max(k0, start), min(k0 + len(y), stop)
             if lo < hi:

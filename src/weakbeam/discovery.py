@@ -17,6 +17,7 @@ from .weakform import (
     TestFunctionBasis,
     WeakSystem,
     assemble,
+    mean_power_spectrum,
     rescale,
     select_support,
     spectral_corner,
@@ -144,12 +145,19 @@ def discover(
     coefficients are mapped back to the original units.  ``x_power`` is
     the field's x spectrum, ``mean_power_spectrum(grid.values, 0)``, when
     the caller already holds it (:func:`ensemble.run_ensemble` derives
-    every subset's from one transform of the whole field).
+    every subset's from one transform of the whole field); it must hold
+    the axis' ``n_x // 2`` bins.
     """
+    if x_power is not None and np.shape(x_power) != (grid.n_x // 2,):
+        raise ParameterError(
+            f"x_power must hold {grid.n_x // 2} bins, got shape {np.shape(x_power)}"
+        )
     corner_x = corner_t = None
     if tau_hat is None:
-        corner_x = spectral_corner(grid.values, 0, power=x_power)
-        corner_t = spectral_corner(grid.values, 1)
+        if x_power is None:
+            x_power = mean_power_spectrum(grid.values, 0)
+        corner_x = spectral_corner(x_power)
+        corner_t = spectral_corner(mean_power_spectrum(grid.values, 1))
         bins = (corner_x.corner_bin, corner_t.corner_bin)
     else:
         bins = _tau_hat_bins(grid, tau_hat)

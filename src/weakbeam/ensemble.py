@@ -18,7 +18,7 @@ from .discovery import DiscoveryResult, discover
 from .errors import AggregationError, ParameterError, WeakbeamError
 from .grid import FieldGrid
 from .preprocess import subsample_time
-from .weakform import TERM_NAMES
+from .weakform import TERM_NAMES, _line_power
 
 __all__ = [
     "TermStats",
@@ -90,9 +90,11 @@ def _subset_x_spectra(values: np.ndarray, max_ds: int) -> dict[tuple[int, int], 
     The x transform acts on each column alone, so a subset's spectrum is
     the mean of the whole field's per-column power over the subset's
     columns ``offset - 1 :: d``; it comes out bit-identical to
-    transforming the subset.  Subsets without columns are left out.
+    transforming the subset, unless the field is far enough from unit
+    scale that the two are scaled by different powers of two.  Subsets
+    without columns are left out.
     """
-    power = np.abs(np.fft.rfft(values, axis=0)[1 : values.shape[0] // 2 + 1]) ** 2
+    power = _line_power(values, 0)
     return {
         (d, offset): power[:, offset - 1 :: d].mean(axis=1)
         for d in range(1, max_ds + 1)
@@ -141,12 +143,15 @@ def aggregate(runs: tuple[EnsembleRun, ...]) -> EnsembleResult:
         )
         if values.size == 0:
             continue
-        spread = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
+        # the spread of a power-of-two scaled copy, scaled back, is the same
+        # bits, and its sum of squares cannot overflow
+        e = np.frexp(np.abs(values).max())[1]
+        spread = np.std(np.ldexp(values, -e), ddof=1) if values.size > 1 else 0.0
         stats[name] = TermStats(
             n_active=int(values.size),
             mean=float(np.mean(values)),
             median=float(np.median(values)),
-            std=spread,
+            std=float(np.ldexp(spread, e)),
             min=float(np.min(values)),
             max=float(np.max(values)),
         )

@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import polynomial as poly
 
 from .errors import DegenerateDataError, ParameterError, SelectionError
-from .grid import FieldGrid
+from .grid import FieldGrid, _all_finite
 
 __all__ = [
     "TermSpec",
@@ -195,24 +195,48 @@ def _changepoint(y: np.ndarray, hi: int, ssr_left: np.ndarray) -> int:
     return int(np.argmin(total)) + 2
 
 
+def _line_power(values: np.ndarray, axis: int) -> np.ndarray:
+    """Squared real-FFT magnitude of every line of ``values`` along
+    ``axis``, for bins 1 .. n // 2 (the mean, bin 0, is dropped).
+
+    A field whose largest bin would leave ``(2^-600, 2^600)`` (its power
+    overflows, underflows, or could overflow a mean over its lines) is
+    transformed times the power of two that brings ``max |values|`` into
+    [1/2, 1).  That scaling is exact and moves every bin by one factor,
+    so the spectrum's shape, and with it the corner, does not depend on
+    the field's units; a field inside the band is transformed as given.
+    """
+    bins = (slice(None),) * axis + (slice(1, values.shape[axis] // 2 + 1),)
+
+    def power(v):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.abs(np.fft.rfft(v, axis=axis)[bins]) ** 2
+
+    out = power(values)
+    if out.size and not 2.0**-600 < out.max() < 2.0**600:
+        amax = np.abs(values).max()
+        if amax > 0.0:
+            out = power(np.ldexp(values, -np.frexp(amax)[1]))
+    return out
+
+
 def mean_power_spectrum(values: np.ndarray, axis: int) -> np.ndarray:
     """Squared real-FFT magnitude along ``axis``, averaged over the other
-    axis, for bins 1 .. n // 2 (the mean, bin 0, is dropped)."""
-    power = np.abs(np.fft.rfft(values, axis=axis)) ** 2
-    return power.mean(axis=1 - axis)[1 : values.shape[axis] // 2 + 1]
+    axis, for bins 1 .. n // 2 (the mean, bin 0, is dropped); a field far
+    outside unit scale is first scaled by a power of two
+    (:func:`_line_power`)."""
+    return _line_power(values, axis).mean(axis=1 - axis)
 
 
-def spectral_corner(
-    values: np.ndarray, axis: int, power: np.ndarray | None = None
-) -> CornerDiagnostic:
-    """Locate the knee of the power spectrum along one axis.
+def spectral_corner(power: np.ndarray) -> CornerDiagnostic:
+    """Locate the knee of a field's mean power spectrum along one axis.
 
-    The squared magnitude of the real FFT is averaged over the other
-    axis, bin 0 is dropped, and the cumulative sum of the log-power is
-    fit with two straight lines over bin index, trying every admissible
-    changepoint.  Past the signal band the log-power sits on a flat noise
-    floor, so its cumulative sum is exactly linear there and the
-    changepoint minimizing the total squared residual marks the
+    ``power`` holds bins 1 .. n // 2 of the axis, as
+    :func:`mean_power_spectrum` returns them.  The cumulative sum of the
+    log-power is fit with two straight lines over bin index, trying every
+    admissible changepoint.  Past the signal band the log-power sits on a
+    flat noise floor, so its cumulative sum is exactly linear there and
+    the changepoint minimizing the total squared residual marks the
     transition.
 
     A single pass can overshoot badly when the spectrum trails off
@@ -230,22 +254,15 @@ def spectral_corner(
     definition does not dominate.  The corner is therefore floored at two
     octaves above the dominant bin.  ``tau_hat`` reports the final
     abscissa in log10-bin units.
-
-    ``power`` is ``mean_power_spectrum(values, axis)`` when the caller
-    already holds it; it is then not computed again.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise ParameterError("expected a 2-d field array")
-    if axis not in (0, 1):
-        raise ParameterError(f"axis must be 0 or 1, got {axis}")
-    n_bins = values.shape[axis] // 2
-    if power is None:
-        power = mean_power_spectrum(values, axis)
-    elif np.shape(power) != (n_bins,):
-        raise ParameterError(f"power must hold {n_bins} bins, got shape {np.shape(power)}")
+    power = np.asarray(power, dtype=float)
+    if power.ndim != 1:
+        raise ParameterError(f"power must be a 1-d spectrum, got shape {power.shape}")
+    if not _all_finite(power):
+        raise ParameterError("power must be finite")
     if power.size == 0 or power.max() <= 0.0:
         raise DegenerateDataError("field has no spectral content along axis")
+    n_bins = power.size
     # exact-zero bins (e.g. a masked stopband) get a relative floor so the
     # log stays finite; the cliff itself still dominates the fit
     floored = np.maximum(power, power.max() * 1e-30)
@@ -495,6 +512,7 @@ def unscale_coefficients(system: WeakSystem, c_scaled: np.ndarray) -> np.ndarray
     Exact inverse of the column scaling induced by the gamma factors:
     relative to the lhs term, each candidate coefficient picks up
     ``gamma_w^(q - q_lhs) * gamma_x^(i_lhs - i) * gamma_t^(k_lhs - k)``.
+    An inactive term stays 0.0 even where its factor overflows.
     """
     c_scaled = np.asarray(c_scaled, dtype=float)
     if c_scaled.shape != (len(TERMS),):
@@ -507,4 +525,4 @@ def unscale_coefficients(system: WeakSystem, c_scaled: np.ndarray) -> np.ndarray
             for t in TERMS
         ]
     )
-    return c_scaled * factors
+    return c_scaled * np.where(c_scaled == 0.0, 0.0, factors)

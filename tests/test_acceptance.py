@@ -14,11 +14,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import AL_DENSITY, AL_FC, AL_MESH, AL_MODULUS, make_beam
 from weakbeam.beamfem import (
     FemMesh,
+    _modal_basis,
     assemble_matrices,
     newmark_march,
     simulate_measured,
@@ -26,6 +28,7 @@ from weakbeam.beamfem import (
 )
 from weakbeam.discovery import discover
 from weakbeam.ensemble import run_ensemble
+from weakbeam.errors import WeakbeamError
 from weakbeam.grid import FieldGrid, load_field
 from weakbeam.material import BeamModel, CrossSection, modulus_from_alpha
 from weakbeam.sparse import optimize_lambda
@@ -195,6 +198,62 @@ def test_sweep_self_consistency(edge_field):
     )
     step = sweep.moduli[1] - sweep.moduli[0]
     assert abs(sweep.best_modulus - AL_MODULUS) <= step + 1e-6 * AL_MODULUS
+
+
+def fuzz_field(kind, n_x, n_t, dx, scale, seed):
+    """A field of one of three kinds, times ``scale``: white noise, a noisy
+    standing wave, or a cubic in x swinging slowly in t."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n_t) * 1e-6
+    xi = np.linspace(0.0, 1.0, n_x)[:, None]
+    if kind == "noise":
+        values = rng.standard_normal((n_x, n_t))
+    elif kind == "wave":
+        values = np.sin(np.pi * rng.uniform(0.2, 2.0) * xi) * np.sin(rng.uniform(2e3, 6e4) * t)
+        values += 1e-3 * rng.standard_normal((n_x, n_t))
+    else:
+        values = np.polynomial.polynomial.polyval(xi, rng.standard_normal(4)) * np.sin(2e3 * t)
+    return FieldGrid(np.arange(n_x) * dx, t, scale * values)
+
+
+def answer_or_error(call):
+    """``call()``, or the :class:`WeakbeamError` it raises."""
+    try:
+        return call()
+    except WeakbeamError as exc:
+        return exc
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=120)
+@given(
+    kind=st.sampled_from(["noise", "wave", "cubic"]),
+    n_x=st.integers(3, 40),
+    n_t=st.integers(1, 60),
+    log_dx=st.floats(-100.0, 3.0),
+    log2_scale=st.floats(-900.0, 900.0),
+    max_ds=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_library_answers_or_raises_on_any_grid(kind, n_x, n_t, log_dx, log2_scale, max_ds, seed):
+    # every call answers or raises a WeakbeamError, and no RuntimeWarning
+    # escapes, whatever the grid, the spacing or the field's units
+    data = fuzz_field(kind, n_x, n_t, 10.0**log_dx, 2.0**log2_scale, seed)
+    beam = make_beam()
+    answer_or_error(lambda: run_ensemble(data, max_ds))
+    answer_or_error(lambda: discover(data))
+    sim = answer_or_error(lambda: simulate_measured(data, beam))
+    sweep = answer_or_error(lambda: sweep_modulus(data, beam, AL_MODULUS, 1.1 * AL_MODULUS, 2))
+    if isinstance(sim, WeakbeamError) or isinstance(sweep, WeakbeamError):
+        return
+    if sim.frobenius_rel < 0.5:
+        # the two paths march the same rule, so they agree to within its
+        # rounding, which the stiffest mode's q E lam amplifies: past about
+        # 1e10 the 1e-6 of the per-trial test no longer holds
+        mesh = FemMesh(n_x - 1, data.dx)
+        lam, _ = _modal_basis(mesh, replace(beam, youngs_modulus=1.0), mesh.n_dof - 4)
+        stiffest = 0.25 * data.dt**2 * AL_MODULUS * lam.max()
+        assert abs(sweep.errors[0] - sim.frobenius_rel) <= 1e-6 + np.finfo(float).eps * stiffest
 
 
 AL_FIELD_VAR = "WEAKBEAM_AL_FIELD"

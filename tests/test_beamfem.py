@@ -624,15 +624,44 @@ def test_replay_rejects_a_dx_without_finite_element_matrices(edge_field, dx):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("dx", [1e-76, 1e-100])
-def test_sweep_without_a_finite_error_is_degenerate_data(dx):
+@pytest.mark.parametrize(
+    "dx, field",
+    [
+        pytest.param(1e-76, "tapered", id="1e-76"),
+        pytest.param(1e-100, "tapered", id="1e-100"),
+        pytest.param(1e-60, "random", id="random-1e-60"),
+        pytest.param(1e-76, "random", id="random-1e-76"),
+        pytest.param(1e-100, "random", id="random-1e-100"),
+        pytest.param(2e-103, "random", id="random-2e-103"),
+    ],
+)
+def test_sweep_without_a_finite_error_is_degenerate_data(dx, field):
     # E lam overflows at 1e-76 and the march reads inf * 0; at 1e-100 the
     # modal rates lam overflow already, before the march.  Either way the
-    # sweep raises, never returns NaN, and warns of nothing
+    # sweep raises, never returns NaN, and warns of nothing.  On the random
+    # field the simulation's own march overflows too, and it raises as well;
+    # on the tapered one it still answers.  At 2e-103 the mesh accepts dx,
+    # but the element stiffness EI / dx^3 overflows
     t = np.arange(200) * 1e-6
-    data = FieldGrid(np.arange(10) * dx, t, np.linspace(1.0, 0.5, 10)[:, None] * np.sin(2e4 * t))
+    x = np.arange(10) * dx
+    if field == "tapered":
+        data = FieldGrid(x, t, np.linspace(1.0, 0.5, 10)[:, None] * np.sin(2e4 * t))
+    else:
+        data = FieldGrid(x, t, np.random.default_rng(0).normal(size=(10, 200)))
+        with pytest.raises(DegenerateDataError, match="dx"):
+            simulate_measured(data, make_beam())
     with pytest.raises(DegenerateDataError):
         sweep_modulus(data, make_beam(), 6e10, 8e10, 3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solve_with_an_overflowing_stiffness_is_degenerate_data():
+    # at 8e-103 the mesh accepts dx and one element's EI / dx^3 is finite,
+    # but the sum of two at a shared node overflows; edges at rest leave
+    # the loads finite, so only the stiffness shows it
+    bc = BoundaryHistory(np.arange(200) * 1e-6, np.zeros((200, 4)))
+    with pytest.raises(DegenerateDataError, match="dx"):
+        newmark_solve(FemMesh(9, 8e-103), make_beam(), bc)
 
 
 def test_simulation_error_grows_with_wrong_modulus(edge_field):
@@ -681,23 +710,43 @@ def three_point_field():
     return FieldGrid(np.arange(3) * 1e-3, t, np.sin(2e4 * t + phase) * [[1.0], [0.8], [1.1]])
 
 
-@pytest.mark.parametrize("case", ["edge-field", "windowed", "three-points"])
-def test_sweep_matches_per_trial_simulation(edge_field, case):
-    data, kwargs = {
-        "edge-field": (edge_field, {}),
-        "windowed": (edge_field, {"window": (2e-4, 1.5e-3)}),
-        "three-points": (three_point_field(), {}),
-    }[case]
-    beam = make_beam()
-    sweep = sweep_modulus(data, beam, 0.9 * 6.9e10, 1.1 * 6.9e10, 7, **kwargs)
+def sweep_and_per_trial(data, **kwargs):
+    """The sweep's errors over 7 moduli, and simulate_measured's at each."""
+    sweep = sweep_modulus(data, make_beam(), 0.9 * 6.9e10, 1.1 * 6.9e10, 7, **kwargs)
     per_trial = np.array(
         [
             simulate_measured(data, make_beam(modulus=float(e)), **kwargs).frobenius_rel
             for e in sweep.moduli
         ]
     )
+    return sweep, per_trial
+
+
+@pytest.fixture(scope="module")
+def edge_field_sweep(edge_field):
+    return sweep_and_per_trial(edge_field)
+
+
+@pytest.mark.parametrize(
+    "case", ["edge-field", "windowed", "three-points", "times-2^600", "times-2^-600"]
+)
+def test_sweep_matches_per_trial_simulation(edge_field, edge_field_sweep, case):
+    data, kwargs = {
+        "edge-field": (edge_field, {}),
+        "windowed": (edge_field, {"window": (2e-4, 1.5e-3)}),
+        "three-points": (three_point_field(), {}),
+        "times-2^600": (FieldGrid(edge_field.x, edge_field.t, 2.0**600 * edge_field.values), {}),
+        "times-2^-600": (FieldGrid(edge_field.x, edge_field.t, 2.0**-600 * edge_field.values), {}),
+    }[case]
+    sweep, per_trial = (
+        edge_field_sweep if case == "edge-field" else sweep_and_per_trial(data, **kwargs)
+    )
     assert np.abs(sweep.errors - per_trial).max() <= 1e-6
     assert sweep.best_modulus == sweep.moduli[np.argmin(per_trial)]
+    if case.startswith("times"):
+        # a power-of-two scale is exact: the errors are the unscaled field's
+        assert np.array_equal(sweep.errors, edge_field_sweep[0].errors)
+        assert np.array_equal(per_trial, edge_field_sweep[1])
 
 
 def test_sweep_failed_eigensolve_is_degenerate_data(edge_field, monkeypatch):

@@ -55,6 +55,13 @@ def test_discovery_on_clean_beam_data(edge_field):
     assert alpha == pytest.approx(want, rel=1e-2)
     assert result.pde_text.startswith("w_tt = -")
     assert result.pde_text.endswith("w_xxxx")
+    # the field's units change nothing: at 2^700 its power overflows, at
+    # 2^-700 it underflows, and a power-of-two scale is exact
+    for scale in (2.0**700, 2.0**-700):
+        scaled = discover(FieldGrid(edge_field.x, edge_field.t, scale * edge_field.values))
+        assert scaled.support == result.support
+        assert (scaled.corner_x, scaled.corner_t) == (result.corner_x, result.corner_t)
+        assert -scaled.coefficient("w_xxxx") == alpha
 
 
 def test_discovery_result_accessors(edge_field):

@@ -9,6 +9,7 @@ from weakbeam.synth import burst, generate_beam_data
 from weakbeam.weakform import (
     TERM_NAMES,
     assemble,
+    mean_power_spectrum,
     rescale,
     select_support,
     spectral_corner,
@@ -136,7 +137,9 @@ def test_clean_field_satisfies_planted_weak_form():
     alpha = beam.youngs_modulus * beam.section.second_moment / (
         beam.density * beam.section.area
     )
-    bins = tuple(spectral_corner(field.values, axis).corner_bin for axis in (0, 1))
+    bins = tuple(
+        spectral_corner(mean_power_spectrum(field.values, axis)).corner_bin for axis in (0, 1)
+    )
     basis = select_support(field, bins)
     system = assemble(field, basis, scales=rescale(field, basis))
     c_raw = np.zeros(len(TERM_NAMES))

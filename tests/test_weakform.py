@@ -23,6 +23,7 @@ from weakbeam.weakform import (
     TestFunctionBasis,
     assemble,
     default_query_strides,
+    mean_power_spectrum,
     rescale,
     select_support,
     spectral_corner,
@@ -37,8 +38,12 @@ from weakbeam.weakform import (
 )
 
 
+def corner(values, axis):
+    return spectral_corner(mean_power_spectrum(values, axis))
+
+
 def corners(g):
-    return tuple(spectral_corner(g.values, axis).corner_bin for axis in (0, 1))
+    return tuple(corner(g.values, axis).corner_bin for axis in (0, 1))
 
 
 def random_field(n_x, n_t, seed, dx=1e-3, dt=1e-6):
@@ -354,18 +359,21 @@ def test_corner_guard_sits_two_octaves_above_peak():
     n_x, n_t = 256, 64
     x = np.arange(n_x) / n_x
     vals = np.sin(2 * np.pi * 5 * x)[:, None] * np.ones((1, n_t))
-    diag = spectral_corner(vals, 0)
+    diag = corner(vals, 0)
     assert diag.corner_bin == 20
     assert diag.n_bins == 128
     assert diag.tau_hat == pytest.approx(np.log10(20.0))
 
 
 def test_corner_is_amplitude_invariant():
+    # past 1e150 the power overflows and below 1e-160 it underflows, unless
+    # the spectrum scales the field first
     g = random_field(128, 200, seed=11)
-    for axis in (0, 1):
-        a = spectral_corner(g.values, axis)
-        b = spectral_corner(1e6 * g.values, axis)
-        assert a.corner_bin == b.corner_bin
+    for scale in (1e6, 1e-170, 1e160, 1e300):
+        for axis in (0, 1):
+            a = corner(g.values, axis)
+            b = corner(scale * g.values, axis)
+            assert a.corner_bin == b.corner_bin, (scale, axis)
 
 
 def knee_field(n_x, n_t, kx, kt, seed=0):
@@ -386,7 +394,7 @@ def assert_same_corners(values):
     sets a beam field's corner, so every window the zoom can try is also
     fitted against the oracle's changepoint, and with one shared table."""
     for axis in (0, 1):
-        assert spectral_corner(values, axis) == reference_spectral_corner(values, axis)
+        assert corner(values, axis) == reference_spectral_corner(values, axis)
         _, y = cumulative_log_power(values, axis)
         table = _segment_ssr_prefix(np.arange(1, y.size + 1, dtype=float), y)
         for hi in {*range(2, y.size, 2), y.size}:  # n_bins, then 2 b
@@ -412,14 +420,17 @@ def test_corner_matches_the_per_pass_oracle_on_every_ensemble_subset(noisy_field
 
 def test_corner_rejects_zero_and_bad_axis():
     with pytest.raises(DegenerateDataError):
-        spectral_corner(np.zeros((32, 32)), 0)
+        corner(np.zeros((32, 32)), 0)
+    with pytest.raises(DegenerateDataError):
+        spectral_corner(np.zeros(0))
+    # the corner takes one 1-d spectrum, with finite bins
     with pytest.raises(ParameterError):
-        spectral_corner(np.ones((32, 32)), 2)
-    with pytest.raises(ParameterError):
-        spectral_corner(np.ones(32), 0)
-    # a given spectrum holds the axis' n // 2 bins
+        spectral_corner(np.ones((32, 32)))
+    with pytest.raises(ParameterError, match="finite"):
+        spectral_corner(np.array([1.0, np.inf, 1.0, 1.0]))
+    # a given x spectrum holds the axis' n // 2 bins
     with pytest.raises(ParameterError, match="bins"):
-        spectral_corner(np.ones((32, 32)), 0, power=np.ones(17))
+        discover(random_field(32, 32, seed=0), x_power=np.ones(17))
 
 
 # --------------------------------------------------------- support selection
