@@ -108,6 +108,19 @@ def _element_matrices(mesh: FemMesh, beam: BeamModel):
     return m, k
 
 
+def _dt_squared(dt: float) -> float:
+    """``dt**2``, as the Newmark rule and the edge accelerations use it; a
+    square that is not a finite normal float (dt outside about
+    [1.5e-154, 1.3e154]) raises :class:`DegenerateDataError` naming dt."""
+    with np.errstate(over="ignore", under="ignore"):
+        dt2 = float(np.float64(dt) ** 2)
+    if not np.finfo(float).tiny <= dt2 < np.inf:
+        raise DegenerateDataError(
+            f"time step dt = {dt:g} is outside the replay's range: dt**2 is {dt2:g}"
+        )
+    return dt2
+
+
 def _element_dofs(mesh: FemMesh) -> np.ndarray:
     """``(n_elements, 4)`` global dofs of each element's local ones: element
     e puts its local dof i on global dof 2e + i."""
@@ -163,8 +176,10 @@ class BoundaryHistory:
     @cached_property
     def acceleration(self) -> np.ndarray:
         """Second time differences of ``displacement``: centered inside,
-        one-sided second order at the first and last samples."""
-        d, dt2 = self.displacement, self.dt**2
+        one-sided second order at the first and last samples.  A time step
+        whose square is not a finite normal float raises
+        :class:`DegenerateDataError`."""
+        d, dt2 = self.displacement, _dt_squared(self.dt)
         out = np.empty(d.shape)
         out[1:-1] = (d[2:] - 2.0 * d[1:-1] + d[:-2]) / dt2
         out[0] = (2.0 * d[0] - 5.0 * d[1] + 4.0 * d[2] - d[3]) / dt2
@@ -205,7 +220,7 @@ def extract_boundaries(data: FieldGrid) -> BoundaryHistory:
     n_edge = min(_EDGE_FIT_SAMPLES, data.n_x)
     order = min(_EDGE_FIT_ORDER, (n_edge - 1) // 2)
     dx = data.dx
-    power = mean_power_spectrum(data.values, axis=0)
+    power = mean_power_spectrum(data, 0)
     k_peak = int(np.argmax(power)) + 1 if power.size and power.max() > 0 else 1
     w0 = 2.0 * np.pi * k_peak / (data.n_x * dx)
     xi = np.arange(n_edge) * dx
@@ -282,7 +297,9 @@ def newmark_march(
     columns equal the full history's ``[:, record]`` bit for bit, and
     loads given as columns march bit for bit like their dense scatter.
     For undamped linear systems the discrete energy
-    ``(v' M v + d' K d) / 2`` is conserved up to round-off.
+    ``(v' M v + d' K d) / 2`` is conserved up to round-off.  A ``dt``
+    whose square is not a finite normal float, or an ``M + dt**2/4 K``
+    that overflows, raises :class:`DegenerateDataError` naming dt.
 
     The state is carried as the predictor ``p = d + dt v + q a`` with
     ``q = dt**2 / 4`` and its increment ``s``, which advances by
@@ -334,9 +351,14 @@ def newmark_march(
     from scipy.linalg.lapack import dpbtrs
 
     K = np.asfortranarray(K, dtype=float)  # dsbmv would copy it every step
-    q = 0.25 * dt**2
+    dt2 = _dt_squared(dt)
+    q = 0.25 * dt2
+    with np.errstate(over="ignore", invalid="ignore"):
+        effective = M + q * K
+    if not _all_finite(effective):
+        raise DegenerateDataError(f"M + dt**2/4 K overflows at time step dt = {dt:g}")
     mass = cholesky_banded(M)
-    effective = cholesky_banded(M + q * K)
+    effective = cholesky_banded(effective)
     # zero off the loaded dofs for good: dsbmv adds into a copy of its y
     f = np.zeros(n)
     f[loaded] = forces[0]
@@ -347,7 +369,7 @@ def newmark_march(
     d_hist[0] = d[record]
     # d' = p + q a', s' = s + dt^2 a', p' = p + s'
     p = d + dt * v + q * a
-    s = dt * v + 0.5 * dt**2 * a
+    s = dt * v + 0.5 * dt2 * a
     for k in range(n_steps):
         f[loaded] = forces[k + 1]
         # a' = (M + q K)^-1 (f' - K p), solved in place on the product
@@ -359,7 +381,7 @@ def newmark_march(
         _check_info(info)
         row = np.multiply(a[record], q, out=d_hist[k + 1])
         row += p[record]
-        a *= dt**2
+        a *= dt2
         s += a
         p += s
     return d_hist
@@ -407,7 +429,7 @@ def newmark_solve(
     only those nodes' deflections are recorded, so the rows equal the
     leading rows of the full field bit for bit.  A stiffness, loads or
     deflections that are not finite (they overflow on very fine
-    spacings) raise :class:`DegenerateDataError`.
+    spacings or extreme time steps) raise :class:`DegenerateDataError`.
     """
     if n_nodes is None:
         n_nodes = mesh.n_nodes
@@ -437,7 +459,8 @@ def newmark_solve(
             finite = _all_finite(w_hist)
     if not finite:
         raise DegenerateDataError(
-            f"the simulated deflections are not finite at spacing dx = {mesh.dx:g}"
+            f"the simulated deflections are not finite at spacing dx = {mesh.dx:g} "
+            f"and time step dt = {bc.dt:g}"
         )
 
     deflection = np.empty((n_nodes, bc.t.size))
@@ -470,19 +493,6 @@ def compare(measured: FieldGrid, simulated: FieldGrid) -> float:
     return error
 
 
-def _unit_scaled(data: FieldGrid) -> tuple[FieldGrid, int]:
-    """``(data * 2^-e, e)``, with ``e = 0`` when ``max |values|`` is 0 or
-    lies in [2^-200, 2^200], else the exponent that brings it into
-    [1/2, 1).  The replay is linear in the field and the scaling exact,
-    so relative errors do not change, a simulated field scales back by
-    ``2^e``, and no sum of squares overflows or underflows."""
-    amax = float(max(-data.values.min(), data.values.max()))
-    if amax == 0.0 or 2.0**-200 <= amax <= 2.0**200:
-        return data, 0
-    e = int(np.frexp(amax)[1])
-    return FieldGrid(data.x, data.t, np.ldexp(data.values, -e)), e
-
-
 @dataclass(frozen=True)
 class SimulationResult:
     field: FieldGrid
@@ -502,16 +512,21 @@ def simulate_measured(
     fields are restricted to it before comparison (the simulation always
     starts from rest at the data's first sample); a bad window fails
     before the march.  A field far from unit scale is replayed times a
-    power of two (:func:`_unit_scaled`) and its simulation scaled back,
-    so the error does not depend on the field's units.
+    power of two (:meth:`FieldGrid.unit_scaled`) and its simulation
+    scaled back, so the error does not depend on the field's units.
     """
-    data, e = _unit_scaled(data)
+    data, e = data.unit_scaled()
     data_c = data if window is None else window_time(data, *window)
     mesh = FemMesh(data.n_x - 1, data.dx)
     bc = extract_boundaries(data)
     sim = FieldGrid(data.x, data.t, newmark_solve(mesh, beam, bc).values)
     sim_c = sim if window is None else window_time(sim, *window)
-    error = compare(data_c, sim_c)
+    try:
+        error = compare(data_c, sim_c)
+    except DegenerateDataError as exc:
+        raise DegenerateDataError(
+            f"{exc} at spacing dx = {mesh.dx:g} and time step dt = {bc.dt:g}"
+        ) from None
     if e:
         with np.errstate(over="ignore"):
             values = np.ldexp(sim_c.values, e)
@@ -546,7 +561,7 @@ def sweep_modulus(
     """Forward-simulation error over a linear grid of trial moduli.
 
     Each error is :func:`simulate_measured`'s ``frobenius_rel`` at that
-    modulus, on the same scaled field (:func:`_unit_scaled`), but what does
+    modulus, on the same scaled field (:meth:`FieldGrid.unit_scaled`), but what does
     not depend on E is done once per sweep: the window check, the edges,
     the edge loads split as ``f(E) = f_M + E f_K``, and one dense
     generalized eigensolve
@@ -573,7 +588,7 @@ def sweep_modulus(
     except (ValueError, IndexError, MemoryError):
         # NumPy refuses a count it cannot index or allocate in each of these ways
         raise ParameterError(f"cannot hold {n_values} trial moduli") from None
-    data, _ = _unit_scaled(data)
+    data, _ = data.unit_scaled()
     cols = slice(None) if window is None else _window_columns(data.t, *window)
     start, stop, _ = cols.indices(data.n_t)
     norm = float(np.linalg.norm(data.values[:, cols]))
@@ -605,7 +620,8 @@ def sweep_modulus(
         errors = np.sqrt(sq) / norm
     if not np.all(np.isfinite(errors)):
         raise DegenerateDataError(
-            f"the modulus sweep's simulation error is not finite at spacing dx = {mesh.dx:g}"
+            f"the modulus sweep's simulation error is not finite at spacing "
+            f"dx = {mesh.dx:g} and time step dt = {bc.dt:g}"
         )
     return SweepResult(moduli=moduli, errors=errors)
 

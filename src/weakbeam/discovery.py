@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DegenerateDataError, ParameterError
 from .grid import FieldGrid
 from .sparse import SparseSolution, optimize_lambda
 from .weakform import (
@@ -143,10 +143,12 @@ def discover(
     the spectral corner (log10-bin units), in which case no corner is
     reported.  The regression runs on the rescaled system; reported
     coefficients are mapped back to the original units.  ``x_power`` is
-    the field's x spectrum, ``mean_power_spectrum(grid.values, 0)``, when
+    the field's x spectrum, ``mean_power_spectrum(grid, 0)``, when
     the caller already holds it (:func:`ensemble.run_ensemble` derives
     every subset's from one transform of the whole field); it must hold
-    the axis' ``n_x // 2`` bins.
+    the axis' ``n_x // 2`` bins.  An active term whose coefficient is not
+    a finite normal float in the data's units (:func:`unscale_coefficients`)
+    raises :class:`DegenerateDataError` naming dx and dt.
     """
     if x_power is not None and np.shape(x_power) != (grid.n_x // 2,):
         raise ParameterError(
@@ -155,9 +157,9 @@ def discover(
     corner_x = corner_t = None
     if tau_hat is None:
         if x_power is None:
-            x_power = mean_power_spectrum(grid.values, 0)
+            x_power = mean_power_spectrum(grid, 0)
         corner_x = spectral_corner(x_power)
-        corner_t = spectral_corner(mean_power_spectrum(grid.values, 1))
+        corner_t = spectral_corner(mean_power_spectrum(grid, 1))
         bins = (corner_x.corner_bin, corner_t.corner_bin)
     else:
         bins = _tau_hat_bins(grid, tau_hat)
@@ -166,6 +168,12 @@ def discover(
     system = assemble(grid, basis, scales=gammas)
     solution = optimize_lambda(system.G, system.b)
     coefficients = unscale_coefficients(system, solution.coefficients)
+    if np.isnan(coefficients).any():
+        lost = [TERM_NAMES[j] for j in np.flatnonzero(np.isnan(coefficients))]
+        raise DegenerateDataError(
+            f"the coefficients of {', '.join(lost)} leave the float range at "
+            f"spacing dx = {grid.dx:g} and time step dt = {grid.dt:g}"
+        )
     return DiscoveryResult(
         coefficients=coefficients,
         solution=solution,

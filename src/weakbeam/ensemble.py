@@ -83,7 +83,7 @@ class EnsembleResult:
         }
 
 
-def _subset_x_spectra(values: np.ndarray, max_ds: int) -> dict[tuple[int, int], np.ndarray]:
+def _subset_x_spectra(grid: FieldGrid, max_ds: int) -> dict[tuple[int, int], np.ndarray]:
     """``mean_power_spectrum(subset, 0)`` of every (d, offset) subset, keyed
     by (d, offset), from one real FFT of the whole field along x.
 
@@ -94,11 +94,11 @@ def _subset_x_spectra(values: np.ndarray, max_ds: int) -> dict[tuple[int, int], 
     scale that the two are scaled by different powers of two.  Subsets
     without columns are left out.
     """
-    power = _line_power(values, 0)
+    power = _line_power(grid, 0)
     return {
         (d, offset): power[:, offset - 1 :: d].mean(axis=1)
         for d in range(1, max_ds + 1)
-        for offset in range(1, min(d, values.shape[1]) + 1)
+        for offset in range(1, min(d, grid.n_t) + 1)
     }
 
 
@@ -113,7 +113,7 @@ def run_ensemble(grid: FieldGrid, max_ds: int = 10) -> EnsembleResult:
     """
     if max_ds < 1 or max_ds != int(max_ds):
         raise ParameterError(f"max_ds must be a positive integer, got {max_ds}")
-    x_spectra = _subset_x_spectra(grid.values, int(max_ds))
+    x_spectra = _subset_x_spectra(grid, int(max_ds))
     runs = []
     for d in range(1, int(max_ds) + 1):
         for offset in range(1, d + 1):

@@ -76,12 +76,14 @@ class FieldGrid:
     t : array_like, shape (N_t,)
         Temporal sample positions, strictly increasing, uniform.
     values : array_like, shape (N_x, N_t)
-        Field samples; all entries must be finite.
+        Field samples; all entries must be finite.  Their largest
+        magnitude, ``peak``, comes from the scan that checks them.
     """
 
     x: np.ndarray
     t: np.ndarray
     values: np.ndarray = field(repr=False)
+    peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.ascontiguousarray(self.x, dtype=float)
@@ -94,13 +96,26 @@ class FieldGrid:
                 f"values shape {values.shape} does not match grid "
                 f"({x.size}, {t.size})"
             )
-        if not _all_finite(values):
+        lo, hi = values.min(), values.max()  # NaN and either inf show here
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise GridError("values contain non-finite entries")
         for arr in (x, t, values):
             arr.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "peak", float(max(-lo, hi)))
+
+    def unit_scaled(self) -> tuple[FieldGrid, int]:
+        """``(self * 2^-e, e)``: ``e = 0`` when ``peak`` is 0 or lies in
+        [2^-200, 2^200], else the exponent that brings it into [1/2, 1).
+        The scaling is exact, so what is linear in the field (spectra up
+        to one factor, the replay, relative errors) answers the same on a
+        field whose squares and their sums neither overflow nor underflow."""
+        if self.peak == 0.0 or 2.0**-200 <= self.peak <= 2.0**200:
+            return self, 0
+        e = int(np.frexp(self.peak)[1])
+        return FieldGrid(self.x, self.t, np.ldexp(self.values, -e)), e
 
     @property
     def n_x(self) -> int:

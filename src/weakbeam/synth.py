@@ -76,22 +76,25 @@ def generate_beam_data(
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     if not (0 < fc < math.inf):
         raise ParameterError(f"center frequency must be finite and positive, got {fc}")
-    period_samples = 1.0 / (fc * dt)
+    period_samples = 1.0 / fc / dt  # fc * dt may underflow to 0
     if period_samples < _MIN_SAMPLES_PER_PERIOD:
         raise ParameterError(
             f"dt={dt} under-resolves the {fc} Hz carrier: "
             f"{period_samples:.1f} samples/period, need >= {_MIN_SAMPLES_PER_PERIOD}"
         )
 
-    n_steps = int(round(t_end / dt))
-    t = np.arange(n_steps + 1) * dt
+    try:
+        t = np.arange(int(round(t_end / dt)) + 1) * dt
+    except (OverflowError, ValueError, MemoryError):
+        # a ratio past the float range, or a count NumPy cannot index or allocate
+        raise ParameterError(f"cannot hold {t_end / dt:g} time steps of dt={dt}") from None
     n_margin = int(math.ceil(margin_frac * mesh.n_elements))
     extended = FemMesh(mesh.n_elements + n_margin, mesh.dx)
 
     bc = BoundaryHistory(t, np.column_stack([burst(t, fc), np.zeros_like(t)]))
-    values = newmark_solve(extended, beam, bc, n_nodes=mesh.n_nodes).values
-    if sigma_rel > 0:
-        peak = float(np.max(np.abs(values)))
-        rng = np.random.default_rng(seed)
-        values = values + rng.normal(0.0, sigma_rel * peak, size=values.shape)
-    return FieldGrid(mesh.node_positions, t, values)
+    clean = newmark_solve(extended, beam, bc, n_nodes=mesh.n_nodes)
+    if sigma_rel == 0:
+        return clean
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, sigma_rel * clean.peak, size=clean.values.shape)
+    return FieldGrid(clean.x, clean.t, clean.values + noise)

@@ -195,37 +195,24 @@ def _changepoint(y: np.ndarray, hi: int, ssr_left: np.ndarray) -> int:
     return int(np.argmin(total)) + 2
 
 
-def _line_power(values: np.ndarray, axis: int) -> np.ndarray:
-    """Squared real-FFT magnitude of every line of ``values`` along
-    ``axis``, for bins 1 .. n // 2 (the mean, bin 0, is dropped).
-
-    A field whose largest bin would leave ``(2^-600, 2^600)`` (its power
-    overflows, underflows, or could overflow a mean over its lines) is
-    transformed times the power of two that brings ``max |values|`` into
-    [1/2, 1).  That scaling is exact and moves every bin by one factor,
-    so the spectrum's shape, and with it the corner, does not depend on
-    the field's units; a field inside the band is transformed as given.
-    """
+def _line_power(grid: FieldGrid, axis: int) -> np.ndarray:
+    """Squared real-FFT magnitude of every line of the field along
+    ``axis``, for bins 1 .. n // 2 (the mean, bin 0, is dropped), of the
+    field as :meth:`FieldGrid.unit_scaled` gives it: that scaling is exact
+    and moves every bin by one factor, so the spectrum's shape, and with
+    it the corner, does not depend on the field's units, and no bin
+    overflows or underflows."""
+    values = grid.unit_scaled()[0].values
     bins = (slice(None),) * axis + (slice(1, values.shape[axis] // 2 + 1),)
-
-    def power(v):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.abs(np.fft.rfft(v, axis=axis)[bins]) ** 2
-
-    out = power(values)
-    if out.size and not 2.0**-600 < out.max() < 2.0**600:
-        amax = np.abs(values).max()
-        if amax > 0.0:
-            out = power(np.ldexp(values, -np.frexp(amax)[1]))
-    return out
+    return np.abs(np.fft.rfft(values, axis=axis)[bins]) ** 2
 
 
-def mean_power_spectrum(values: np.ndarray, axis: int) -> np.ndarray:
-    """Squared real-FFT magnitude along ``axis``, averaged over the other
-    axis, for bins 1 .. n // 2 (the mean, bin 0, is dropped); a field far
-    outside unit scale is first scaled by a power of two
-    (:func:`_line_power`)."""
-    return _line_power(values, axis).mean(axis=1 - axis)
+def mean_power_spectrum(grid: FieldGrid, axis: int) -> np.ndarray:
+    """Squared real-FFT magnitude of the field along ``axis``, averaged
+    over the other axis, for bins 1 .. n // 2 (the mean, bin 0, is
+    dropped); a field far outside unit scale is first scaled by a power
+    of two (:func:`_line_power`)."""
+    return _line_power(grid, axis).mean(axis=1 - axis)
 
 
 def spectral_corner(power: np.ndarray) -> CornerDiagnostic:
@@ -373,11 +360,9 @@ def rescale(grid: FieldGrid, basis: TestFunctionBasis) -> tuple[float, float, fl
     gamma_w normalizes the field to unit peak magnitude; gamma_x and
     gamma_t normalize each test function half-support to unit length.
     """
-    # the peak magnitude from one min/max pass, without an abs copy
-    amax = float(max(-grid.values.min(), grid.values.max()))
-    if amax == 0.0:
+    if grid.peak == 0.0:
         raise DegenerateDataError("cannot rescale an identically zero field")
-    return 1.0 / amax, 1.0 / (basis.m_x * grid.dx), 1.0 / (basis.m_t * grid.dt)
+    return 1.0 / grid.peak, 1.0 / (basis.m_x * grid.dx), 1.0 / (basis.m_t * grid.dt)
 
 
 @dataclass(frozen=True)
@@ -512,17 +497,23 @@ def unscale_coefficients(system: WeakSystem, c_scaled: np.ndarray) -> np.ndarray
     Exact inverse of the column scaling induced by the gamma factors:
     relative to the lhs term, each candidate coefficient picks up
     ``gamma_w^(q - q_lhs) * gamma_x^(i_lhs - i) * gamma_t^(k_lhs - k)``.
-    An inactive term stays 0.0 even where its factor overflows.
+    The powers are NumPy floats, so none raises.  An active term whose
+    coefficient, factor or any of the factor's three powers is not a
+    finite normal float comes out NaN: its value cannot be written in
+    the data's units.  An inactive term stays 0.0.
     """
     c_scaled = np.asarray(c_scaled, dtype=float)
     if c_scaled.shape != (len(TERMS),):
         raise ParameterError("coefficient vector length must match the library")
-    factors = np.array(
-        [
-            system.gamma_w ** (t.power - LHS.power)
-            * system.gamma_x ** (LHS.dx_order - t.dx_order)
-            * system.gamma_t ** (LHS.dt_order - t.dt_order)
-            for t in TERMS
-        ]
-    )
-    return c_scaled * np.where(c_scaled == 0.0, 0.0, factors)
+    exponents = [
+        (t.power - LHS.power, LHS.dx_order - t.dx_order, LHS.dt_order - t.dt_order)
+        for t in TERMS
+    ]
+    gammas = np.array([system.gamma_w, system.gamma_x, system.gamma_t])
+    with np.errstate(all="ignore"):
+        powers = np.array([[g**k for g, k in zip(gammas, ks)] for ks in exponents])
+        factors = powers[:, 0] * powers[:, 1] * powers[:, 2]
+        out = c_scaled * np.where(c_scaled == 0.0, 0.0, factors)
+    parts = np.column_stack([powers, factors, out])
+    normal = np.all(np.isfinite(parts) & (np.abs(parts) >= np.finfo(float).tiny), axis=1)
+    return np.where((c_scaled == 0.0) | normal, out, np.nan)

@@ -15,6 +15,7 @@ from scipy.linalg import eigh
 
 from weakbeam.beamfem import assemble_matrices
 from weakbeam.errors import DegenerateDataError, ParameterError
+from weakbeam.grid import FieldGrid
 from weakbeam.weakform import LHS, TERMS, CornerDiagnostic, mean_power_spectrum
 
 BETA_L = {
@@ -116,7 +117,8 @@ def reference_changepoint(y, hi):
 def cumulative_log_power(values, axis):
     """Cumulative sum of the log10 mean power over bins 1 .. n // 2, with
     exact zeros floored at 1e-30 of the peak."""
-    power = mean_power_spectrum(np.asarray(values, dtype=float), axis)
+    grid = FieldGrid(np.arange(len(values)), np.arange(np.shape(values)[1]), values)
+    power = mean_power_spectrum(grid, axis)
     if power.size == 0 or power.max() <= 0.0:
         raise DegenerateDataError("field has no spectral content along axis")
     return power, np.cumsum(np.log10(np.maximum(power, power.max() * 1e-30)))

@@ -200,9 +200,10 @@ def test_sweep_self_consistency(edge_field):
     assert abs(sweep.best_modulus - AL_MODULUS) <= step + 1e-6 * AL_MODULUS
 
 
-def fuzz_field(kind, n_x, n_t, dx, scale, seed):
+def fuzz_field(kind, n_x, n_t, dx, dt, scale, seed):
     """A field of one of three kinds, times ``scale``: white noise, a noisy
-    standing wave, or a cubic in x swinging slowly in t."""
+    standing wave, or a cubic in x swinging slowly in t.  Its samples are
+    those of a 1e-6 time step, whatever the grid's ``dt``."""
     rng = np.random.default_rng(seed)
     t = np.arange(n_t) * 1e-6
     xi = np.linspace(0.0, 1.0, n_x)[:, None]
@@ -213,7 +214,7 @@ def fuzz_field(kind, n_x, n_t, dx, scale, seed):
         values += 1e-3 * rng.standard_normal((n_x, n_t))
     else:
         values = np.polynomial.polynomial.polyval(xi, rng.standard_normal(4)) * np.sin(2e3 * t)
-    return FieldGrid(np.arange(n_x) * dx, t, scale * values)
+    return FieldGrid(np.arange(n_x) * dx, np.arange(n_t) * dt, scale * values)
 
 
 def answer_or_error(call):
@@ -224,6 +225,13 @@ def answer_or_error(call):
         return exc
 
 
+def assert_support_is_nonzero(result):
+    """Each term of a discovery's support has a finite, nonzero coefficient."""
+    for name in result.support:
+        c = result.coefficient(name)
+        assert np.isfinite(c) and c != 0.0, (name, c)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=120)
 @given(
@@ -231,17 +239,27 @@ def answer_or_error(call):
     n_x=st.integers(3, 40),
     n_t=st.integers(1, 60),
     log_dx=st.floats(-100.0, 3.0),
+    log_dt=st.floats(-300.0, 300.0),
     log2_scale=st.floats(-900.0, 900.0),
     max_ds=st.integers(1, 10),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_library_answers_or_raises_on_any_grid(kind, n_x, n_t, log_dx, log2_scale, max_ds, seed):
+def test_library_answers_or_raises_on_any_grid(
+    kind, n_x, n_t, log_dx, log_dt, log2_scale, max_ds, seed
+):
     # every call answers or raises a WeakbeamError, and no RuntimeWarning
-    # escapes, whatever the grid, the spacing or the field's units
-    data = fuzz_field(kind, n_x, n_t, 10.0**log_dx, 2.0**log2_scale, seed)
+    # escapes, whatever the grid, the spacings or the field's units; no
+    # answer lists a term whose coefficient is zero or not finite
+    data = fuzz_field(kind, n_x, n_t, 10.0**log_dx, 10.0**log_dt, 2.0**log2_scale, seed)
     beam = make_beam()
-    answer_or_error(lambda: run_ensemble(data, max_ds))
-    answer_or_error(lambda: discover(data))
+    ensemble = answer_or_error(lambda: run_ensemble(data, max_ds))
+    if not isinstance(ensemble, WeakbeamError):
+        for run in ensemble.runs:
+            if run.ok:
+                assert_support_is_nonzero(run.result)
+    result = answer_or_error(lambda: discover(data))
+    if not isinstance(result, WeakbeamError):
+        assert_support_is_nonzero(result)
     sim = answer_or_error(lambda: simulate_measured(data, beam))
     sweep = answer_or_error(lambda: sweep_modulus(data, beam, AL_MODULUS, 1.1 * AL_MODULUS, 2))
     if isinstance(sim, WeakbeamError) or isinstance(sweep, WeakbeamError):
@@ -254,6 +272,34 @@ def test_library_answers_or_raises_on_any_grid(kind, n_x, n_t, log_dx, log2_scal
         lam, _ = _modal_basis(mesh, replace(beam, youngs_modulus=1.0), mesh.n_dof - 4)
         stiffest = 0.25 * data.dt**2 * AL_MODULUS * lam.max()
         assert abs(sweep.errors[0] - sim.frobenius_rel) <= 1e-6 + np.finfo(float).eps * stiffest
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dt", [1e-300, 1e-200, 1e-160, 1e150, 1e155, 1e200, 1e300])
+def test_extreme_time_steps_answer_or_raise(dt):
+    # a standing wave with 1 % noise, 40 x 60 at dx 5e-4: its unscaled
+    # coefficients and the replay's dt**2 or M + dt**2/4 K leave the float
+    # range here, which must raise a WeakbeamError naming dt
+    rng = np.random.default_rng(0)
+    x = np.arange(40) * 5e-4
+    values = np.sin(2 * np.pi * x / 0.01)[:, None] * np.cos(2 * np.pi * np.arange(60) / 12)
+    data = FieldGrid(x, np.arange(60) * dt, values + 0.01 * rng.standard_normal(values.shape))
+    beam = make_beam()
+    for call in (
+        lambda: run_ensemble(data, 3),
+        lambda: discover(data),
+        lambda: simulate_measured(data, beam),
+        lambda: sweep_modulus(data, beam, AL_MODULUS, 1.1 * AL_MODULUS, 2),
+    ):
+        out = answer_or_error(call)
+        if isinstance(out, WeakbeamError):
+            assert f"dt = {dt:g}" in str(out)
+        elif hasattr(out, "support"):
+            assert_support_is_nonzero(out)
+        elif hasattr(out, "runs"):
+            for run in out.runs:
+                if run.ok:
+                    assert_support_is_nonzero(run.result)
 
 
 AL_FIELD_VAR = "WEAKBEAM_AL_FIELD"

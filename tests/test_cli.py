@@ -537,6 +537,8 @@ def as_argv(flags: dict) -> list[str]:
         ["preprocess", "--in", "{in}", "--window", "0,inf"],
         # dx**3 underflows in the element stiffness
         ["synth", *SYNTH_FLAGS, "--dx", "1e-200"],
+        # 2e197 time steps, a count NumPy refuses to hold
+        ["synth", *SYNTH_FLAGS, "--dt", "1e-200"],
     ],
 )
 def test_non_finite_or_out_of_range_number_is_an_error(capsys, tmp_path, tiny_field, argv):

@@ -97,10 +97,10 @@ def test_small_ensemble_on_clean_data(edge_field):
 
 def test_shared_x_spectra_equal_each_subset_transform(noisy_fields):
     g = noisy_fields[0]
-    spectra = _subset_x_spectra(g.values, 10)
+    spectra = _subset_x_spectra(g, 10)
     assert len(spectra) == 55
     for (d, offset), power in spectra.items():
-        want = mean_power_spectrum(subsample_time(g, d, offset).values, 0)
+        want = mean_power_spectrum(subsample_time(g, d, offset), 0)
         assert np.array_equal(power, want), (d, offset)
 
 

@@ -125,6 +125,12 @@ def test_generation_validation():
         generate_beam_data(beam, SMALL_MESH, AL_FC, dt=8e-7, t_end=1e-3, sigma_rel=-0.1)
     with pytest.raises(ParameterError):
         generate_beam_data(beam, SMALL_MESH, AL_FC, dt=8e-7, t_end=1e-3, margin_frac=-1.0)
+    # step counts NumPy refuses outright: 1e197 steps, and 1e200 steps
+    # where fc * dt underflows to 0
+    with pytest.raises(ParameterError, match="time steps"):
+        generate_beam_data(beam, SMALL_MESH, AL_FC, dt=1e-200, t_end=1e-3)
+    with pytest.raises(ParameterError, match="time steps"):
+        generate_beam_data(beam, SMALL_MESH, 1e-200, dt=1e-200, t_end=1.0)
 
 
 def test_clean_field_satisfies_planted_weak_form():
@@ -138,7 +144,7 @@ def test_clean_field_satisfies_planted_weak_form():
         beam.density * beam.section.area
     )
     bins = tuple(
-        spectral_corner(mean_power_spectrum(field.values, axis)).corner_bin for axis in (0, 1)
+        spectral_corner(mean_power_spectrum(field, axis)).corner_bin for axis in (0, 1)
     )
     basis = select_support(field, bins)
     system = assemble(field, basis, scales=rescale(field, basis))

@@ -39,7 +39,8 @@ from weakbeam.weakform import (
 
 
 def corner(values, axis):
-    return spectral_corner(mean_power_spectrum(values, axis))
+    grid = FieldGrid(np.arange(len(values)), np.arange(np.shape(values)[1]), values)
+    return spectral_corner(mean_power_spectrum(grid, axis))
 
 
 def corners(g):
