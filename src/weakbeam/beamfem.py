@@ -133,10 +133,15 @@ def assemble_matrices(mesh: FemMesh, beam: BeamModel) -> tuple[np.ndarray, np.nd
 
     Entry ``(i, j)`` with ``i <= j <= i + _HALF_BANDWIDTH`` sits at
     ``[_HALF_BANDWIDTH + i - j, j]``; the top-left triangle of the band,
-    which LAPACK and BLAS never read, is zero.
+    which LAPACK and BLAS never read, is zero.  A mesh NumPy cannot hold
+    raises :class:`ParameterError`.
     """
     me, ke = _element_matrices(mesh, beam)
-    M = np.zeros((_HALF_BANDWIDTH + 1, mesh.n_dof))
+    try:
+        M = np.zeros((_HALF_BANDWIDTH + 1, mesh.n_dof))
+    except (OverflowError, ValueError, MemoryError):
+        # a size past the C integer range, or one NumPy cannot index or allocate
+        raise ParameterError(f"cannot hold a mesh of {mesh.n_elements} elements") from None
     K = np.zeros_like(M)
     dofs = _element_dofs(mesh)
     for i in range(4):
@@ -575,9 +580,9 @@ def sweep_modulus(
     Cost: one O(n_dof^3) eigensolve, then O(n_x n_dof) per trial-step.
     The trial grid is built first, so a count NumPy cannot hold raises
     :class:`ParameterError` before any of that work.  A failed eigensolve,
-    or a modal rate ``lam`` or an error that is not finite (``lam`` or
-    ``E lam`` overflows the float range on very fine spacings), raises
-    :class:`DegenerateDataError`.
+    or a modal rate ``lam``, a stiffest ``q E lam`` (q = dt**2 / 4) or an
+    error that is not finite (they overflow the float range on very fine
+    spacings or long time steps), raises :class:`DegenerateDataError`.
     """
     if not (0 < e_lo < e_hi < np.inf):
         raise ParameterError(f"need finite 0 < e_lo < e_hi, got [{e_lo}, {e_hi}]")
@@ -609,6 +614,12 @@ def sweep_modulus(
     # loads or a march that overflow are reported by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         loaded, f_mass, f_stiff = _edge_loads(bc, *_element_matrices(mesh, unit), n_inner)
+        # past the float range the stiffest mode's gain 1 / (1 + q E lam) is 0
+        if not np.isfinite(0.25 * bc.dt**2 * moduli[-1] * lam.max()):
+            raise DegenerateDataError(
+                f"the stiffest mode's q E lam overflows at spacing dx = {mesh.dx:g} "
+                f"and time step dt = {bc.dt:g}"
+            )
         marches = _march_modes(lam, phi[loaded], f_mass, f_stiff, moduli, bc.dt, stop - 1, chunk)
         for k0, y in marches:
             lo, hi = max(k0, start), min(k0 + len(y), stop)

@@ -118,20 +118,25 @@ def frequency_roots(boundary: str, n_modes: int) -> np.ndarray:
     """First ``n_modes`` roots beta_n L of the bending characteristic equation."""
     if n_modes < 1:
         raise ParameterError(f"n_modes must be >= 1, got {n_modes}")
-    if boundary == "pinned-pinned":
-        return np.pi * np.arange(1, n_modes + 1, dtype=float)
-    if boundary == "clamped-free":
-        # cos(x) cosh(x) = -1, one root per interval ((n-1) pi, n pi)
-        func = lambda x: math.cos(x) + _sech(x)
-        brackets = [((n - 1) * math.pi + 1e-9, n * math.pi) for n in range(1, n_modes + 1)]
-    elif boundary == "clamped-clamped":
-        # cos(x) cosh(x) = +1, skipping the trivial root at 0
-        func = lambda x: math.cos(x) - _sech(x)
-        brackets = [(n * math.pi, (n + 1) * math.pi) for n in range(1, n_modes + 1)]
-    else:
+    if boundary not in BOUNDARIES:
         raise ParameterError(
             f"unknown boundary {boundary!r}, expected one of {BOUNDARIES}"
         )
+    try:
+        n = np.arange(1, n_modes + 1, dtype=float)
+    except (OverflowError, ValueError, MemoryError):
+        # a count past the float range, or one NumPy cannot index or allocate
+        raise ParameterError(f"cannot hold {n_modes} modes") from None
+    if boundary == "pinned-pinned":
+        return np.pi * n
+    if boundary == "clamped-free":
+        # cos(x) cosh(x) = -1, one root per interval ((n-1) pi, n pi)
+        func = lambda x: math.cos(x) + _sech(x)
+        brackets = zip(((n - 1) * math.pi + 1e-9).tolist(), (n * math.pi).tolist())
+    else:
+        # cos(x) cosh(x) = +1, skipping the trivial root at 0
+        func = lambda x: math.cos(x) - _sech(x)
+        brackets = zip((n * math.pi).tolist(), ((n + 1) * math.pi).tolist())
     # imported here: scipy.optimize is slow to load and only `modes` needs it
     from scipy.optimize import brentq
 

@@ -109,6 +109,11 @@ class PipelineConfig:
                 f"got {self.nominal_modulus}"
             )
         # checked here, so a bad count fails as a config error before any stage
+        if self.max_ds < 0:
+            raise ParameterError(
+                f"pipeline config key 'max_ds' must be >= 0 (0 skips the ensemble), "
+                f"got {self.max_ds}"
+            )
         count = None if self.sweep is None else self.sweep[2]
         if count is not None and not (isinstance(count, _INT) and count >= 2):
             raise ParameterError(

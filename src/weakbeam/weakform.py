@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -300,39 +301,27 @@ def _support_for_axis(n: int, corner_bin: int, p_min: int) -> tuple[int, int]:
 def default_query_strides(grid: FieldGrid, basis: TestFunctionBasis) -> tuple[int, int]:
     """Pick query strides giving roughly 44 centers per axis.
 
-    The returned strides satisfy ``K >= 2 * len(TERMS)`` where K is the
-    total number of query points, two rows per column of the library
-    table :data:`TERMS`; if necessary they are reduced toward 1, and if
-    even unit strides cannot reach that row count a
-    :class:`SelectionError` is raised.
+    Each axis' stride is ``max(1, round(interior / 44))``.  A stride of 2
+    or more needs an interior of at least 66 centers and leaves at least
+    33 of them as query centers, so the grid then has the ``2 * len(TERMS)``
+    query points the fit needs (two rows per column of :data:`TERMS`)
+    as long as ``2 * len(TERMS) <= 33``.  Only unit strides on both axes
+    can fall short, and then :class:`SelectionError` is raised, as it is
+    for a support that leaves an axis no interior (x checked first).
+    Only the sizes of ``grid`` and the half-widths of ``basis`` are read.
     """
-    min_rows = 2 * len(TERMS)
-    sizes = (grid.n_x, grid.n_t)
-    ms = (basis.m_x, basis.m_t)
-    s = [
-        max(1, int(round((n - 2 * m) / _TARGET_QUERIES_PER_AXIS)))
-        for n, m in zip(sizes, ms)
-    ]
-
-    def count(n, m, stride):
+    strides, total = [], 1
+    for n, m in ((grid.n_x, basis.m_x), (grid.n_t, basis.m_t)):
         interior = n - 2 * m
         if interior < 1:
-            raise SelectionError(
-                f"support half-width {m} leaves no interior on {n} samples"
-            )
-        return (interior - 1) // stride + 1
-
-    def total():
-        return count(sizes[0], ms[0], s[0]) * count(sizes[1], ms[1], s[1])
-
-    while total() < min_rows and (s[0] > 1 or s[1] > 1):
-        i = 0 if s[0] >= s[1] else 1
-        if s[i] == 1:
-            i = 1 - i
-        s[i] = max(1, s[i] // 2)
-    if total() < min_rows:
-        raise SelectionError(f"only {total()} query points available, need {min_rows}")
-    return s[0], s[1]
+            raise SelectionError(f"support half-width {m} leaves no interior on {n} samples")
+        stride = max(1, int(round(interior / _TARGET_QUERIES_PER_AXIS)))
+        strides.append(stride)
+        total *= (interior - 1) // stride + 1
+    min_rows = 2 * len(TERMS)
+    if total < min_rows:
+        raise SelectionError(f"only {total} query points available, need {min_rows}")
+    return strides[0], strides[1]
 
 
 def select_support(grid: FieldGrid, corner_bins: tuple[int, int]) -> TestFunctionBasis:
@@ -349,8 +338,7 @@ def select_support(grid: FieldGrid, corner_bins: tuple[int, int]) -> TestFunctio
         raise ParameterError(f"corner_bins must be two positive bins, got {corner_bins}")
     m_x, p_x = _support_for_axis(grid.n_x, corner_bins[0], _MAX_DX + 1)
     m_t, p_t = _support_for_axis(grid.n_t, corner_bins[1], _MAX_DT + 1)
-    basis = TestFunctionBasis(p_x=p_x, p_t=p_t, m_x=m_x, m_t=m_t)
-    s_x, s_t = default_query_strides(grid, basis)
+    s_x, s_t = default_query_strides(grid, SimpleNamespace(m_x=m_x, m_t=m_t))
     return TestFunctionBasis(p_x=p_x, p_t=p_t, m_x=m_x, m_t=m_t, s_x=s_x, s_t=s_t)
 
 

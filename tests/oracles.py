@@ -14,9 +14,15 @@ from numpy.polynomial import polynomial as poly
 from scipy.linalg import eigh
 
 from weakbeam.beamfem import assemble_matrices
-from weakbeam.errors import DegenerateDataError, ParameterError
+from weakbeam.errors import DegenerateDataError, ParameterError, SelectionError
 from weakbeam.grid import FieldGrid
-from weakbeam.weakform import LHS, TERMS, CornerDiagnostic, mean_power_spectrum
+from weakbeam.weakform import (
+    _TARGET_QUERIES_PER_AXIS,
+    LHS,
+    TERMS,
+    CornerDiagnostic,
+    mean_power_spectrum,
+)
 
 BETA_L = {
     # characteristic roots beta_n * L of the Euler-Bernoulli frequency
@@ -191,6 +197,39 @@ def dense_weak_system(grid, basis, scales=(1.0, 1.0, 1.0)):
     for j, term in enumerate(TERMS):
         G[:, j] = [inner(term, ix, it) for ix, it in query_points]
     return G, b, np.asarray(query_points)
+
+
+def reference_query_strides(grid, basis):
+    """The stride rule with its stride-halving loop, as the library had it
+    before the loop was shown unreachable: halve the larger stride while
+    the grid has fewer than ``2 * len(TERMS)`` query points."""
+    min_rows = 2 * len(TERMS)
+    sizes = (grid.n_x, grid.n_t)
+    ms = (basis.m_x, basis.m_t)
+    s = [
+        max(1, int(round((n - 2 * m) / _TARGET_QUERIES_PER_AXIS)))
+        for n, m in zip(sizes, ms)
+    ]
+
+    def count(n, m, stride):
+        interior = n - 2 * m
+        if interior < 1:
+            raise SelectionError(
+                f"support half-width {m} leaves no interior on {n} samples"
+            )
+        return (interior - 1) // stride + 1
+
+    def total():
+        return count(sizes[0], ms[0], s[0]) * count(sizes[1], ms[1], s[1])
+
+    while total() < min_rows and (s[0] > 1 or s[1] > 1):
+        i = 0 if s[0] >= s[1] else 1
+        if s[i] == 1:
+            i = 1 - i
+        s[i] = max(1, s[i] // 2)
+    if total() < min_rows:
+        raise SelectionError(f"only {total()} query points available, need {min_rows}")
+    return s[0], s[1]
 
 
 def dense_from_band(band):

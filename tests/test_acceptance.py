@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import AL_DENSITY, AL_FC, AL_MESH, AL_MODULUS, make_beam
@@ -28,7 +28,7 @@ from weakbeam.beamfem import (
 )
 from weakbeam.discovery import discover
 from weakbeam.ensemble import run_ensemble
-from weakbeam.errors import WeakbeamError
+from weakbeam.errors import DegenerateDataError, WeakbeamError
 from weakbeam.grid import FieldGrid, load_field
 from weakbeam.material import BeamModel, CrossSection, modulus_from_alpha
 from weakbeam.sparse import optimize_lambda
@@ -244,6 +244,8 @@ def assert_support_is_nonzero(result):
     max_ds=st.integers(1, 10),
     seed=st.integers(0, 2**32 - 1),
 )
+# a time step so long that q E lam overflows: the sweep's gains were 0
+@example(kind="cubic", n_x=3, n_t=4, log_dx=-74.0, log_dt=5.0, log2_scale=0.0, max_ds=1, seed=0)
 def test_library_answers_or_raises_on_any_grid(
     kind, n_x, n_t, log_dx, log_dt, log2_scale, max_ds, seed
 ):
@@ -272,6 +274,15 @@ def test_library_answers_or_raises_on_any_grid(
         lam, _ = _modal_basis(mesh, replace(beam, youngs_modulus=1.0), mesh.n_dof - 4)
         stiffest = 0.25 * data.dt**2 * AL_MODULUS * lam.max()
         assert abs(sweep.errors[0] - sim.frobenius_rel) <= 1e-6 + np.finfo(float).eps * stiffest
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_raises_where_q_e_lam_overflows():
+    # q E lam (q = dt**2 / 4) is past the float range: each mode's gain
+    # would be 0, and the sweep's error the same at every modulus
+    data = fuzz_field("cubic", 3, 4, 1e-74, 1e5, 1.0, 0)
+    with pytest.raises(DegenerateDataError, match=r"dx = 1e-74 and time step dt = 100000"):
+        sweep_modulus(data, make_beam(), 6e10, 8e10, 5)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -401,6 +401,8 @@ def test_modulus_flag_where_it_is_unused_is_a_usage_error(capsys, argv):
         # a sweep count is a JSON integer >= 2
         *(('{"field_path": "x", "sweep": [6.5e10, 7.3e10, %s]}' % v, "sweep")
           for v in ("NaN", "1e30", "2.7", "21.0", "1")),
+        # 0 skips the ensemble; a negative largest decimation is an error
+        ('{"field_path": "x", "max_ds": -1}', "max_ds"),
         # the test-function tolerance and the band-pass taper are fixed
         ('{"field_path": "x", "tau": 1e-9}', "tau"),
         ('{"field_path": "x", "taper_frac": 0.1}', "taper_frac"),
@@ -539,6 +541,11 @@ def as_argv(flags: dict) -> list[str]:
         ["synth", *SYNTH_FLAGS, "--dx", "1e-200"],
         # 2e197 time steps, a count NumPy refuses to hold
         ["synth", *SYNTH_FLAGS, "--dt", "1e-200"],
+        # meshes and mode counts NumPy refuses to hold
+        ["synth", *SYNTH_FLAGS, "--n-points", str(10**30)],
+        ["synth", *SYNTH_FLAGS, "--margin-frac", "1e300"],
+        *(["modes", *as_argv(MODES), "--boundary", b, "--n-modes", str(10**30)]
+          for b in ("pinned-pinned", "clamped-free", "clamped-clamped")),
     ],
 )
 def test_non_finite_or_out_of_range_number_is_an_error(capsys, tmp_path, tiny_field, argv):

@@ -1,12 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import uniform_grid_field
 from oracles import (
     cumulative_log_power,
     dense_weak_system,
     reference_changepoint,
+    reference_query_strides,
     reference_spectral_corner,
     reference_testfn_1d,
 )
@@ -352,6 +355,40 @@ def test_too_few_query_points_is_selection_error():
         default_query_strides(random_field(13, 11, seed=4), TestFunctionBasis(
             p_x=6, p_t=5, m_x=5, m_t=4))
     assert default_query_strides(g, basis) == (1, 1)
+
+
+def test_stride_rule_meets_the_row_count_on_its_own():
+    # a stride of 2 or more leaves at least 33 query centers on its axis,
+    # which is what lets default_query_strides skip any stride reduction;
+    # a larger library table needs a new stride rule
+    assert 2 * len(TERMS) <= 33
+
+
+def strides_or_error(rule, n_x, n_t, m_x, m_t):
+    """``rule``'s strides on an n_x x n_t grid with half-widths (m_x, m_t),
+    or the message of the SelectionError it raises; only the sizes and
+    the half-widths are read, so no field is built."""
+    try:
+        return rule(SimpleNamespace(n_x=n_x, n_t=n_t), SimpleNamespace(m_x=m_x, m_t=m_t))
+    except SelectionError as exc:
+        return str(exc)
+
+
+@st.composite
+def sizes_and_half_widths(draw):
+    n_x, n_t = draw(st.integers(1, 20_000)), draw(st.integers(1, 20_000))
+    return n_x, n_t, draw(st.integers(1, n_x)), draw(st.integers(1, n_t))
+
+
+@settings(max_examples=400)
+@given(case=sizes_and_half_widths())
+@example(case=(68, 3, 1, 1))  # interior 66: the least count a stride of 2 leaves, 33
+@example(case=(15, 3, 1, 1))  # unit strides, 13 x 1 query points: one too few
+@example(case=(16, 3, 1, 1))  # unit strides, 14 x 1 query points: just enough
+def test_strides_match_the_halving_rule(case):
+    # the stride-halving loop of the reference never changes an answer
+    got = strides_or_error(default_query_strides, *case)
+    assert got == strides_or_error(reference_query_strides, *case)
 
 
 # ---------------------------------------------------------- corner detection
