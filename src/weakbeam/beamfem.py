@@ -79,6 +79,14 @@ class FemMesh:
             raise ParameterError(
                 f"dx must be positive with finite element matrices, got {self.dx}"
             )
+        try:
+            finite = self.length < np.inf
+        except OverflowError:  # an element count past the float range
+            finite = False
+        if not finite:
+            raise ParameterError(
+                f"the mesh's length, n_elements * dx, leaves the float range at dx = {self.dx:g}"
+            )
 
     @property
     def n_nodes(self) -> int:
@@ -568,16 +576,18 @@ def sweep_modulus(
     Each error is :func:`simulate_measured`'s ``frobenius_rel`` at that
     modulus, on the same scaled field (:meth:`FieldGrid.unit_scaled`), but what does
     not depend on E is done once per sweep: the window check, the edges,
-    the edge loads split as ``f(E) = f_M + E f_K``, and one dense
-    generalized eigensolve
+    the edge loads split as ``f(E) = f_M + E f_K``, and the modes
     ``K_1 Phi = M Phi Lambda`` with ``Phi' M Phi = I`` of the interior
-    ``M`` and ``K_1`` at E = 1 (:func:`_modal_basis`).  As ``K = E K_1``,
-    the average-acceleration rule is diagonal in that basis, so one step
-    loop marches every trial and mode at once (:func:`_march_modes`).
-    Chunk by chunk of steps inside the window, one matrix product rebuilds
-    every trial's interior deflections; the edge rows are the data's own
-    and add no error.
-    Cost: one O(n_dof^3) eigensolve, then O(n_x n_dof) per trial-step.
+    ``M`` and ``K_1`` at E = 1, from two half-size eigensolves, one per
+    mirror parity (:func:`_modal_basis`).  As ``K = E K_1``, the
+    average-acceleration rule is diagonal in that basis, so one step loop
+    marches every trial and mode at once (:func:`_march_modes`).  Chunk by
+    chunk of steps inside the window, each parity's modes rebuild every
+    trial's deflections in that parity's mirror coordinates
+    (:func:`_mirror_split`), where they meet the measured rows' own; the
+    edge rows are the data's own and add no error.
+    Cost: two O((n_dof / 2)^3) eigensolves, then O(n_x n_dof / 2) per
+    trial-step.
     The trial grid is built first, so a count NumPy cannot hold raises
     :class:`ParameterError` before any of that work.  A failed eigensolve,
     or a modal rate ``lam``, a stiffest ``q E lam`` (q = dt**2 / 4) or an
@@ -607,8 +617,13 @@ def sweep_modulus(
     lam, phi = _modal_basis(mesh, unit, n_inner)
 
     measured = data.values[1:-1, cols]  # the interior nodes' rows
-    rebuild = np.ascontiguousarray(phi[0:n_inner:2].T)  # modes to their deflections
-    n_modes, n_w = rebuild.shape
+    # each mirror half's modes to the deflections' coordinates of that half
+    n_modes, n_w = phi.shape[1], n_inner // 2
+    halves = (slice(0, n_w), slice(n_w, n_modes))
+    rebuilds = [
+        np.ascontiguousarray(split[:, half].T)
+        for split, half in zip(_mirror_split(phi[0:n_inner:2]), halves)
+    ]
     chunk = max(1, _SWEEP_CHUNK_BYTES // (8 * n_values * 2 * (n_modes + n_w)))
     sq = np.zeros(n_values)
     # loads or a march that overflow are reported by the finiteness check below
@@ -624,10 +639,12 @@ def sweep_modulus(
         for k0, y in marches:
             lo, hi = max(k0, start), min(k0 + len(y), stop)
             if lo < hi:
-                w = y[lo - k0 : hi - k0].reshape(-1, n_modes) @ rebuild
-                w = w.reshape(hi - lo, n_values, n_w)
-                w -= measured[:, lo - start : hi - start].T[:, None]
-                sq += np.einsum("kvi,kvi->v", w, w)
+                y = y[lo - k0 : hi - k0].reshape(-1, n_modes)
+                parts = _mirror_split(measured[:, lo - start : hi - start])
+                for half, rebuild, part in zip(halves, rebuilds, parts):
+                    w = (y[:, half] @ rebuild).reshape(hi - lo, n_values, -1)
+                    w -= part.T[:, None]
+                    sq += np.einsum("kvi,kvi->v", w, w)
         errors = np.sqrt(sq) / norm
     if not np.all(np.isfinite(errors)):
         raise DegenerateDataError(
@@ -639,18 +656,29 @@ def sweep_modulus(
 
 def _modal_basis(mesh: FemMesh, beam: BeamModel, n_inner: int):
     """``(lam, phi)`` with ``K phi = M phi diag(lam)`` and ``phi' M phi = I``,
-    for ``beam``'s ``M`` and ``K`` on the first ``n_inner`` interior dofs,
-    which alternate deflection and rotation.
+    for ``beam``'s ``M`` and ``K`` on the ``n_inner = mesh.n_dof - 4``
+    interior dofs of a mesh with both ends prescribed, which alternate
+    deflection and rotation.  The first ``n_inner / 2`` modes are even
+    under the mirror ``x -> L - x`` (which keeps w and flips w_x), the
+    rest odd.
 
     The eigenproblem is solved on the pure-number matrices assembled from
     the Hermite tables, with rotations in units of dx: ``M = rho A dx S
     M_hat S`` and ``K = EI / dx^3 S K_hat S``, ``S = diag(1, dx, ...)``.
-    The Cholesky factor ``L`` of ``M_hat`` inverts accurately and the
-    problem becomes the standard symmetric one of ``L^-1 K_hat L^-T``,
-    whose eigenvalues scale by ``EI / (rho A dx^4)`` and whose modes by
-    ``S^-1 / sqrt(rho A dx)``.  A failed factorisation or eigensolve, or
-    a rate that overflows the float range (dx below about 1e-77), raises
-    :class:`DegenerateDataError`.
+    Both commute with the mirror ``J`` bit for bit, so the even and the
+    odd modes solve two half-size problems: on the columns ``e_a + p J e_a``
+    (parity ``p = 1`` or ``-1``) of the dofs ``a`` up to the middle node,
+    ``M_hat`` becomes ``(M_hat + p M_hat J)[a, a]``, and so does ``K_hat``.
+    Each half is solved in flexibility form: with the Cholesky factor
+    ``R`` of its ``K_hat``, the eigenvalues ``nu = 1 / mu`` of
+    ``R^-1 M_hat R^-T`` carry an error of about eps times the largest
+    ``nu``, so the slow modes, which set the replay's dynamics, get their
+    rates to about eps relative (the stiffness form, ``L^-1 K_hat L^-T``
+    with ``L L' = M_hat``, would give them eps times ``mu_max / mu``, near
+    1e-10 on a 40-point rod).  The rates scale by ``EI / (rho A dx^4)``
+    and the modes by ``S^-1 / sqrt(2 rho A dx)``.  A failed factorisation
+    or eigensolve, or a rate that overflows the float range (dx below about
+    1e-77), raises :class:`DegenerateDataError`.
     """
     inner = slice(2, 2 + n_inner)
     dofs = _element_dofs(mesh)
@@ -659,20 +687,53 @@ def _modal_basis(mesh: FemMesh, beam: BeamModel, n_inner: int):
         full = np.zeros((mesh.n_dof, mesh.n_dof))
         np.add.at(full, (dofs[:, :, None], dofs[:, None, :]), table)
         hats.append(full[inner, inner])
-    try:
-        l_inv = np.linalg.inv(np.linalg.cholesky(hats[0]))
-        mu, v = np.linalg.eigh(l_inv @ hats[1] @ l_inv.T)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateDataError(f"no modal basis of the interior dofs: {exc}") from exc
+    # J e_d = sign_d e_image_d: node j <-> node n_nodes - 1 - j, w kept, w_x flipped
+    d = np.arange(n_inner)
+    image = n_inner - 2 - d + 2 * (d % 2)
+    sign = 1.0 - 2.0 * (d % 2)
+    mus, modes = [], []
+    for parity in (1.0, -1.0):
+        # a middle node keeps the one dof that its parity does not cancel
+        keep = (d < image) | ((d == image) & (parity * sign > 0))
+        a, b, pj = d[keep], image[keep], parity * sign[keep]
+        half_m, half_k = (h[np.ix_(a, a)] + h[np.ix_(a, b)] * pj for h in hats)
+        try:
+            r_inv = np.linalg.inv(np.linalg.cholesky(half_k))
+            nu, v = np.linalg.eigh(r_inv @ half_m @ r_inv.T)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateDataError(f"no modal basis of the interior dofs: {exc}") from exc
+        # ascending rates, and modes scaled from u' K u = 1 to u' M u = 1
+        mu = 1.0 / nu[::-1]
+        u = (r_inv.T @ v[:, ::-1]) * np.sqrt(mu)
+        mode = np.zeros((n_inner, u.shape[1]))
+        mode[a] = u
+        mode[b] += pj[:, None] * u
+        mus.append(mu)
+        modes.append(mode)
     stiffness = beam.require_modulus() * beam.section.second_moment
     mass = beam.density * beam.section.area
     dx = mesh.dx
     with np.errstate(over="ignore"):
-        lam = mu * (stiffness / mass / dx**2 / dx**2)
+        lam = np.concatenate(mus) * (stiffness / mass / dx**2 / dx**2)
     if not np.all(np.isfinite(lam)):
         raise DegenerateDataError(f"the modal rates overflow at spacing dx = {dx:g}")
-    s = np.tile([1.0, 1.0 / dx], n_inner // 2) / np.sqrt(mass * dx)
-    return lam, s[:, None] * (l_inv.T @ v)
+    s = np.tile([1.0, 1.0 / dx], n_inner // 2) / np.sqrt(2.0 * mass * dx)
+    return lam, s[:, None] * np.hstack(modes)
+
+
+def _mirror_split(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd coordinates of ``rows`` (one per interior node) under the
+    mirror that swaps rows ``j`` and ``n - 1 - j``, in orthonormal bases:
+    ``(rows[j] +- rows[n - 1 - j]) / sqrt(2)`` for ``j < n // 2``, and the
+    middle row of an odd ``n`` as the last even one.  Squared distances
+    are the sums of the two halves'."""
+    h = len(rows) // 2
+    mirrored = rows[::-1][:h]
+    even = np.empty((len(rows) - h,) + rows.shape[1:])
+    np.add(rows[:h], mirrored, out=even[:h])
+    even[:h] *= np.sqrt(0.5)
+    even[h:] = rows[h : len(rows) - h]
+    return even, (rows[:h] - mirrored) * np.sqrt(0.5)
 
 
 def _march_modes(lam, phi_loaded, f_mass, f_stiff, moduli, dt, n_steps, chunk):
@@ -683,25 +744,26 @@ def _march_modes(lam, phi_loaded, f_mass, f_stiff, moduli, dt, n_steps, chunk):
 
     Mode ``i`` of trial ``E`` obeys ``y'' + E lam_i y = phi_i' f(E)``.  The
     rule and its recurrence are those of :func:`newmark_march`, one mode
-    at a time: ``a' = (phi' f' - E lam p) / (1 + q E lam)``.  Loads are
-    projected onto the modes one chunk at a time, so no
-    ``(n_steps, n_modes)`` array is held.
+    at a time: ``a' = (phi' f' - E lam p) / (1 + q E lam)``.  One product
+    of ``[f_M | f_K]`` with a pattern that holds ``phi' gain`` and
+    ``E phi' gain`` forms a chunk's ``gain phi' f'`` for every trial, so
+    no ``(n_steps, n_modes)`` array is held.
     """
     q = 0.25 * dt**2
     e = moduli[:, None]
     gain = 1.0 / (1.0 + q * e * lam)
     stiff = e * lam * gain
+    pattern = np.concatenate([phi_loaded[:, None] * gain, phi_loaded[:, None] * (e * gain)])
+    pattern = pattern.reshape(len(pattern), -1)
+    forces = np.hstack([f_mass, f_stiff])
 
-    def loads(k0, k1):
-        return (f_mass[k0:k1] @ phi_loaded)[:, None] + e * (f_stiff[k0:k1] @ phi_loaded)[:, None]
-
-    a = loads(0, 1)[0]  # M a = f at rest, and Phi' M Phi = I
+    a = f_mass[0] @ phi_loaded + e * (f_stiff[0] @ phi_loaded)  # M a = f at rest, Phi' M Phi = I
     p = q * a
     s = 0.5 * dt**2 * a
     yield 0, np.zeros((1,) + a.shape)
     for k0 in range(1, n_steps + 1, chunk):
-        y = loads(k0, min(k0 + chunk, n_steps + 1))
-        y *= gain
+        k1 = min(k0 + chunk, n_steps + 1)
+        y = (forces[k0:k1] @ pattern).reshape((k1 - k0,) + gain.shape)
         for row in y:
             # a' = gain phi' f' - stiff p, then the row becomes d' = p + q a'
             np.multiply(stiff, p, out=a)

@@ -166,8 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    beam = _beam(args, (args.n_points - 1) * args.dx, args.modulus)
     mesh = FemMesh(args.n_points - 1, args.dx)
+    beam = _beam(args, mesh.length, args.modulus)
     data = generate_beam_data(
         beam,
         mesh,

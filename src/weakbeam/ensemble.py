@@ -91,14 +91,13 @@ def _subset_x_spectra(grid: FieldGrid, max_ds: int) -> dict[tuple[int, int], np.
     the mean of the whole field's per-column power over the subset's
     columns ``offset - 1 :: d``; it comes out bit-identical to
     transforming the subset, unless the field is far enough from unit
-    scale that the two are scaled by different powers of two.  Subsets
-    without columns are left out.
+    scale that the two are scaled by different powers of two.
     """
     power = _line_power(grid, 0)
     return {
         (d, offset): power[:, offset - 1 :: d].mean(axis=1)
         for d in range(1, max_ds + 1)
-        for offset in range(1, min(d, grid.n_t) + 1)
+        for offset in range(1, d + 1)
     }
 
 
@@ -109,10 +108,17 @@ def run_ensemble(grid: FieldGrid, max_ds: int = 10) -> EnsembleResult:
     independently per subset, so the ensemble probes the full selection
     pipeline, not just the regression.  The subsets' x spectra come from
     one transform of the whole field (:func:`_subset_x_spectra`), which is
-    freed before the first discovery.
+    freed before the first discovery.  A ``max_ds`` above the number of
+    time samples, which adds only empty subsets, raises
+    :class:`ParameterError` before that transform.
     """
     if max_ds < 1 or max_ds != int(max_ds):
         raise ParameterError(f"max_ds must be a positive integer, got {max_ds}")
+    if max_ds > grid.n_t:
+        raise ParameterError(
+            f"max_ds = {max_ds} exceeds the field's n_t = {grid.n_t} time samples: "
+            f"every subset past n_t is empty"
+        )
     x_spectra = _subset_x_spectra(grid, int(max_ds))
     runs = []
     for d in range(1, int(max_ds) + 1):

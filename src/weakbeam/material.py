@@ -9,6 +9,7 @@ alone: ``E = alpha rho A / I``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,19 @@ class CrossSection:
                 )
         else:
             raise ParameterError(f"unknown section kind {self.kind!r}")
+        try:
+            sizes = (self.area, self.second_moment)
+        except OverflowError:  # a Python float power past the range
+            sizes = (math.inf,)
+        if not all(sys.float_info.min <= size < math.inf for size in sizes):
+            dims = (
+                f"d = {self.diameter:g}" if self.kind == "circle"
+                else f"w = {self.width:g}, t = {self.thickness:g}"
+            )
+            raise ParameterError(
+                f"the {self.kind} section's area or second moment leaves the float "
+                f"range at {dims}"
+            )
 
     @classmethod
     def circle(cls, diameter: float) -> "CrossSection":
@@ -101,11 +115,15 @@ def modulus_from_alpha(alpha: float, beam: BeamModel) -> float:
     """Young's modulus from the stiffness coefficient alpha = E I / (rho A).
 
     alpha must be positive; a non-positive value indicates the discovered
-    fourth-derivative coefficient had the wrong sign.
+    fourth-derivative coefficient had the wrong sign.  A modulus that
+    overflows or underflows to 0 raises :class:`ParameterError`.
     """
     if not (0 < alpha < math.inf):
         raise ParameterError(f"alpha must be finite and positive, got {alpha}")
-    return alpha * beam.density * beam.section.area / beam.section.second_moment
+    modulus = alpha * beam.density * beam.section.area / beam.section.second_moment
+    if not 0 < modulus < math.inf:
+        raise ParameterError(f"the modulus from alpha = {alpha:g} leaves the float range")
+    return modulus
 
 
 def _sech(x: float) -> float:
@@ -146,14 +164,25 @@ def frequency_roots(boundary: str, n_modes: int) -> np.ndarray:
 def natural_frequencies(
     beam: BeamModel, boundary: str = "clamped-free", n_modes: int = 5
 ) -> np.ndarray:
-    """Analytic bending natural frequencies in Hz, ascending."""
+    """Analytic bending natural frequencies in Hz, ascending.  A scale
+    ``sqrt(E I / (rho A L^4))`` or a frequency that is not a finite
+    positive float (an extreme length or modulus) raises
+    :class:`ParameterError`."""
     modulus = beam.require_modulus()
     section = beam.section
     roots = frequency_roots(boundary, n_modes)
-    scale = math.sqrt(
-        modulus * section.second_moment / (beam.density * section.area * beam.length**4)
-    ) / (2.0 * math.pi)
-    return roots**2 * scale
+    with np.errstate(all="ignore"):
+        scale = np.sqrt(
+            modulus * section.second_moment
+            / (beam.density * section.area * np.float64(beam.length) ** 4)
+        ) / (2.0 * math.pi)
+        freqs = roots**2 * scale
+    if not (0 < scale < math.inf and np.all(np.isfinite(freqs))):
+        raise ParameterError(
+            f"the bending frequencies leave the float range at length {beam.length:g} "
+            f"and modulus {modulus:g}"
+        )
+    return freqs
 
 
 def smape(values: np.ndarray, nominal: float) -> float:

@@ -70,6 +70,9 @@ def test_mesh_validation():
     for dx in (1e-200, 1e150):  # dx**3 underflows, dx**2 overflows
         with pytest.raises(ParameterError, match="dx"):
             FemMesh(10, dx)
+    # an element count past the float range has no length
+    with pytest.raises(ParameterError, match="length"):
+        FemMesh(10**400, 5e-4)
 
 
 # ------------------------------------------------------------ global matrices
@@ -747,6 +750,42 @@ def test_sweep_matches_per_trial_simulation(edge_field, edge_field_sweep, case):
         # a power-of-two scale is exact: the errors are the unscaled field's
         assert np.array_equal(sweep.errors, edge_field_sweep[0].errors)
         assert np.array_equal(per_trial, edge_field_sweep[1])
+
+
+def test_replay_sweep_stays_within_the_per_trial_gap(edge_field):
+    # the benchmark's replay sweep: 21 moduli over +-5 % on the 195 x 2501
+    # field.  One full-size basis in stiffness form is 3.2e-8 from
+    # simulate_measured here, the mirror halves in flexibility form 1.5e-10
+    sweep = sweep_modulus(edge_field, make_beam(), 0.95 * 6.9e10, 1.05 * 6.9e10, 21)
+    per_trial = [
+        simulate_measured(edge_field, make_beam(modulus=float(e))).frobenius_rel
+        for e in sweep.moduli
+    ]
+    assert np.abs(sweep.errors - per_trial).max() <= 3e-9
+    assert sweep.best_modulus == sweep.moduli[10] == 6.9e10
+
+
+@pytest.mark.parametrize("n_x", [3, 4, 40, 195])
+def test_modal_basis_solves_the_mirror_halves(n_x):
+    # with both ends prescribed the mirror x -> L - x maps the interior onto
+    # itself, keeping w and flipping w_x: the first half of the modes is even
+    # under it and the rest odd, bit for bit, and together they diagonalise
+    # M and K.  In flexibility form the slow modes are M-orthonormal to
+    # about eps and the stiffest to about eps lam_max / lam_min
+    mesh = FemMesh(n_x - 1, 5e-4)
+    beam = make_beam(modulus=1.0)
+    n_inner = mesh.n_dof - 4
+    lam, phi = beamfem._modal_basis(mesh, beam, n_inner)
+    mirror = np.arange(n_inner).reshape(-1, 2)[::-1].ravel()
+    flip = np.tile([1.0, -1.0], n_inner // 2)[:, None]
+    half = n_inner // 2
+    assert np.array_equal(flip * phi[mirror, :half], phi[:, :half])
+    assert np.array_equal(flip * phi[mirror, half:], -phi[:, half:])
+    M, K = (dense_from_band(a)[2:-2, 2:-2] for a in assemble_matrices(mesh, beam))
+    eps = np.finfo(float).eps
+    scale = np.sqrt(np.outer(lam, lam)) / lam.min()
+    assert np.all(np.abs(phi.T @ M @ phi - np.eye(n_inner)) <= 64 * eps * scale)
+    assert np.all(np.abs(phi.T @ K @ phi - np.diag(lam)) <= 64 * eps * lam.max())
 
 
 def test_sweep_failed_eigensolve_is_degenerate_data(edge_field, monkeypatch):

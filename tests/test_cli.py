@@ -97,14 +97,18 @@ def test_ensemble_subcommand(capsys, synth_file, tmp_path):
     assert json.loads(json_path.read_text(encoding="utf-8")) == payload
 
 
-def test_ensemble_of_a_record_shorter_than_max_ds(capsys, tmp_path):
-    # decimations past the record's end are failed runs, not a failed ensemble
+def test_ensemble_max_ds_past_the_record(capsys, tmp_path):
+    # short subsets are failed runs, not a failed ensemble; a decimation past
+    # the record's end, whose subsets are all empty, is an error
     rng = np.random.default_rng(0)
     path = tmp_path / "short.field"
     save_field(FieldGrid(np.arange(40) * 5e-4, np.arange(8) * 1e-6,
                          rng.standard_normal((40, 8))), path)
-    payload = run_json(capsys, ["ensemble", "--in", str(path), "--max-ds", "10"])
-    assert payload["n_runs"] == 55 and payload["n_success"] == 1
+    payload = run_json(capsys, ["ensemble", "--in", str(path), "--max-ds", "8"])
+    assert payload["n_runs"] == 36 and payload["n_success"] == 1
+    assert main(["ensemble", "--in", str(path), "--max-ds", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "max_ds = 10" in err and "n_t = 8" in err
 
 
 def test_preprocess_subcommand(capsys, synth_file, tmp_path):
@@ -546,6 +550,18 @@ def as_argv(flags: dict) -> list[str]:
         ["synth", *SYNTH_FLAGS, "--margin-frac", "1e300"],
         *(["modes", *as_argv(MODES), "--boundary", b, "--n-modes", str(10**30)]
           for b in ("pinned-pinned", "clamped-free", "clamped-clamped")),
+        # a beam length (n_points - 1) * dx past the float range
+        ["synth", *SYNTH_FLAGS, "--n-points", str(10**400)],
+        # sizes whose area, second moment, modulus or frequencies leave the
+        # float range
+        ["modulus", "--section", "circle:d=1e-160", "--density", "1", "--alpha", "1"],
+        ["modulus", "--section", "rectangle:w=1e200,t=1e200", "--density", "1", "--alpha", "1"],
+        ["modulus", *as_argv(ROD), "--alpha", "1e308"],
+        ["synth", *SYNTH_FLAGS, "--section", "circle:d=1e200"],
+        ["synth", *SYNTH_FLAGS, "--section", "circle:d=1e-200"],
+        ["modes", *as_argv({**MODES, "--length": "1e100"})],
+        ["modes", *as_argv({**MODES, "--length": "1e-300"})],
+        ["modes", *as_argv({**MODES, "--modulus": "1e308", "--length": "1e-5"})],
     ],
 )
 def test_non_finite_or_out_of_range_number_is_an_error(capsys, tmp_path, tiny_field, argv):

@@ -117,18 +117,33 @@ def test_ensemble_equals_a_plain_loop_of_discoveries(noisy_fields):
         assert np.abs(run.result.coefficients - ref.coefficients).max() <= 1e-12 * scale
 
 
-def test_record_shorter_than_max_ds_fails_runs_not_the_ensemble():
-    # 8 samples: subsets (9, 9), (10, 9) and (10, 10) have none
+def short_record():
+    """40 x 8 white noise: most decimated subsets are too short to discover on."""
     rng = np.random.default_rng(0)
-    g = FieldGrid(np.arange(40) * 5e-4, np.arange(8) * 1e-6, rng.standard_normal((40, 8)))
-    ens = run_ensemble(g, max_ds=10)
-    assert len(ens.runs) == 55 and ens.n_success == 1
+    return FieldGrid(np.arange(40) * 5e-4, np.arange(8) * 1e-6, rng.standard_normal((40, 8)))
+
+
+def test_short_subsets_fail_runs_not_the_ensemble():
+    # max_ds = n_t = 8: every subset has a sample, but most are too short
+    ens = run_ensemble(short_record(), max_ds=8)
+    assert len(ens.runs) == 36 and ens.n_success == 1
     failed = [r for r in ens.runs if not r.ok]
     assert Counter(r.error.split(":")[0] for r in failed) == {
-        "DegenerateDataError": 36, "SelectionError": 15, "GridError": 3,
+        "DegenerateDataError": 20, "SelectionError": 15,
     }
-    empty = [(r.d, r.offset) for r in failed if r.error.startswith("GridError")]
-    assert empty == [(9, 9), (10, 9), (10, 10)]
+
+
+def test_max_ds_past_the_record_is_an_error(monkeypatch):
+    # every subset with d > n_t is empty, so such a max_ds adds only
+    # failed runs: it is refused before the shared x transform
+    from weakbeam import ensemble
+
+    def never(*_, **__):
+        raise AssertionError("transformed")
+
+    monkeypatch.setattr(ensemble, "_subset_x_spectra", never)
+    with pytest.raises(ParameterError, match=r"max_ds = 9 .* n_t = 8"):
+        run_ensemble(short_record(), max_ds=9)
 
 
 def test_ensemble_rejects_bad_max_ds(edge_field):

@@ -53,6 +53,13 @@ def test_section_validation():
         CrossSection.rectangle(1e-3, 0.0)
     with pytest.raises(ParameterError):
         CrossSection(kind="triangle")
+    # an area or second moment that is not a finite normal float: I
+    # underflows to 0, both underflow, d**2 overflows, A and t**3
+    # overflow, A is subnormal
+    for dims in ((1e-160,), (1e-200,), (1e200,), (1e200, 1e200), (1e-300, 1e-30)):
+        make = CrossSection.circle if len(dims) == 1 else CrossSection.rectangle
+        with pytest.raises(ParameterError, match="float range"):
+            make(*dims)
 
 
 def test_beam_model_validation():
@@ -119,6 +126,15 @@ def test_modulus_rejects_nonpositive_alpha():
         modulus_from_alpha(-58.5, beam)
 
 
+def test_modulus_past_the_float_range_is_an_error():
+    with pytest.raises(ParameterError, match="float range"):
+        modulus_from_alpha(1e308, make_beam(modulus=None))
+    # A / I = 16 / d**2 is 1.6e-151: the modulus underflows to 0
+    beam = BeamModel(section=CrossSection.circle(1e76), length=0.1, density=1e-10)
+    with pytest.raises(ParameterError, match="float range"):
+        modulus_from_alpha(1e-300, beam)
+
+
 # ------------------------------------------------------- analytic frequencies
 
 def test_characteristic_roots_match_references():
@@ -180,6 +196,17 @@ def test_frequencies_scale_inversely_with_length_squared():
 def test_frequencies_require_modulus():
     with pytest.raises(ParameterError):
         natural_frequencies(make_beam(modulus=None))
+
+
+@pytest.mark.parametrize(
+    "length, modulus",
+    [(1e100, 6.9e10), (1e-300, 6.9e10), (1e-5, 1e308)],
+    ids=["length**4-overflows", "length**4-underflows", "frequencies-overflow"],
+)
+def test_frequencies_past_the_float_range_are_an_error(length, modulus):
+    beam = BeamModel(CrossSection.circle(6.35e-3), length, AL_DENSITY, modulus)
+    with pytest.raises(ParameterError, match="float range"):
+        natural_frequencies(beam)
 
 
 # ------------------------------------------------------------------- smape
