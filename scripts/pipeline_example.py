@@ -8,7 +8,7 @@ simulation + modulus sweep), and prints the headline report entries.
 
 The same run is available from the command line:
 
-    weakbeam pipeline --config <out>/config.json --out <out>
+    weakbeam pipeline --config <out>/config.json --out-dir <out>
 
 Example:
     python3 scripts/pipeline_example.py --out demo/

@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateDataError, DimensionError, ParameterError
-from .grid import FieldGrid, _all_finite, _check_axis, _window_columns, window_time
+from .errors import DegenerateDataError, DimensionError, ParameterError, _allocate
+from .grid import FieldGrid, _all_finite, _check_axis, _window_columns
 from .material import BeamModel
 from .weakform import mean_power_spectrum
 
@@ -145,11 +145,10 @@ def assemble_matrices(mesh: FemMesh, beam: BeamModel) -> tuple[np.ndarray, np.nd
     raises :class:`ParameterError`.
     """
     me, ke = _element_matrices(mesh, beam)
-    try:
-        M = np.zeros((_HALF_BANDWIDTH + 1, mesh.n_dof))
-    except (OverflowError, ValueError, MemoryError):
-        # a size past the C integer range, or one NumPy cannot index or allocate
-        raise ParameterError(f"cannot hold a mesh of {mesh.n_elements} elements") from None
+    M = _allocate(
+        lambda: np.zeros((_HALF_BANDWIDTH + 1, mesh.n_dof)),
+        f"a mesh of {mesh.n_elements} elements",
+    )
     K = np.zeros_like(M)
     dofs = _element_dofs(mesh)
     for i in range(4):
@@ -506,6 +505,20 @@ def compare(measured: FieldGrid, simulated: FieldGrid) -> float:
     return error
 
 
+def _replay_setup(data: FieldGrid, window: tuple[float, float] | None):
+    """Both replays' set-up, checks first: the field scaled by ``2^-e``
+    (:meth:`FieldGrid.unit_scaled`), ``e``, its columns inside ``window``,
+    their norm, which must not be 0, a mesh of one element per sample gap,
+    and the edge history."""
+    data, e = data.unit_scaled()
+    cols = slice(None) if window is None else _window_columns(data.t, *window)
+    norm = float(np.linalg.norm(data.values[:, cols]))
+    if norm == 0.0:
+        raise DegenerateDataError("measured field is identically zero")
+    mesh = FemMesh(data.n_x - 1, data.dx)
+    return data, e, cols, norm, mesh, extract_boundaries(data)
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     field: FieldGrid
@@ -523,17 +536,16 @@ def simulate_measured(
     points, and the simulated field is returned on the data's own ``x``
     and ``t``, wherever its x axis starts.  If ``window`` is given, both
     fields are restricted to it before comparison (the simulation always
-    starts from rest at the data's first sample); a bad window fails
-    before the march.  A field far from unit scale is replayed times a
-    power of two (:meth:`FieldGrid.unit_scaled`) and its simulation
-    scaled back, so the error does not depend on the field's units.
+    starts from rest at the data's first sample); a bad window, or one
+    of zeros, fails before the march.  A field far from unit scale is
+    replayed times a power of two (:meth:`FieldGrid.unit_scaled`) and
+    its simulation scaled back, so the error does not depend on the
+    field's units.
     """
-    data, e = data.unit_scaled()
-    data_c = data if window is None else window_time(data, *window)
-    mesh = FemMesh(data.n_x - 1, data.dx)
-    bc = extract_boundaries(data)
-    sim = FieldGrid(data.x, data.t, newmark_solve(mesh, beam, bc).values)
-    sim_c = sim if window is None else window_time(sim, *window)
+    data, e, cols, _, mesh, bc = _replay_setup(data, window)
+    sim = newmark_solve(mesh, beam, bc).values
+    data_c = FieldGrid(data.x, data.t[cols], data.values[:, cols])
+    sim_c = FieldGrid(data.x, data_c.t, sim[:, cols])
     try:
         error = compare(data_c, sim_c)
     except DegenerateDataError as exc:
@@ -598,20 +610,9 @@ def sweep_modulus(
         raise ParameterError(f"need finite 0 < e_lo < e_hi, got [{e_lo}, {e_hi}]")
     if not (isinstance(n_values, (int, np.integer)) and n_values >= 2):
         raise ParameterError(f"n_values must be an integer >= 2, got {n_values!r}")
-    try:
-        moduli = np.linspace(e_lo, e_hi, n_values)
-    except (ValueError, IndexError, MemoryError):
-        # NumPy refuses a count it cannot index or allocate in each of these ways
-        raise ParameterError(f"cannot hold {n_values} trial moduli") from None
-    data, _ = data.unit_scaled()
-    cols = slice(None) if window is None else _window_columns(data.t, *window)
+    moduli = _allocate(lambda: np.linspace(e_lo, e_hi, n_values), f"{n_values} trial moduli")
+    data, _, cols, norm, mesh, bc = _replay_setup(data, window)
     start, stop, _ = cols.indices(data.n_t)
-    norm = float(np.linalg.norm(data.values[:, cols]))
-    if norm == 0.0:
-        raise DegenerateDataError("measured field is identically zero")
-
-    mesh = FemMesh(data.n_x - 1, data.dx)
-    bc = extract_boundaries(data)
     unit = replace(beam, youngs_modulus=1.0)
     n_inner = mesh.n_dof - bc.displacement.shape[1]
     lam, phi = _modal_basis(mesh, unit, n_inner)

@@ -14,7 +14,6 @@ an unknown key, a missing key or a value of the wrong kind.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -92,10 +91,14 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # a flag is only ever its full name: "--tau" must not be read as "--tau-hat"
-    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = add_command("synth", help="generate a synthetic burst-driven field")
+    def add_command(name, handler, help):
+        # a flag is only ever its full name: "--tau" must not be read as "--tau-hat"
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = add_command("synth", _cmd_synth, "generate a synthetic burst-driven field")
     _beam_args(p)
     p.add_argument("--modulus", type=float, required=True, help="Young's modulus in Pa")
     p.add_argument("--n-points", type=int, default=195, help="spatial samples")
@@ -108,30 +111,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin-frac", type=float, default=0.5)
     p.add_argument("--out", required=True, help="output field file")
 
-    p = add_command("preprocess", help="downsample / band-pass / window a field")
+    p = add_command("preprocess", _cmd_preprocess, "downsample / band-pass / window a field")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--downsample", type=int, default=1)
     p.add_argument("--band", type=_parse_pair, default=None, metavar="LO,HI")
     p.add_argument("--window", type=_parse_pair, default=None, metavar="T0,T1")
 
-    p = add_command("discover", help="identify the sparse PDE of one field")
+    p = add_command("discover", _cmd_discover, "identify the sparse PDE of one field")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--tau-hat", type=_parse_pair, default=None, metavar="X,T")
     p.add_argument("--json", dest="json_out", default=None, help="write full report here")
 
-    p = add_command("ensemble", help="discover over time-decimated subsets")
+    p = add_command("ensemble", _cmd_ensemble, "discover over time-decimated subsets")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--max-ds", type=int, default=10)
     p.add_argument("--json", dest="json_out", default=None)
     p.add_argument("--csv", dest="csv_out", default=None, help="per-run alpha CSV")
 
-    p = add_command("modulus", help="Young's modulus from a stiffness coefficient")
+    p = add_command("modulus", _cmd_modulus, "Young's modulus from a stiffness coefficient")
     _beam_args(p)
     p.add_argument("--alpha", type=float, required=True, help="w_xxxx coefficient magnitude")
     p.add_argument("--nominal", type=float, default=None)
 
-    p = add_command("modes", help="analytic bending natural frequencies")
+    p = add_command("modes", _cmd_modes, "analytic bending natural frequencies")
     _beam_args(p)
     p.add_argument("--modulus", type=float, required=True, help="Young's modulus in Pa")
     p.add_argument("--length", type=float, required=True)
@@ -142,14 +145,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated measured frequencies for SMAPE against mode 1",
     )
 
-    p = add_command("simulate", help="edge-driven FEM replay of a measured field")
+    p = add_command("simulate", _cmd_simulate, "edge-driven FEM replay of a measured field")
     _beam_args(p)
     p.add_argument("--modulus", type=float, required=True, help="Young's modulus in Pa")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--window", type=_parse_pair, default=None, metavar="T0,T1")
     p.add_argument("--out-field", default=None, help="write simulated field here")
 
-    p = add_command("sweep-e", help="simulation error over a modulus grid")
+    p = add_command("sweep-e", _cmd_sweep_e, "simulation error over a modulus grid")
     _beam_args(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--e-lo", type=float, required=True)
@@ -158,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_parse_pair, default=None, metavar="T0,T1")
     p.add_argument("--csv", dest="csv_out", default=None)
 
-    p = add_command("pipeline", help="run the staged measured-data pipeline")
+    p = add_command("pipeline", _cmd_pipeline, "run the staged measured-data pipeline")
     p.add_argument("--config", required=True, help="pipeline config JSON")
     p.add_argument("--out-dir", default=None)
 
@@ -289,32 +292,13 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "preprocess": _cmd_preprocess,
-    "discover": _cmd_discover,
-    "ensemble": _cmd_ensemble,
-    "modulus": _cmd_modulus,
-    "modes": _cmd_modes,
-    "simulate": _cmd_simulate,
-    "sweep-e": _cmd_sweep_e,
-    "pipeline": _cmd_pipeline,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except StageError as exc:
+        return args.handler(args)
+    except (WeakbeamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except WeakbeamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code if isinstance(exc, StageError) else 1
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ Every failure mode that callers are expected to branch on gets its own
 class; plain ValueError is reserved for programming errors.
 """
 
+from collections.abc import Callable
+
 __all__ = [
     "WeakbeamError",
     "FieldFormatError",
@@ -51,3 +53,17 @@ class AggregationError(WeakbeamError):
 
 class DimensionError(WeakbeamError):
     """Two fields that must share a grid do not."""
+
+
+def _allocate(build: Callable, what: str):
+    """The array ``build()`` makes for a count of at least 1.  A count NumPy
+    refuses (past the C integer or float range, or too large to index or
+    allocate) or gives an empty array for (np.arange does near 2**63)
+    raises :class:`ParameterError` ("cannot hold <what>")."""
+    try:
+        array = build()
+    except (OverflowError, ValueError, IndexError, MemoryError):
+        array = None
+    if array is None or array.size == 0:
+        raise ParameterError(f"cannot hold {what}")
+    return array

@@ -149,9 +149,10 @@ class FieldGrid:
 def window_time(grid: FieldGrid, t_lo: float, t_hi: float) -> FieldGrid:
     """Restrict a field to the time samples nearest [t_lo, t_hi].
 
-    Bounds snap to the nearest sample within dt/2; the window keeps every
-    sample between the snapped bounds inclusive.  Windowing twice with the
-    same bounds is a no-op.  Both bounds must be finite.
+    Bounds snap to the nearest sample; the window keeps every sample
+    between the snapped bounds inclusive.  Windowing twice with the same
+    bounds is a no-op.  Both bounds must be finite, and a window more than
+    dt/2 outside the samples (0 on a single-sample axis) is refused.
     """
     cols = _window_columns(grid.t, t_lo, t_hi)
     return FieldGrid(grid.x, grid.t[cols], grid.values[:, cols])
@@ -163,7 +164,8 @@ def _window_columns(t: np.ndarray, t_lo: float, t_hi: float) -> slice:
         raise WindowError(f"window bounds must be finite, got [{t_lo}, {t_hi}]")
     if t_hi < t_lo:
         raise WindowError(f"empty window: t_lo={t_lo} > t_hi={t_hi}")
-    if t_hi < t[0] or t_lo > t[-1]:
+    half = (t[-1] - t[0]) / (t.size - 1) / 2 if t.size > 1 else 0.0
+    if t_hi < t[0] - half or t_lo > t[-1] + half:
         raise WindowError(
             f"window [{t_lo}, {t_hi}] does not intersect grid span "
             f"[{t[0]}, {t[-1]}]"

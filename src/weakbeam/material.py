@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _allocate
 
 __all__ = [
     "CrossSection",
@@ -140,11 +140,7 @@ def frequency_roots(boundary: str, n_modes: int) -> np.ndarray:
         raise ParameterError(
             f"unknown boundary {boundary!r}, expected one of {BOUNDARIES}"
         )
-    try:
-        n = np.arange(1, n_modes + 1, dtype=float)
-    except (OverflowError, ValueError, MemoryError):
-        # a count past the float range, or one NumPy cannot index or allocate
-        raise ParameterError(f"cannot hold {n_modes} modes") from None
+    n = _allocate(lambda: np.arange(1, n_modes + 1, dtype=float), f"{n_modes} modes")
     if boundary == "pinned-pinned":
         return np.pi * n
     if boundary == "clamped-free":

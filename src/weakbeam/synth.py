@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .beamfem import BoundaryHistory, FemMesh, newmark_solve
-from .errors import ParameterError
+from .errors import ParameterError, _allocate
 from .grid import FieldGrid
 from .material import BeamModel
 
@@ -83,11 +83,10 @@ def generate_beam_data(
             f"{period_samples:.1f} samples/period, need >= {_MIN_SAMPLES_PER_PERIOD}"
         )
 
-    try:
-        t = np.arange(int(round(t_end / dt)) + 1) * dt
-    except (OverflowError, ValueError, MemoryError):
-        # a ratio past the float range, or a count NumPy cannot index or allocate
-        raise ParameterError(f"cannot hold {t_end / dt:g} time steps of dt={dt}") from None
+    t = _allocate(
+        lambda: np.arange(int(round(t_end / dt)) + 1) * dt,
+        f"{t_end / dt:g} time steps of dt={dt}",
+    )
     n_margin = int(math.ceil(margin_frac * mesh.n_elements))
     extended = FemMesh(mesh.n_elements + n_margin, mesh.dx)
 

@@ -184,6 +184,8 @@ def _segment_ssr_prefix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _changepoint(y: np.ndarray, hi: int, ssr_left: np.ndarray) -> int:
     """Two-segment line fit over ``y[:hi]`` vs bin index; returns the
     1-based bin of the shared breakpoint (each segment needs >= 2 points).
+    A window of 1 or 2 bins has no breakpoint and gives bin 1, which the
+    zoom and the peak floor of :func:`spectral_corner` keep.
 
     ``ssr_left`` is the left-prefix SSR table of all of ``y``: a prefix
     of the window is a prefix of ``y``, so only the right segments'
@@ -255,9 +257,6 @@ def spectral_corner(power: np.ndarray) -> CornerDiagnostic:
     # log stays finite; the cliff itself still dominates the fit
     floored = np.maximum(power, power.max() * 1e-30)
     y = np.cumsum(np.log10(floored))
-    if n_bins < 3:
-        corner = max(1, n_bins // 2)
-        return CornerDiagnostic(corner, n_bins)
     k = np.arange(1, n_bins + 1, dtype=float)
     ssr_left = _segment_ssr_prefix(k, y)
     b = _changepoint(y, n_bins, ssr_left)

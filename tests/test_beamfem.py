@@ -694,7 +694,7 @@ def test_sweep_validation(edge_field):
             sweep_modulus(edge_field, beam, 1.0, 2.0, n_values)
 
 
-@pytest.mark.parametrize("n_values", [10**18, 2**63, 10**30])
+@pytest.mark.parametrize("n_values", [10**18, 2**63 - 1, 2**63, 10**30])
 def test_sweep_refuses_a_count_numpy_cannot_hold(edge_field, monkeypatch, n_values):
     # counts no machine can allocate; NumPy refuses each a different way,
     # and the refusal comes before the edges are extracted
@@ -816,6 +816,25 @@ def test_sweep_fails_before_any_march(edge_field, monkeypatch, kwargs, error):
         monkeypatch.setattr(beamfem, name, never)
     with pytest.raises(error):
         sweep_modulus(edge_field, make_beam(), 1.0, 2.0, 3, **kwargs)
+
+
+def test_replays_refuse_a_window_of_zeros_before_any_march(edge_field, monkeypatch):
+    from weakbeam import beamfem
+
+    def never(*_, **__):
+        raise AssertionError("marched")
+
+    for name in ("_modal_basis", "_march_modes", "newmark_march"):
+        monkeypatch.setattr(beamfem, name, never)
+    values = edge_field.values.copy()
+    values[:, :100] = 0.0
+    quiet = FieldGrid(edge_field.x, edge_field.t, values)
+    window = (edge_field.t[10], edge_field.t[60])
+    with pytest.raises(DegenerateDataError) as simulated:
+        simulate_measured(quiet, make_beam(), window=window)
+    with pytest.raises(DegenerateDataError) as swept:
+        sweep_modulus(quiet, make_beam(), 1.0, 2.0, 3, window=window)
+    assert str(simulated.value) == str(swept.value) == "measured field is identically zero"
 
 
 def test_simulate_checks_the_window_before_the_march(edge_field, monkeypatch):

@@ -591,6 +591,34 @@ def test_flag_prefix_is_a_usage_error(capsys, tiny_field, argv):
     assert "unrecognized arguments" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("measured", [[], ["--measured", "100"]], ids=["bare", "measured"])
+@pytest.mark.parametrize("boundary", ["pinned-pinned", "clamped-free"])
+@pytest.mark.parametrize("n_modes", [2**63 - 1, 2**63])
+def test_mode_count_near_2_63_is_an_error(capsys, n_modes, boundary, measured):
+    # np.arange gives an empty array for these counts, which printed no
+    # frequencies, or failed on mode 1 with --measured
+    argv = ["modes", *as_argv(MODES), "--boundary", boundary, "--n-modes", str(n_modes)]
+    assert main(argv + measured) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "cannot hold" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_simulate_refuses_a_window_of_zeros(capsys, tmp_path):
+    t = np.arange(200) * 1e-6
+    values = np.sin(2e4 * t) * np.linspace(1.0, 0.5, 12)[:, None]
+    values[:, :50] = 0.0
+    path = tmp_path / "quiet.field"
+    save_field(FieldGrid(np.arange(12) * 5e-4, t, values), path)
+    argv = ["simulate", "--in", str(path), *as_argv(ROD), "--modulus", "6.9e10",
+            "--window", "1e-5,4e-5"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: measured field is identically zero\n"
+
+
 HUGE_COUNT = 10**30  # no machine can hold that many trial moduli
 
 

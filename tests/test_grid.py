@@ -380,6 +380,22 @@ def test_window_snaps_to_nearest_sample():
     assert w.t[0] == 2.0 and w.t[-1] == 7.0
 
 
+def test_window_overhanging_an_end_by_under_half_a_step_snaps_to_it():
+    t = np.arange(10) * 1.0
+    g = FieldGrid(np.array([0.0, 1.0]), t, np.arange(20.0).reshape(2, 10))
+    assert window_time(g, 9.4, 9.4).t.tolist() == [9.0]
+    assert window_time(g, -0.4, -0.4).t.tolist() == [0.0]
+    assert np.array_equal(window_time(g, -0.4, 9.4).values, g.values)
+    for bounds in ((9.6, 9.6), (9.6, 20.0), (-0.6, -0.6), (-5.0, -0.6)):
+        with pytest.raises(WindowError, match="does not intersect"):
+            window_time(g, *bounds)
+    # a single sample carries no step: the window must reach it
+    one = FieldGrid(np.array([0.0, 1.0]), np.array([2.0]), np.ones((2, 1)))
+    assert window_time(one, 2.0, 2.0).t.tolist() == [2.0]
+    with pytest.raises(WindowError, match="does not intersect"):
+        window_time(one, 2.0 + 1e-12, 3.0)
+
+
 def test_empty_window_rejected():
     g = small_grid()
     with pytest.raises(WindowError):

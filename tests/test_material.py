@@ -151,6 +151,14 @@ def test_characteristic_roots_validation():
         frequency_roots("free-free", 3)
 
 
+@pytest.mark.parametrize("boundary", ["pinned-pinned", "clamped-free"])
+@pytest.mark.parametrize("n_modes", [2**63 - 1, 2**63])
+def test_characteristic_roots_refuse_a_count_numpy_returns_empty(boundary, n_modes):
+    # np.arange(1, n_modes + 1) is empty for these counts, not an error
+    with pytest.raises(ParameterError, match="cannot hold"):
+        frequency_roots(boundary, n_modes)
+
+
 def test_natural_frequencies_match_analytic_form():
     beam = make_beam()
     for boundary in ("clamped-free", "pinned-pinned", "clamped-clamped"):

@@ -131,6 +131,9 @@ def test_generation_validation():
         generate_beam_data(beam, SMALL_MESH, AL_FC, dt=1e-200, t_end=1e-3)
     with pytest.raises(ParameterError, match="time steps"):
         generate_beam_data(beam, SMALL_MESH, 1e-200, dt=1e-200, t_end=1.0)
+    # t_end / dt rounds to 2**63 steps, for which np.arange is empty
+    with pytest.raises(ParameterError, match="cannot hold .* time steps"):
+        generate_beam_data(beam, SMALL_MESH, AL_FC, dt=1e-6, t_end=9223372036854.775)
 
 
 def test_clean_field_satisfies_planted_weak_form():

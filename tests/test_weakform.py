@@ -21,6 +21,7 @@ from weakbeam.grid import FieldGrid
 from weakbeam.sparse import optimize_lambda
 from weakbeam.weakform import (
     LHS,
+    CornerDiagnostic,
     TERM_NAMES,
     TERMS,
     TestFunctionBasis,
@@ -454,6 +455,13 @@ def test_corner_matches_the_per_pass_oracle_on_every_ensemble_subset(noisy_field
     for d in range(1, 11):
         for offset in range(1, d + 1):
             assert_same_corners(subsample_time(noisy_fields[0], d, offset).values)
+
+
+@pytest.mark.parametrize("power", [[1.0], [3.0, 1.0], [1.0, 3.0], [0.0, 1.0]])
+def test_one_or_two_bin_spectrum_has_corner_one(power):
+    # too short for two segments: the changepoint, its zoom and the peak
+    # floor all stay at bin 1
+    assert spectral_corner(np.array(power)) == CornerDiagnostic(1, len(power))
 
 
 def test_corner_rejects_zero_and_bad_axis():
