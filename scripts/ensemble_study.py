@@ -41,12 +41,7 @@ def main() -> int:
     ap.add_argument("--out", type=Path, default=Path("ensemble_study"))
     args = ap.parse_args()
 
-    beam = BeamModel(
-        section=SECTION,
-        length=MESH.length,
-        density=DENSITY,
-        youngs_modulus=MODULUS,
-    )
+    beam = BeamModel(section=SECTION, density=DENSITY, youngs_modulus=MODULUS)
     args.out.mkdir(parents=True, exist_ok=True)
 
     rows = []

@@ -38,12 +38,7 @@ def main() -> int:
     args = ap.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
-    beam = BeamModel(
-        section=SECTION,
-        length=MESH.length,
-        density=DENSITY,
-        youngs_modulus=MODULUS,
-    )
+    beam = BeamModel(section=SECTION, density=DENSITY, youngs_modulus=MODULUS)
     field = generate_beam_data(
         beam, MESH, FC, dt=8e-7, t_end=2e-3, margin_frac=0.5
     )

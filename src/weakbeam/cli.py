@@ -62,9 +62,10 @@ def _parse_section(text: str) -> CrossSection:
     raise ParameterError(f"unknown section kind in {text!r}")
 
 
-def _beam(args, length: float, modulus: float | None = None) -> BeamModel:
+def _beam(args, modulus: float | None = None) -> BeamModel:
     """The beam of the ``--section`` and ``--density`` flags."""
-    return BeamModel(_parse_section(args.section), length, args.density, modulus)
+    section = _parse_section(args.section)
+    return BeamModel(section=section, density=args.density, youngs_modulus=modulus)
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
@@ -170,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_synth(args) -> int:
     mesh = FemMesh(args.n_points - 1, args.dx)
-    beam = _beam(args, mesh.length, args.modulus)
+    beam = _beam(args, args.modulus)
     data = generate_beam_data(
         beam,
         mesh,
@@ -229,7 +230,7 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_modulus(args) -> int:
-    beam = _beam(args, 1.0)
+    beam = _beam(args)
     modulus = modulus_from_alpha(args.alpha, beam)
     payload = {"alpha": args.alpha, "youngs_modulus": modulus}
     if args.nominal is not None:
@@ -242,8 +243,8 @@ def _cmd_modulus(args) -> int:
 
 
 def _cmd_modes(args) -> int:
-    beam = _beam(args, args.length, args.modulus)
-    freqs = natural_frequencies(beam, boundary=args.boundary, n_modes=args.n_modes)
+    beam = _beam(args, args.modulus)
+    freqs = natural_frequencies(beam, args.length, args.boundary, args.n_modes)
     payload = {"boundary": args.boundary, "frequencies": [float(f) for f in freqs]}
     if args.measured:
         try:
@@ -257,7 +258,7 @@ def _cmd_modes(args) -> int:
 
 def _cmd_simulate(args) -> int:
     data = load_field(args.infile)
-    beam = _beam(args, data.x_extent, args.modulus)
+    beam = _beam(args, args.modulus)
     result = simulate_measured(data, beam, window=args.window)
     if args.out_field:
         save_field(result.field, args.out_field)
@@ -267,7 +268,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep_e(args) -> int:
     data = load_field(args.infile)
-    beam = _beam(args, data.x_extent)
+    beam = _beam(args)
     result = sweep_modulus(data, beam, args.e_lo, args.e_hi, args.n, window=args.window)
     if args.csv_out:
         write_sweep_csv(args.csv_out, result)

@@ -48,14 +48,18 @@ def _check_axis(name: str, axis: np.ndarray) -> None:
         raise GridError(f"{name} axis contains non-finite entries")
     if axis.size == 1:
         return
-    d = np.diff(axis)
+    span = float(axis[-1]) - float(axis[0])  # a Python float: inf, not a warning
+    if not np.isfinite(span):
+        raise GridError(f"{name} axis spans {axis[0]} to {axis[-1]}, past the float range")
+    with np.errstate(over="ignore"):  # only a gap of a non-increasing axis can overflow
+        d = np.diff(axis)
     if np.any(d <= 0):
         k = int(np.argmax(d <= 0))
         raise GridError(
             f"{name} axis is not strictly increasing at index {k}: "
             f"{axis[k]} -> {axis[k + 1]}"
         )
-    h = (axis[-1] - axis[0]) / (axis.size - 1)
+    h = span / (axis.size - 1)
     dev = np.abs(d - h)
     worst = int(np.argmax(dev))
     if dev[worst] > UNIFORMITY_RTOL * h:

@@ -88,17 +88,17 @@ class CrossSection:
         return self.width * self.thickness**3 / 12.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BeamModel:
-    """Uniform prismatic beam: geometry, density, optional modulus."""
+    """Uniform prismatic beam: section, density, optional modulus.  The
+    span is not part of it: only :func:`natural_frequencies` reads one."""
 
     section: CrossSection
-    length: float
     density: float
     youngs_modulus: float | None = None
 
     def __post_init__(self):
-        named = {"length": self.length, "density": self.density}
+        named = {"density": self.density}
         if self.youngs_modulus is not None:
             named["youngs_modulus"] = self.youngs_modulus
         for name, value in named.items():
@@ -158,24 +158,27 @@ def frequency_roots(boundary: str, n_modes: int) -> np.ndarray:
 
 
 def natural_frequencies(
-    beam: BeamModel, boundary: str = "clamped-free", n_modes: int = 5
+    beam: BeamModel, length: float, boundary: str = "clamped-free", n_modes: int = 5
 ) -> np.ndarray:
-    """Analytic bending natural frequencies in Hz, ascending.  A scale
+    """Analytic bending natural frequencies in Hz, ascending, of a span
+    ``length``.  A span that is not finite and positive, or a scale
     ``sqrt(E I / (rho A L^4))`` or a frequency that is not a finite
-    positive float (an extreme length or modulus) raises
+    positive float (an extreme length or modulus), raises
     :class:`ParameterError`."""
+    if not (0 < length < math.inf):
+        raise ParameterError(f"length must be finite and positive, got {length}")
     modulus = beam.require_modulus()
     section = beam.section
     roots = frequency_roots(boundary, n_modes)
     with np.errstate(all="ignore"):
         scale = np.sqrt(
             modulus * section.second_moment
-            / (beam.density * section.area * np.float64(beam.length) ** 4)
+            / (beam.density * section.area * np.float64(length) ** 4)
         ) / (2.0 * math.pi)
         freqs = roots**2 * scale
     if not (0 < scale < math.inf and np.all(np.isfinite(freqs))):
         raise ParameterError(
-            f"the bending frequencies leave the float range at length {beam.length:g} "
+            f"the bending frequencies leave the float range at length {length:g} "
             f"and modulus {modulus:g}"
         )
     return freqs

@@ -279,11 +279,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
 
     if config.section is not None and config.density is not None and not degenerate:
         with _stage(report, timing, "material"):
-            beam = BeamModel(
-                section=config.section,
-                length=windowed.x_extent,
-                density=config.density,
-            )
+            beam = BeamModel(section=config.section, density=config.density)
             alpha = -result.coefficient("w_xxxx")
             modulus = modulus_from_alpha(alpha, beam)
             beam = replace(beam, youngs_modulus=modulus)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -297,8 +296,9 @@ def _support_for_axis(n: int, corner_bin: int, p_min: int) -> tuple[int, int]:
     return int(m[idx]), int(p[idx])
 
 
-def default_query_strides(grid: FieldGrid, basis: TestFunctionBasis) -> tuple[int, int]:
-    """Pick query strides giving roughly 44 centers per axis.
+def default_query_strides(n_x: int, n_t: int, m_x: int, m_t: int) -> tuple[int, int]:
+    """Pick query strides giving roughly 44 centers per axis of an
+    ``n_x`` by ``n_t`` grid under support half-widths ``m_x`` and ``m_t``.
 
     Each axis' stride is ``max(1, round(interior / 44))``.  A stride of 2
     or more needs an interior of at least 66 centers and leaves at least
@@ -307,10 +307,9 @@ def default_query_strides(grid: FieldGrid, basis: TestFunctionBasis) -> tuple[in
     as long as ``2 * len(TERMS) <= 33``.  Only unit strides on both axes
     can fall short, and then :class:`SelectionError` is raised, as it is
     for a support that leaves an axis no interior (x checked first).
-    Only the sizes of ``grid`` and the half-widths of ``basis`` are read.
     """
     strides, total = [], 1
-    for n, m in ((grid.n_x, basis.m_x), (grid.n_t, basis.m_t)):
+    for n, m in ((n_x, m_x), (n_t, m_t)):
         interior = n - 2 * m
         if interior < 1:
             raise SelectionError(f"support half-width {m} leaves no interior on {n} samples")
@@ -337,7 +336,7 @@ def select_support(grid: FieldGrid, corner_bins: tuple[int, int]) -> TestFunctio
         raise ParameterError(f"corner_bins must be two positive bins, got {corner_bins}")
     m_x, p_x = _support_for_axis(grid.n_x, corner_bins[0], _MAX_DX + 1)
     m_t, p_t = _support_for_axis(grid.n_t, corner_bins[1], _MAX_DT + 1)
-    s_x, s_t = default_query_strides(grid, SimpleNamespace(m_x=m_x, m_t=m_t))
+    s_x, s_t = default_query_strides(grid.n_x, grid.n_t, m_x, m_t)
     return TestFunctionBasis(p_x=p_x, p_t=p_t, m_x=m_x, m_t=m_t, s_x=s_x, s_t=s_t)
 
 

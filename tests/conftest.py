@@ -27,12 +27,7 @@ AL_FC = 1e4  # burst center frequency, Hz
 
 
 def make_beam(modulus: float = AL_MODULUS) -> BeamModel:
-    return BeamModel(
-        section=AL_SECTION,
-        length=AL_MESH.length,
-        density=AL_DENSITY,
-        youngs_modulus=modulus,
-    )
+    return BeamModel(section=AL_SECTION, density=AL_DENSITY, youngs_modulus=modulus)
 
 
 @pytest.fixture(scope="session")

@@ -199,13 +199,14 @@ def dense_weak_system(grid, basis, scales=(1.0, 1.0, 1.0)):
     return G, b, np.asarray(query_points)
 
 
-def reference_query_strides(grid, basis):
+def reference_query_strides(n_x, n_t, m_x, m_t):
     """The stride rule with its stride-halving loop, as the library had it
     before the loop was shown unreachable: halve the larger stride while
-    the grid has fewer than ``2 * len(TERMS)`` query points."""
+    an ``n_x`` by ``n_t`` grid under half-widths ``m_x`` and ``m_t`` has
+    fewer than ``2 * len(TERMS)`` query points."""
     min_rows = 2 * len(TERMS)
-    sizes = (grid.n_x, grid.n_t)
-    ms = (basis.m_x, basis.m_t)
+    sizes = (n_x, n_t)
+    ms = (m_x, m_t)
     s = [
         max(1, int(round((n - 2 * m) / _TARGET_QUERIES_PER_AXIS)))
         for n, m in zip(sizes, ms)

@@ -136,14 +136,14 @@ def test_fem_eigenfrequency_accuracy():
     beam = make_beam()
 
     def mesh_for(n):
-        return FemMesh(n, beam.length / n)
+        return FemMesh(n, AL_MESH.length / n)
 
     want = oracles.analytic_beam_frequencies(
         beam.youngs_modulus,
         beam.section.second_moment,
         beam.density,
         beam.section.area,
-        beam.length,
+        AL_MESH.length,
         "pinned-pinned",
         3,
     )
@@ -161,7 +161,7 @@ def test_fem_eigenfrequency_accuracy():
 
 def test_newmark_energy_conservation():
     beam = make_beam()
-    mesh = FemMesh(20, beam.length / 20)
+    mesh = FemMesh(20, AL_MESH.length / 20)
     M, K = assemble_matrices(mesh, beam)
     # clamped-clamped interior: every dof but the first and last node's
     Mr, Kr = M[:, 2:-2], K[:, 2:-2]
@@ -182,13 +182,9 @@ def test_modulus_golden_values():
     # the published inputs are themselves 6-figure roundings, so the
     # reference outputs are honored to 1e-4 relative rather than by
     # re-rounding to 5 significant figures
-    al = BeamModel(
-        section=CrossSection.circle(6.35e-3), length=0.097, density=AL_DENSITY
-    )
+    al = BeamModel(section=CrossSection.circle(6.35e-3), density=AL_DENSITY)
     assert modulus_from_alpha(58.5218, al) == pytest.approx(6.3206e10, rel=1e-4)
-    ie = BeamModel(
-        section=CrossSection.rectangle(4.18e-3, 2.84e-3), length=0.5, density=1301.4
-    )
+    ie = BeamModel(section=CrossSection.rectangle(4.18e-3, 2.84e-3), density=1301.4)
     assert modulus_from_alpha(0.497308, ie) == pytest.approx(9.6292e8, rel=1e-4)
 
 
@@ -335,11 +331,7 @@ def test_al_field_conditional():
     alpha = -result.coefficient("w_xxxx")
     assert alpha == pytest.approx(58.5218, rel=0.02)
     assert result.relative_residual == pytest.approx(0.171, abs=0.01)
-    beam = BeamModel(
-        section=CrossSection.circle(6.35e-3),
-        length=field.x_extent,
-        density=AL_DENSITY,
-    )
+    beam = BeamModel(section=CrossSection.circle(6.35e-3), density=AL_DENSITY)
     recovered = replace(beam, youngs_modulus=modulus_from_alpha(alpha, beam))
     sim = simulate_measured(field, recovered)
     assert sim.frobenius_rel == pytest.approx(0.1847, abs=0.01)

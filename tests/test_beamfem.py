@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import AL_FC, make_beam
+from conftest import AL_FC, AL_MESH, make_beam
 from oracles import (
     analytic_beam_frequencies,
     beam_eigenfrequencies,
@@ -48,8 +48,9 @@ def beam_frequencies(beam, length, boundary, n_modes):
     )
 
 
-def mesh_for(beam, n_elements):
-    return FemMesh(n_elements, beam.length / n_elements)
+def mesh_for(n_elements):
+    """A mesh of ``n_elements`` on the reference rod's span."""
+    return FemMesh(n_elements, AL_MESH.length / n_elements)
 
 
 # ----------------------------------------------------------------------- mesh
@@ -112,20 +113,20 @@ def test_assembly_matches_textbook_element_overlap():
 
 def test_matrices_are_symmetric():
     beam = make_beam()
-    M, K = map(dense_from_band, assemble_matrices(mesh_for(beam, 7), beam))
+    M, K = map(dense_from_band, assemble_matrices(mesh_for(7), beam))
     assert np.array_equal(M, M.T)
     assert np.array_equal(K, K.T)
 
 
 def test_mass_is_positive_definite():
     beam = make_beam()
-    M = dense_from_band(assemble_matrices(mesh_for(beam, 8), beam)[0])
+    M = dense_from_band(assemble_matrices(mesh_for(8), beam)[0])
     np.linalg.cholesky(M)  # raises if not SPD
 
 
 def test_stiffness_has_exactly_two_rigid_body_modes():
     beam = make_beam()
-    mesh = mesh_for(beam, 8)
+    mesh = mesh_for(8)
     K = dense_from_band(assemble_matrices(mesh, beam)[1])
     x = mesh.node_positions
     translation = np.zeros(mesh.n_dof)
@@ -142,7 +143,7 @@ def test_stiffness_has_exactly_two_rigid_body_modes():
 
 def test_banded_assembly_matches_the_dense_oracle():
     beam = make_beam()
-    mesh = mesh_for(beam, 9)
+    mesh = mesh_for(9)
     M, K = assemble_matrices(mesh, beam)
     assert M.shape == K.shape == (4, mesh.n_dof)
     for band, want in zip((M, K), dense_beam_matrices(mesh, beam)):
@@ -163,8 +164,8 @@ def test_matrices_require_modulus():
 )
 def test_eigenfrequencies_match_analytic(boundary):
     beam = make_beam()
-    got = beam_eigenfrequencies(mesh_for(beam, 60), beam, boundary=boundary, n_modes=3)
-    want = beam_frequencies(beam, beam.length, boundary, 3)
+    got = beam_eigenfrequencies(mesh_for(60), beam, boundary=boundary, n_modes=3)
+    want = beam_frequencies(beam, AL_MESH.length, boundary, 3)
     assert np.all(np.abs(got - want) / want < 1e-5)
     assert np.all(np.diff(got) > 0)
 
@@ -173,9 +174,9 @@ def test_eigenfrequency_convergence_is_high_order():
     # Hermite cubics converge eigenvalues at O(dx^4): halving dx should
     # shrink the fundamental's error by about 16x; insist on at least 8x
     beam = make_beam()
-    want = beam_frequencies(beam, beam.length, "pinned-pinned", 1)[0]
+    want = beam_frequencies(beam, AL_MESH.length, "pinned-pinned", 1)[0]
     errs = [
-        abs(beam_eigenfrequencies(mesh_for(beam, n), beam, n_modes=1)[0] - want) / want
+        abs(beam_eigenfrequencies(mesh_for(n), beam, n_modes=1)[0] - want) / want
         for n in (10, 20)
     ]
     assert errs[1] < errs[0]
@@ -184,7 +185,7 @@ def test_eigenfrequency_convergence_is_high_order():
 
 def test_eigenfrequency_validation():
     beam = make_beam()
-    mesh = mesh_for(beam, 4)
+    mesh = mesh_for(4)
     with pytest.raises(ParameterError):
         beam_eigenfrequencies(mesh, beam, boundary="free-free")
     with pytest.raises(ParameterError):
@@ -198,7 +199,7 @@ def test_eigenfrequency_validation():
 def reduced_free_vibration(beam, n_elements=20):
     # clamped-clamped: the interior dofs are all but the first and last
     # node's, a contiguous block of the band
-    M, K = assemble_matrices(mesh_for(beam, n_elements), beam)
+    M, K = assemble_matrices(mesh_for(n_elements), beam)
     return M[:, 2:-2], K[:, 2:-2]
 
 
@@ -315,7 +316,7 @@ def test_newmark_validation():
     bc = BoundaryHistory(t, np.zeros((t.size, 2)))
     for n_nodes in (0, -1, 6, 2.0, 2.5):
         with pytest.raises(ParameterError):
-            newmark_solve(mesh_for(beam, 4), beam, bc, n_nodes=n_nodes)
+            newmark_solve(mesh_for(4), beam, bc, n_nodes=n_nodes)
     with pytest.raises(ParameterError):
         newmark_march(M, K, np.zeros((10, M.shape[1] + 1)), dt=1e-6)
     with pytest.raises(ParameterError):
@@ -350,7 +351,7 @@ def test_newmark_rejects_non_finite_input(bad):
 
 def test_quiet_boundaries_leave_the_beam_at_rest():
     beam = make_beam()
-    mesh = mesh_for(beam, 10)
+    mesh = mesh_for(10)
     t = np.arange(50) * 1e-6
     bc = BoundaryHistory(t, np.zeros((t.size, 2)))
     sol = newmark_solve(mesh, beam, bc)
@@ -362,7 +363,7 @@ def test_driven_fundamental_mode_tracks_analytic_solution():
     # and start the interior from its shape: it must follow sin(kx) cos(wt);
     # the ends load the interior through the coupling blocks of M and K
     beam = make_beam()
-    mesh = mesh_for(beam, 100)
+    mesh = mesh_for(100)
     length = mesh.length
     x = mesh.node_positions
     k = np.pi / length
@@ -389,7 +390,7 @@ def test_driven_fundamental_mode_tracks_analytic_solution():
 @pytest.mark.parametrize("n_elements, free_right", [(12, True), (12, False), (2, False)])
 def test_newmark_solve_matches_the_dense_oracle(n_elements, free_right):
     beam = make_beam()
-    mesh = mesh_for(beam, n_elements)
+    mesh = mesh_for(n_elements)
     t = np.arange(301) * 2e-7
     ends = [1e-3 * np.sin(2 * np.pi * 2e4 * t), 0.02 * np.sin(2 * np.pi * 3e4 * t)]
     if not free_right:
@@ -408,7 +409,7 @@ def test_newmark_solve_matches_the_dense_oracle(n_elements, free_right):
 
 def test_newmark_solve_allocates_the_loads_and_the_recorded_nodes_only():
     beam = make_beam()
-    mesh = mesh_for(beam, 200)
+    mesh = mesh_for(200)
     t = np.arange(2501) * 2e-7
     drive = 1e-3 * np.sin(2 * np.pi * 2e4 * t)
     bc = BoundaryHistory(t, np.column_stack([drive, np.zeros_like(t)]))
@@ -488,6 +489,8 @@ def test_second_difference_validation():
         BoundaryHistory(np.arange(3) * 0.1, np.ones((3, 2)))
     with pytest.raises(GridError):
         BoundaryHistory(np.zeros(10), np.ones((10, 2)))
+    with pytest.raises(GridError, match="past the float range"):  # finite samples
+        BoundaryHistory(np.array([-1.5, -0.5, 0.5, 1.5]) * 1e308, np.ones((4, 2)))
     with pytest.raises(ParameterError):
         BoundaryHistory(np.arange(5) * 0.1, np.ones((5, 5)))
 

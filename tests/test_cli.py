@@ -619,6 +619,39 @@ def test_simulate_refuses_a_window_of_zeros(capsys, tmp_path):
     assert captured.err == "error: measured field is identically zero\n"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["simulate", "--modulus", "6.9e10"], ["sweep-e", "--e-lo", "6e10", "--e-hi", "8e10"]],
+    ids=["simulate", "sweep-e"],
+)
+def test_replay_of_a_one_position_scan_names_its_x_axis(capsys, tmp_path, flags):
+    # the beam has no span to refuse: the fault is the scan's missing dx
+    t = np.arange(200) * 1e-6
+    path = tmp_path / "point.field"
+    save_field(FieldGrid([0.0], t, np.sin(2e4 * t)[None, :]), path)
+    assert main([flags[0], "--in", str(path), *as_argv(ROD), *flags[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dx undefined for a single-sample x axis\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv", [["discover"], ["preprocess", "--window", "0,0"]], ids=["discover", "preprocess"]
+)
+def test_time_span_past_the_float_range_is_an_error(capsys, tmp_path, argv):
+    path = tmp_path / "wide.field"
+    path.write_text("# fieldgrid v1\nx: 0 1\nt: -1e308 0 1e308\n0 0 0\n0 0 0\n",
+                    encoding="utf-8")
+    argv = [argv[0], "--in", str(path), *argv[1:]]
+    if argv[0] == "preprocess":
+        argv += ["--out", str(tmp_path / "out.field")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: t axis spans -1e+308 to 1e+308, past the float range\n"
+
+
 HUGE_COUNT = 10**30  # no machine can hold that many trial moduli
 
 

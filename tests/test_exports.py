@@ -35,7 +35,7 @@ def short_march():
     from weakbeam.beamfem import FemMesh, assemble_matrices, newmark_march
     from weakbeam.material import BeamModel, CrossSection
 
-    beam = BeamModel(CrossSection.circle(6.35e-3), length=2e-3, density=2721.9,
+    beam = BeamModel(section=CrossSection.circle(6.35e-3), density=2721.9,
                      youngs_modulus=6.9e10)
     M, K = assemble_matrices(FemMesh(4, 5e-4), beam)
     d0 = 1e-4 * np.random.default_rng(0).standard_normal(M.shape[1])

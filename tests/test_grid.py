@@ -50,11 +50,27 @@ def test_values_are_immutable():
         np.array([0.0, 1.0, 2.5]),           # non-uniform
         np.array([0.0, np.nan, 2.0]),        # non-finite
         np.array([]),                        # empty
+        np.array([-1e308, 1e308, 0.0]),      # not increasing, a gap past the float range
     ],
 )
 def test_bad_axis_rejected(x):
     with pytest.raises(GridError):
         FieldGrid(x, np.array([0.0, 1.0]), np.zeros((x.size, 2)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "name, axis",
+    [("t", [-1e308, 0.0, 1e308]), ("t", [-1e308, 1e308]), ("x", [-1e308, 0.0, 1e308])],
+    ids=["t-3-samples", "t-2-samples", "x-3-samples"],
+)
+def test_axis_span_past_the_float_range_rejected(name, axis):
+    # each sample is finite, their span is not: refused before any
+    # difference of samples can overflow with a warning
+    other = np.array([0.0, 1.0])
+    x, t = (axis, other) if name == "x" else (other, axis)
+    with pytest.raises(GridError, match=f"^{name} axis spans .* past the float range"):
+        FieldGrid(x, t, np.zeros((len(x), len(t))))
 
 
 def test_shape_mismatch_rejected():

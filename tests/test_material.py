@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import AL_DENSITY, make_beam
+from conftest import AL_DENSITY, AL_MESH, AL_SECTION, make_beam
 from oracles import BETA_L, alpha_from_modulus, analytic_beam_frequencies
 from weakbeam.errors import ParameterError
 from weakbeam.material import (
@@ -65,14 +65,19 @@ def test_section_validation():
 def test_beam_model_validation():
     sec = CrossSection.circle(1e-3)
     with pytest.raises(ParameterError):
-        BeamModel(section=sec, length=0.0, density=1.0)
+        BeamModel(section=sec, density=-1.0)
     with pytest.raises(ParameterError):
-        BeamModel(section=sec, length=1.0, density=-1.0)
-    with pytest.raises(ParameterError):
-        BeamModel(section=sec, length=1.0, density=1.0, youngs_modulus=0.0)
-    beam = BeamModel(section=sec, length=1.0, density=1.0)
+        BeamModel(section=sec, density=1.0, youngs_modulus=0.0)
+    beam = BeamModel(section=sec, density=1.0)
     with pytest.raises(ParameterError):
         beam.require_modulus()
+
+
+def test_beam_model_fields_are_keyword_only():
+    # the beam holds no span: a call that still passes one by position
+    # fails instead of reading it as the density
+    with pytest.raises(TypeError):
+        BeamModel(AL_SECTION, 0.097, AL_DENSITY)
 
 
 # ------------------------------------------------------------ modulus recovery
@@ -88,11 +93,7 @@ def test_modulus_from_discovered_stiffness():
 
 def test_modulus_for_rectangular_specimen():
     # for a rectangle only the bending thickness enters: E = alpha rho 12 / t^2
-    beam = BeamModel(
-        section=CrossSection.rectangle(4.18e-3, 2.84e-3),
-        length=0.5,
-        density=1301.4,
-    )
+    beam = BeamModel(section=CrossSection.rectangle(4.18e-3, 2.84e-3), density=1301.4)
     e = modulus_from_alpha(0.497308, beam)
     assert e == pytest.approx(9.6292e8, rel=1e-4)
     assert e == pytest.approx(0.497308 * 1301.4 * 12.0 / 2.84e-3**2, rel=1e-14)
@@ -113,7 +114,7 @@ def test_modulus_formula_reduces_for_a_circle():
     density=st.floats(100.0, 2e4),
 )
 def test_modulus_and_alpha_are_inverse_maps(alpha, diameter, density):
-    beam = BeamModel(section=CrossSection.circle(diameter), length=0.1, density=density)
+    beam = BeamModel(section=CrossSection.circle(diameter), density=density)
     e = modulus_from_alpha(alpha, beam)
     assert alpha_from_modulus(e, beam) == pytest.approx(alpha, rel=1e-12)
 
@@ -130,7 +131,7 @@ def test_modulus_past_the_float_range_is_an_error():
     with pytest.raises(ParameterError, match="float range"):
         modulus_from_alpha(1e308, make_beam(modulus=None))
     # A / I = 16 / d**2 is 1.6e-151: the modulus underflows to 0
-    beam = BeamModel(section=CrossSection.circle(1e76), length=0.1, density=1e-10)
+    beam = BeamModel(section=CrossSection.circle(1e76), density=1e-10)
     with pytest.raises(ParameterError, match="float range"):
         modulus_from_alpha(1e-300, beam)
 
@@ -162,13 +163,13 @@ def test_characteristic_roots_refuse_a_count_numpy_returns_empty(boundary, n_mod
 def test_natural_frequencies_match_analytic_form():
     beam = make_beam()
     for boundary in ("clamped-free", "pinned-pinned", "clamped-clamped"):
-        got = natural_frequencies(beam, boundary=boundary, n_modes=3)
+        got = natural_frequencies(beam, AL_MESH.length, boundary, n_modes=3)
         want = analytic_beam_frequencies(
             beam.youngs_modulus,
             beam.section.second_moment,
             beam.density,
             beam.section.area,
-            beam.length,
+            AL_MESH.length,
             boundary,
             3,
         )
@@ -179,8 +180,8 @@ def test_natural_frequencies_match_analytic_form():
 def test_pinned_fundamental_closed_form():
     # f1 = (pi / 2 L^2) sqrt(E I / rho A)
     beam = make_beam()
-    f1 = natural_frequencies(beam, boundary="pinned-pinned", n_modes=1)[0]
-    want = (math.pi / (2 * beam.length**2)) * math.sqrt(
+    f1 = natural_frequencies(beam, AL_MESH.length, "pinned-pinned", n_modes=1)[0]
+    want = (math.pi / (2 * AL_MESH.length**2)) * math.sqrt(
         beam.youngs_modulus
         * beam.section.second_moment
         / (beam.density * beam.section.area)
@@ -189,21 +190,15 @@ def test_pinned_fundamental_closed_form():
 
 
 def test_frequencies_scale_inversely_with_length_squared():
-    short = make_beam()
-    long = BeamModel(
-        section=short.section,
-        length=2 * short.length,
-        density=short.density,
-        youngs_modulus=short.youngs_modulus,
-    )
-    fs = natural_frequencies(short, n_modes=2)
-    fl = natural_frequencies(long, n_modes=2)
+    beam = make_beam()
+    fs = natural_frequencies(beam, AL_MESH.length, n_modes=2)
+    fl = natural_frequencies(beam, 2 * AL_MESH.length, n_modes=2)
     assert np.allclose(fl, fs / 4.0, rtol=1e-12, atol=0)
 
 
 def test_frequencies_require_modulus():
     with pytest.raises(ParameterError):
-        natural_frequencies(make_beam(modulus=None))
+        natural_frequencies(make_beam(modulus=None), AL_MESH.length)
 
 
 @pytest.mark.parametrize(
@@ -212,9 +207,15 @@ def test_frequencies_require_modulus():
     ids=["length**4-overflows", "length**4-underflows", "frequencies-overflow"],
 )
 def test_frequencies_past_the_float_range_are_an_error(length, modulus):
-    beam = BeamModel(CrossSection.circle(6.35e-3), length, AL_DENSITY, modulus)
     with pytest.raises(ParameterError, match="float range"):
-        natural_frequencies(beam)
+        natural_frequencies(make_beam(modulus), length)
+
+
+@pytest.mark.parametrize("length", [-0.097, 0.0, math.nan, math.inf])
+def test_frequencies_refuse_a_span_not_finite_and_positive(length):
+    # a negative span would pass through length**4 unnoticed
+    with pytest.raises(ParameterError, match="length must be finite and positive"):
+        natural_frequencies(make_beam(), length)
 
 
 # ------------------------------------------------------------------- smape

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -328,9 +326,8 @@ def test_assemble_validation():
 
 def test_al_window_strides_and_row_count():
     g = random_field(195, 1501, seed=1, dx=5e-4, dt=1.6e-7)
-    basis = TestFunctionBasis(p_x=8, p_t=7, m_x=42, m_t=82)
-    assert default_query_strides(g, basis) == (3, 30)
-    system = assemble(g, basis.__class__(p_x=8, p_t=7, m_x=42, m_t=82, s_x=3, s_t=30))
+    assert default_query_strides(195, 1501, 42, 82) == (3, 30)
+    system = assemble(g, TestFunctionBasis(p_x=8, p_t=7, m_x=42, m_t=82, s_x=3, s_t=30))
     assert system.n_queries == 1665  # 37 x-centers times 45 t-centers
 
 
@@ -349,13 +346,10 @@ def test_full_width_support_gives_single_spatial_column():
 
 
 def test_too_few_query_points_is_selection_error():
-    g = random_field(13, 13, seed=4)
-    basis = TestFunctionBasis(p_x=6, p_t=5, m_x=5, m_t=4)
-    # interior is 3 x 5 = 15 + one extra hits; shrink further
+    # an interior of 3 x 3 centers is 9 query points, too few; 3 x 5 is 15
     with pytest.raises(SelectionError):
-        default_query_strides(random_field(13, 11, seed=4), TestFunctionBasis(
-            p_x=6, p_t=5, m_x=5, m_t=4))
-    assert default_query_strides(g, basis) == (1, 1)
+        default_query_strides(13, 11, 5, 4)
+    assert default_query_strides(13, 13, 5, 4) == (1, 1)
 
 
 def test_stride_rule_meets_the_row_count_on_its_own():
@@ -365,12 +359,11 @@ def test_stride_rule_meets_the_row_count_on_its_own():
     assert 2 * len(TERMS) <= 33
 
 
-def strides_or_error(rule, n_x, n_t, m_x, m_t):
-    """``rule``'s strides on an n_x x n_t grid with half-widths (m_x, m_t),
-    or the message of the SelectionError it raises; only the sizes and
-    the half-widths are read, so no field is built."""
+def strides_or_error(rule, *case):
+    """``rule``'s strides for ``case``, (n_x, n_t, m_x, m_t), or the
+    message of the SelectionError it raises."""
     try:
-        return rule(SimpleNamespace(n_x=n_x, n_t=n_t), SimpleNamespace(m_x=m_x, m_t=m_t))
+        return rule(*case)
     except SelectionError as exc:
         return str(exc)
 
