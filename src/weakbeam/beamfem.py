@@ -38,7 +38,7 @@ __all__ = [
 # Hermite elements couple dofs of adjacent nodes only: |i - j| <= 3.
 _HALF_BANDWIDTH = 3
 
-# Bytes that sweep_modulus gives one chunk of steps: the trials' modal
+# Bytes that the modal replay gives one chunk of steps: the trials' modal
 # loads and deflections and their rebuilt interior fields.  On 195- and
 # 400-point rods, 1 MiB ran 10-30 % slower and 16 MiB raised peak RSS.
 _SWEEP_CHUNK_BYTES = 4 << 20
@@ -606,11 +606,30 @@ def sweep_modulus(
     error that is not finite (they overflow the float range on very fine
     spacings or long time steps), raises :class:`DegenerateDataError`.
     """
+    moduli = _trial_moduli(e_lo, e_hi, n_values)
+    return SweepResult(moduli=moduli, errors=_replay_errors(data, beam, moduli, window))
+
+
+def _trial_moduli(e_lo: float, e_hi: float, n_values: int) -> np.ndarray:
+    """:func:`sweep_modulus`'s linear grid of trial moduli, checks first; a
+    count NumPy cannot hold raises :class:`ParameterError`."""
     if not (0 < e_lo < e_hi < np.inf):
         raise ParameterError(f"need finite 0 < e_lo < e_hi, got [{e_lo}, {e_hi}]")
     if not (isinstance(n_values, (int, np.integer)) and n_values >= 2):
         raise ParameterError(f"n_values must be an integer >= 2, got {n_values!r}")
-    moduli = _allocate(lambda: np.linspace(e_lo, e_hi, n_values), f"{n_values} trial moduli")
+    return _allocate(lambda: np.linspace(e_lo, e_hi, n_values), f"{n_values} trial moduli")
+
+
+def _replay_errors(
+    data: FieldGrid,
+    beam: BeamModel,
+    moduli: np.ndarray,
+    window: tuple[float, float] | None,
+) -> np.ndarray:
+    """The replay error at each of ``moduli`` (positive, in any order), in
+    one modal march, as :func:`sweep_modulus` describes; ``beam``'s own
+    modulus is not read.  Each is :func:`simulate_measured`'s
+    ``frobenius_rel`` at that modulus to the two marches' rounding."""
     data, _, cols, norm, mesh, bc = _replay_setup(data, window)
     start, stop, _ = cols.indices(data.n_t)
     unit = replace(beam, youngs_modulus=1.0)
@@ -625,13 +644,14 @@ def sweep_modulus(
         np.ascontiguousarray(split[:, half].T)
         for split, half in zip(_mirror_split(phi[0:n_inner:2]), halves)
     ]
+    n_values = len(moduli)
     chunk = max(1, _SWEEP_CHUNK_BYTES // (8 * n_values * 2 * (n_modes + n_w)))
     sq = np.zeros(n_values)
     # loads or a march that overflow are reported by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         loaded, f_mass, f_stiff = _edge_loads(bc, *_element_matrices(mesh, unit), n_inner)
         # past the float range the stiffest mode's gain 1 / (1 + q E lam) is 0
-        if not np.isfinite(0.25 * bc.dt**2 * moduli[-1] * lam.max()):
+        if not np.isfinite(0.25 * bc.dt**2 * moduli.max() * lam.max()):
             raise DegenerateDataError(
                 f"the stiffest mode's q E lam overflows at spacing dx = {mesh.dx:g} "
                 f"and time step dt = {bc.dt:g}"
@@ -649,10 +669,10 @@ def sweep_modulus(
         errors = np.sqrt(sq) / norm
     if not np.all(np.isfinite(errors)):
         raise DegenerateDataError(
-            f"the modulus sweep's simulation error is not finite at spacing "
+            f"the modal replay's simulation error is not finite at spacing "
             f"dx = {mesh.dx:g} and time step dt = {bc.dt:g}"
         )
-    return SweepResult(moduli=moduli, errors=errors)
+    return errors
 
 
 def _modal_basis(mesh: FemMesh, beam: BeamModel, n_inner: int):

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .beamfem import SweepResult, simulate_measured, sweep_modulus
+from .beamfem import SweepResult, _replay_errors, _trial_moduli
 from .discovery import discover, render_pde
 from .ensemble import EnsembleResult, run_ensemble
 from .errors import DegenerateDataError, ParameterError, WeakbeamError
@@ -108,17 +108,20 @@ class PipelineConfig:
                 f"pipeline config key 'nominal_modulus' must be finite and positive, "
                 f"got {self.nominal_modulus}"
             )
-        # checked here, so a bad count fails as a config error before any stage
+        # checked here, so a bad count or range fails as a config error
+        # before any stage
         if self.max_ds < 0:
             raise ParameterError(
                 f"pipeline config key 'max_ds' must be >= 0 (0 skips the ensemble), "
                 f"got {self.max_ds}"
             )
-        count = None if self.sweep is None else self.sweep[2]
-        if count is not None and not (isinstance(count, _INT) and count >= 2):
-            raise ParameterError(
-                f"pipeline config key 'sweep' needs an integer count >= 2, got {count!r}"
-            )
+        if self.sweep is not None:
+            e_lo, e_hi, count = self.sweep
+            if not (isinstance(count, _INT) and count >= 2 and 0 < e_lo < e_hi < math.inf):
+                raise ParameterError(
+                    f"pipeline config key 'sweep' needs finite 0 < e_lo < e_hi and an "
+                    f"integer count >= 2, got {list(self.sweep)}"
+                )
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
@@ -294,13 +297,16 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
     sweep = None
     if config.simulate and beam is not None and not degenerate:
         with _stage(report, timing, "simulate"):
-            sim = simulate_measured(processed, beam, window=config.window)
+            # one modal march replays the discovered modulus and the sweep's
+            grid = np.empty(0) if config.sweep is None else _trial_moduli(*config.sweep)
+            moduli = np.append(beam.youngs_modulus, grid)
+            errors = _replay_errors(processed, beam, moduli, config.window)
             report["simulation"] = {
                 "youngs_modulus": beam.youngs_modulus,
-                "frobenius_rel": sim.frobenius_rel,
+                "frobenius_rel": float(errors[0]),
             }
             if config.sweep is not None:
-                sweep = sweep_modulus(processed, beam, *config.sweep, window=config.window)
+                sweep = SweepResult(moduli=grid, errors=errors[1:])
                 report["sweep"] = {
                     "moduli": [float(e) for e in sweep.moduli],
                     "errors": [float(e) for e in sweep.errors],

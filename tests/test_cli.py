@@ -405,6 +405,9 @@ def test_modulus_flag_where_it_is_unused_is_a_usage_error(capsys, argv):
         # a sweep count is a JSON integer >= 2
         *(('{"field_path": "x", "sweep": [6.5e10, 7.3e10, %s]}' % v, "sweep")
           for v in ("NaN", "1e30", "2.7", "21.0", "1")),
+        # and its range is finite with 0 < e_lo < e_hi (1e400 reads as inf)
+        *(('{"field_path": "x", "sweep": %s}' % v, "sweep")
+          for v in ("[7.2e10, 6.6e10, 3]", "[0.0, 7e10, 3]", "[6.6e10, 1e400, 3]")),
         # 0 skips the ensemble; a negative largest decimation is an error
         ('{"field_path": "x", "max_ds": -1}', "max_ds"),
         # the test-function tolerance and the band-pass taper are fixed

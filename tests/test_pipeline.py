@@ -1,11 +1,14 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import AL_DENSITY, AL_MODULUS, AL_SECTION
+from conftest import AL_DENSITY, AL_MODULUS, AL_SECTION, make_beam
+from weakbeam import beamfem
+from weakbeam.beamfem import simulate_measured, sweep_modulus
 from weakbeam.errors import ParameterError
-from weakbeam.grid import FieldGrid, save_field
+from weakbeam.grid import FieldGrid, load_field, save_field
 from weakbeam.pipeline import (
     CONFIG_EXIT_CODE,
     STAGE_EXIT_CODES,
@@ -74,6 +77,15 @@ def test_config_rejects_unknown_keys():
         PipelineConfig.from_dict({"field_path": "x", "bogus": 1})
 
 
+@pytest.mark.parametrize(
+    "sweep", [[7.2e10, 6.6e10, 3], [0.0, 7e10, 3], [6.6e10, float("inf"), 3]]
+)
+def test_config_rejects_a_bad_sweep_range(sweep):
+    # refused when the config is read, before any stage runs
+    with pytest.raises(ParameterError, match="sweep"):
+        PipelineConfig.from_dict({"field_path": "x", "sweep": sweep})
+
+
 # ------------------------------------------------------------------ full runs
 
 def test_full_run_visits_every_stage(full_report):
@@ -104,6 +116,59 @@ def test_full_run_visits_every_stage(full_report):
     sweep = full_report["sweep"]
     assert len(sweep["moduli"]) == 3 and len(sweep["errors"]) == 3
     assert sweep["best_error"] == min(sweep["errors"])
+
+
+# the bound of test_replay_sweep_stays_within_the_per_trial_gap: the modal
+# march and simulate_measured's banded one round differently
+PER_TRIAL_GAP = 3e-9
+
+
+def test_simulate_stage_replays_the_modulus_with_the_sweep(full_config, full_report):
+    # one modal march over the discovered modulus and the grid: the first
+    # is simulate_measured's error to the marches' rounding, the rest the
+    # sweep's own to the rounding of a march one trial wider
+    data = load_field(full_config.field_path)
+    modulus = full_report["material"]["youngs_modulus"]
+    sim = simulate_measured(data, make_beam(modulus=modulus))
+    assert abs(full_report["simulation"]["frobenius_rel"] - sim.frobenius_rel) <= PER_TRIAL_GAP
+    sweep = sweep_modulus(data, make_beam(), *full_config.sweep)
+    report = full_report["sweep"]
+    assert report["moduli"] == sweep.moduli.tolist()
+    np.testing.assert_allclose(report["errors"], sweep.errors, rtol=1e-14, atol=0.0)
+    assert report["best_modulus"] == sweep.best_modulus
+
+
+def test_simulate_stage_without_a_sweep_replays_the_modulus_alone(full_config, full_report):
+    report = run_pipeline(replace(full_config, max_ds=0, sweep=None))
+    assert "sweep" not in report
+    data = load_field(full_config.field_path)
+    modulus = report["material"]["youngs_modulus"]
+    assert modulus == full_report["material"]["youngs_modulus"]
+    error = report["simulation"]["frobenius_rel"]
+    sim = simulate_measured(data, make_beam(modulus=modulus))
+    assert abs(error - sim.frobenius_rel) <= PER_TRIAL_GAP
+    assert error == pytest.approx(full_report["simulation"]["frobenius_rel"], rel=1e-14, abs=0.0)
+
+
+def test_simulate_stage_extracts_the_edges_once_and_never_marches_banded(
+    full_config, monkeypatch
+):
+    calls = {"extract_boundaries": 0, "newmark_march": 0}
+
+    def counted(name):
+        original = getattr(beamfem, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(beamfem, name, counted(name))
+    report = run_pipeline(replace(full_config, max_ds=0))
+    assert "sweep" in report
+    assert calls == {"extract_boundaries": 1, "newmark_march": 0}
 
 
 def test_report_is_json_serializable(full_report):
