@@ -129,6 +129,22 @@ def _dt_squared(dt: float) -> float:
     return dt2
 
 
+def _finite(compute, message: str):
+    """``compute()``, with NumPy's overflow and invalid warnings off; a value
+    that is not all finite raises :class:`DegenerateDataError` with
+    ``message``.  The FEM's one float-range guard."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = compute()
+    if not _all_finite(np.asarray(value)):
+        raise DegenerateDataError(message)
+    return value
+
+
+def _at(mesh: FemMesh, bc: BoundaryHistory) -> str:
+    """The ending of a replay's range error: the grid that met it."""
+    return f" at spacing dx = {mesh.dx:g} and time step dt = {bc.dt:g}"
+
+
 def _element_dofs(mesh: FemMesh) -> np.ndarray:
     """``(n_elements, 4)`` global dofs of each element's local ones: element
     e puts its local dof i on global dof 2e + i."""
@@ -365,10 +381,7 @@ def newmark_march(
     K = np.asfortranarray(K, dtype=float)  # dsbmv would copy it every step
     dt2 = _dt_squared(dt)
     q = 0.25 * dt2
-    with np.errstate(over="ignore", invalid="ignore"):
-        effective = M + q * K
-    if not _all_finite(effective):
-        raise DegenerateDataError(f"M + dt**2/4 K overflows at time step dt = {dt:g}")
+    effective = _finite(lambda: M + q * K, f"M + dt**2/4 K overflows at time step dt = {dt:g}")
     mass = cholesky_banded(M)
     effective = cholesky_banded(effective)
     # zero off the loaded dofs for good: dsbmv adds into a copy of its y
@@ -456,24 +469,19 @@ def newmark_solve(
     # interior deflections are the even interior dofs, on nodes 1 .. n_inner/2;
     # record those of the nodes returned
     n_recorded = min(n_nodes - 1, n_inner // 2)
-    # matrices, loads or a march that overflow are reported by the
-    # finiteness checks
-    with np.errstate(over="ignore", invalid="ignore"):
+    message = "the simulated deflections are not finite" + _at(mesh, bc)
+
+    def march():
         M, K = assemble_matrices(mesh, beam)
         loaded, f_mass, f_stiff = _edge_loads(bc, *_element_matrices(mesh, beam), n_inner)
-        forces = f_mass + f_stiff
-        finite = _all_finite(K) and _all_finite(forces)
-        if finite:
-            w_hist = newmark_march(
-                M[:, inner], K[:, inner], forces, bc.dt,
-                record=slice(0, 2 * n_recorded, 2), loaded=loaded,
-            )
-            finite = _all_finite(w_hist)
-    if not finite:
-        raise DegenerateDataError(
-            f"the simulated deflections are not finite at spacing dx = {mesh.dx:g} "
-            f"and time step dt = {bc.dt:g}"
-        )
+        # the march would refuse a stiffness or loads past the float range
+        # with an error of its own
+        _finite(lambda: K, message)
+        forces = _finite(lambda: f_mass + f_stiff, message)
+        record = slice(0, 2 * n_recorded, 2)
+        return newmark_march(M[:, inner], K[:, inner], forces, bc.dt, record=record, loaded=loaded)
+
+    w_hist = _finite(march, message)
 
     deflection = np.empty((n_nodes, bc.t.size))
     deflection[1 : 1 + n_recorded] = w_hist.T
@@ -498,11 +506,10 @@ def compare(measured: FieldGrid, simulated: FieldGrid) -> float:
     if denom == 0.0:
         raise DegenerateDataError("measured field is identically zero")
     # a simulation far larger than the data overflows the sum of squares
-    with np.errstate(over="ignore", invalid="ignore"):
-        error = float(np.linalg.norm(measured.values - simulated.values) / denom)
-    if not np.isfinite(error):
-        raise DegenerateDataError("the simulation error is not finite")
-    return error
+    return _finite(
+        lambda: float(np.linalg.norm(measured.values - simulated.values) / denom),
+        "the simulation error is not finite",
+    )
 
 
 def _replay_setup(data: FieldGrid, window: tuple[float, float] | None):
@@ -549,15 +556,10 @@ def simulate_measured(
     try:
         error = compare(data_c, sim_c)
     except DegenerateDataError as exc:
-        raise DegenerateDataError(
-            f"{exc} at spacing dx = {mesh.dx:g} and time step dt = {bc.dt:g}"
-        ) from None
+        raise DegenerateDataError(f"{exc}{_at(mesh, bc)}") from None
     if e:
-        with np.errstate(over="ignore"):
-            values = np.ldexp(sim_c.values, e)
-        if not _all_finite(values):
-            raise DegenerateDataError("the simulated deflections overflow the data's units")
-        sim_c = FieldGrid(sim_c.x, sim_c.t, values)
+        message = "the simulated deflections overflow the data's units"
+        sim_c = FieldGrid(sim_c.x, sim_c.t, _finite(lambda: np.ldexp(sim_c.values, e), message))
     return SimulationResult(field=sim_c, frobenius_rel=error)
 
 
@@ -646,18 +648,15 @@ def _replay_errors(
     ]
     n_values = len(moduli)
     chunk = max(1, _SWEEP_CHUNK_BYTES // (8 * n_values * 2 * (n_modes + n_w)))
-    sq = np.zeros(n_values)
-    # loads or a march that overflow are reported by the finiteness check below
-    with np.errstate(over="ignore", invalid="ignore"):
+    dt2, at = _dt_squared(bc.dt), _at(mesh, bc)
+    # past the float range the stiffest mode's gain 1 / (1 + q E lam) is 0
+    stiffest = "the stiffest mode's q E lam overflows" + at
+    _finite(lambda: 0.25 * dt2 * moduli.max() * lam.max(), stiffest)
+
+    def errors():
         loaded, f_mass, f_stiff = _edge_loads(bc, *_element_matrices(mesh, unit), n_inner)
-        # past the float range the stiffest mode's gain 1 / (1 + q E lam) is 0
-        if not np.isfinite(0.25 * bc.dt**2 * moduli.max() * lam.max()):
-            raise DegenerateDataError(
-                f"the stiffest mode's q E lam overflows at spacing dx = {mesh.dx:g} "
-                f"and time step dt = {bc.dt:g}"
-            )
-        marches = _march_modes(lam, phi[loaded], f_mass, f_stiff, moduli, bc.dt, stop - 1, chunk)
-        for k0, y in marches:
+        sq = np.zeros(n_values)
+        for k0, y in _march_modes(lam, phi[loaded], f_mass, f_stiff, moduli, dt2, stop - 1, chunk):
             lo, hi = max(k0, start), min(k0 + len(y), stop)
             if lo < hi:
                 y = y[lo - k0 : hi - k0].reshape(-1, n_modes)
@@ -666,13 +665,10 @@ def _replay_errors(
                     w = (y[:, half] @ rebuild).reshape(hi - lo, n_values, -1)
                     w -= part.T[:, None]
                     sq += np.einsum("kvi,kvi->v", w, w)
-        errors = np.sqrt(sq) / norm
-    if not np.all(np.isfinite(errors)):
-        raise DegenerateDataError(
-            f"the modal replay's simulation error is not finite at spacing "
-            f"dx = {mesh.dx:g} and time step dt = {bc.dt:g}"
-        )
-    return errors
+        return np.sqrt(sq) / norm
+
+    # loads or a march that overflow show in the errors
+    return _finite(errors, "the modal replay's simulation error is not finite" + at)
 
 
 def _modal_basis(mesh: FemMesh, beam: BeamModel, n_inner: int):
@@ -734,10 +730,10 @@ def _modal_basis(mesh: FemMesh, beam: BeamModel, n_inner: int):
     stiffness = beam.require_modulus() * beam.section.second_moment
     mass = beam.density * beam.section.area
     dx = mesh.dx
-    with np.errstate(over="ignore"):
-        lam = np.concatenate(mus) * (stiffness / mass / dx**2 / dx**2)
-    if not np.all(np.isfinite(lam)):
-        raise DegenerateDataError(f"the modal rates overflow at spacing dx = {dx:g}")
+    lam = _finite(
+        lambda: np.concatenate(mus) * (stiffness / mass / dx**2 / dx**2),
+        f"the modal rates overflow at spacing dx = {dx:g}",
+    )
     s = np.tile([1.0, 1.0 / dx], n_inner // 2) / np.sqrt(2.0 * mass * dx)
     return lam, s[:, None] * np.hstack(modes)
 
@@ -757,7 +753,7 @@ def _mirror_split(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return even, (rows[:h] - mirrored) * np.sqrt(0.5)
 
 
-def _march_modes(lam, phi_loaded, f_mass, f_stiff, moduli, dt, n_steps, chunk):
+def _march_modes(lam, phi_loaded, f_mass, f_stiff, moduli, dt2, n_steps, chunk):
     """March every trial modulus from rest in the modal basis of
     :func:`sweep_modulus`, yielding ``(k0, y)`` chunk by chunk: ``y``
     holds the modal deflections of steps ``k0, k0 + 1, ...``, shape
@@ -768,9 +764,10 @@ def _march_modes(lam, phi_loaded, f_mass, f_stiff, moduli, dt, n_steps, chunk):
     at a time: ``a' = (phi' f' - E lam p) / (1 + q E lam)``.  One product
     of ``[f_M | f_K]`` with a pattern that holds ``phi' gain`` and
     ``E phi' gain`` forms a chunk's ``gain phi' f'`` for every trial, so
-    no ``(n_steps, n_modes)`` array is held.
+    no ``(n_steps, n_modes)`` array is held.  ``dt2`` is ``dt**2``
+    (:func:`_dt_squared`).
     """
-    q = 0.25 * dt**2
+    q = 0.25 * dt2
     e = moduli[:, None]
     gain = 1.0 / (1.0 + q * e * lam)
     stiff = e * lam * gain
@@ -780,7 +777,7 @@ def _march_modes(lam, phi_loaded, f_mass, f_stiff, moduli, dt, n_steps, chunk):
 
     a = f_mass[0] @ phi_loaded + e * (f_stiff[0] @ phi_loaded)  # M a = f at rest, Phi' M Phi = I
     p = q * a
-    s = 0.5 * dt**2 * a
+    s = 0.5 * dt2 * a
     yield 0, np.zeros((1,) + a.shape)
     for k0 in range(1, n_steps + 1, chunk):
         k1 = min(k0 + chunk, n_steps + 1)
@@ -791,7 +788,7 @@ def _march_modes(lam, phi_loaded, f_mass, f_stiff, moduli, dt, n_steps, chunk):
             np.subtract(row, a, out=a)
             np.multiply(a, q, out=row)
             row += p
-            a *= dt**2
+            a *= dt2
             s += a
             p += s
         yield k0, y

@@ -670,6 +670,112 @@ def test_solve_with_an_overflowing_stiffness_is_degenerate_data():
         newmark_solve(FemMesh(9, 8e-103), make_beam(), bc)
 
 
+def noise_field(dx, dt, scale=1.0):
+    """A 3x20 field of seeded white noise at spacing ``dx`` and step ``dt``."""
+    values = np.random.default_rng(0).standard_normal((3, 20))
+    return FieldGrid(np.arange(3) * dx, np.arange(20) * dt, scale * values)
+
+
+def wave_field(dt):
+    """The noisy 40x60 standing wave at dx 5e-4 that the acceptance test
+    of extreme time steps replays."""
+    x = np.arange(40) * 5e-4
+    values = np.sin(2 * np.pi * x / 0.01)[:, None] * np.cos(2 * np.pi * np.arange(60) / 12)
+    noise = 0.01 * np.random.default_rng(0).standard_normal(values.shape)
+    return FieldGrid(x, np.arange(60) * dt, values + noise)
+
+
+def simulated(data):
+    return lambda: simulate_measured(data, make_beam())
+
+
+def swept(data):
+    return lambda: sweep_modulus(data, make_beam(), 6.9e10, 7.59e10, 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            simulated(wave_field(1e-200)),
+            "time step dt = 1e-200 is outside the replay's range: dt**2 is 0",
+            id="dt-squared-simulated",
+        ),
+        pytest.param(
+            swept(wave_field(1e155)),
+            "time step dt = 1e+155 is outside the replay's range: dt**2 is inf",
+            id="dt-squared-swept",
+        ),
+        pytest.param(
+            simulated(wave_field(1e150)),
+            "M + dt**2/4 K overflows at time step dt = 1e+150",
+            id="effective-matrix",
+        ),
+        pytest.param(
+            simulated(noise_field(1e-100, 1e-150)),
+            "the simulated deflections are not finite at spacing dx = 1e-100 "
+            "and time step dt = 1e-150",
+            id="deflections-loads",
+        ),
+        pytest.param(
+            lambda: newmark_solve(
+                FemMesh(9, 8e-103),
+                make_beam(),
+                BoundaryHistory(np.arange(200) * 1e-6, np.zeros((200, 4))),
+            ),
+            "the simulated deflections are not finite at spacing dx = 8e-103 "
+            "and time step dt = 1e-06",
+            id="deflections-stiffness",
+        ),
+        pytest.param(
+            simulated(noise_field(1e-100, 1e-100)),
+            "the simulated deflections are not finite at spacing dx = 1e-100 "
+            "and time step dt = 1e-100",
+            id="deflections-march",
+        ),
+        pytest.param(
+            simulated(noise_field(1e-36, 1e20)),
+            "the simulation error is not finite at spacing dx = 1e-36 and time step dt = 1e+20",
+            id="simulation-error",
+        ),
+        pytest.param(
+            lambda: compare(noise_field(1.0, 1.0), noise_field(1.0, 1.0, 1e300)),
+            "the simulation error is not finite",
+            id="compare",
+        ),
+        pytest.param(
+            simulated(noise_field(1e-60, 1e-100, 2.0**1000)),
+            "the simulated deflections overflow the data's units",
+            id="scale-back",
+        ),
+        pytest.param(
+            swept(noise_field(1e-76, 1e10)),
+            "the stiffest mode's q E lam overflows at spacing dx = 1e-76 and time step dt = 1e+10",
+            id="q-e-lam",
+        ),
+        pytest.param(
+            swept(noise_field(1e-100, 1e-150)),
+            "the modal rates overflow at spacing dx = 1e-100",
+            id="modal-rates",
+        ),
+        pytest.param(
+            swept(noise_field(1e-76, 1e-150)),
+            "the modal replay's simulation error is not finite at spacing dx = 1e-76 "
+            "and time step dt = 1e-150",
+            id="modal-replay",
+        ),
+    ],
+)
+def test_float_range_errors_keep_their_messages(call, message):
+    # each value that leaves the float range raises DegenerateDataError
+    # with this exact text, naming the grid where a replay meets it
+    with pytest.raises(DegenerateDataError) as info:
+        call()
+    assert type(info.value) is DegenerateDataError
+    assert str(info.value) == message
+
+
 def test_simulation_error_grows_with_wrong_modulus(edge_field):
     good = simulate_measured(edge_field, make_beam())
     bad = simulate_measured(edge_field, make_beam(modulus=0.5 * 6.9e10))

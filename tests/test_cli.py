@@ -594,7 +594,32 @@ def test_flag_prefix_is_a_usage_error(capsys, tiny_field, argv):
     assert "unrecognized arguments" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("measured", [[], ["--measured", "100"]], ids=["bare", "measured"])
+@pytest.fixture(scope="module")
+def ci_rod(tmp_path_factory):
+    """The 40x401 rod that CI synthesises: 40 points at 0.5 mm, dt 1e-6."""
+    path = tmp_path_factory.mktemp("rod") / "rod.field"
+    argv = ["synth", *as_argv(ROD), "--modulus", "6.9e10", "--n-points", "40",
+            "--dx", "5e-4", "--fc", "1e4", "--dt", "1e-6", "--t-end", "4e-4", "--out", str(path)]
+    assert main(argv) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["discover", "--in", "{in}", "--tau-hat=-0.5,1.0"], "support"),
+        (["simulate", "--in", "{in}", *as_argv(ROD), "--modulus", "6.9e10",
+          "--window=-1e-4,4e-4"], "frobenius_rel"),
+    ],
+    ids=["tau-hat", "window"],
+)
+def test_pair_flag_takes_a_negative_first_value_after_an_equals_sign(capsys, ci_rod, argv, key):
+    # argparse reads "--window -1e-4,4e-4" as a flag with no value (exit 2)
+    argv = [token.replace("{in}", str(ci_rod)) for token in argv]
+    assert key in run_json(capsys, argv)
+
+
+@pytest.mark.parametrize("measured",[[], ["--measured", "100"]], ids=["bare", "measured"])
 @pytest.mark.parametrize("boundary", ["pinned-pinned", "clamped-free"])
 @pytest.mark.parametrize("n_modes", [2**63 - 1, 2**63])
 def test_mode_count_near_2_63_is_an_error(capsys, n_modes, boundary, measured):
