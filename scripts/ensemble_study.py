@@ -63,7 +63,7 @@ def main() -> int:
             if not run.ok:
                 rows.append([seed, run.d, run.offset, "failed", "", ""])
                 continue
-            alpha = -run.result.coefficient("w_xxxx")
+            alpha = run.result.alpha
             e_run = modulus_from_alpha(alpha, beam) if alpha > 0 else float("nan")
             if np.isfinite(e_run):
                 moduli.append(e_run)

@@ -36,10 +36,11 @@ from .material import (
     CrossSection,
     modulus_from_alpha,
     natural_frequencies,
+    percent_error,
     smape,
 )
 from .pipeline import PipelineConfig, run_pipeline
-from .preprocess import bandpass_time, subsample_time
+from .preprocess import bandpass_time, condition, subsample_time
 from .sparse import SparseSolution, mstls, optimize_lambda
 from .synth import burst, generate_beam_data
 from .weakform import (

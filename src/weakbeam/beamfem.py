@@ -452,9 +452,9 @@ def newmark_solve(
     ``bc.t`` on the leading ``n_nodes`` mesh nodes (default: all), shape
     ``(n_nodes, bc.t.size)``.  The whole mesh is marched either way, but
     only those nodes' deflections are recorded, so the rows equal the
-    leading rows of the full field bit for bit.  A stiffness, loads or
-    deflections that are not finite (they overflow on very fine
-    spacings or extreme time steps) raise :class:`DegenerateDataError`.
+    leading rows of the full field bit for bit.  A stiffness, mass, loads
+    or deflections that are not finite (extreme spacings, densities or time
+    steps overflow them) raise :class:`DegenerateDataError`.
     """
     if n_nodes is None:
         n_nodes = mesh.n_nodes
@@ -474,9 +474,13 @@ def newmark_solve(
     def march():
         M, K = assemble_matrices(mesh, beam)
         loaded, f_mass, f_stiff = _edge_loads(bc, *_element_matrices(mesh, beam), n_inner)
-        # the march would refuse a stiffness or loads past the float range
-        # with an error of its own
+        # the march would refuse a stiffness, mass or loads past the float
+        # range with an error of its own, blaming dt
         _finite(lambda: K, message)
+        _finite(lambda: M, (
+            f"the consistent mass overflows at density rho = {beam.density:g}, "
+            f"area A = {beam.section.area:g} and spacing dx = {mesh.dx:g}"
+        ))
         forces = _finite(lambda: f_mass + f_stiff, message)
         record = slice(0, 2 * n_recorded, 2)
         return newmark_march(M[:, inner], K[:, inner], forces, bc.dt, record=record, loaded=loaded)

@@ -8,7 +8,7 @@ files, 2 for a usage error, 9 for the ``pipeline`` ingest stage and 3
 to 7 for its stages preprocess to simulate
 (``pipeline.STAGE_EXIT_CODES``), and 8 (``pipeline.CONFIG_EXIT_CODE``)
 for a ``pipeline`` config that is missing, unreadable, not JSON, or has
-an unknown key, a missing key or a value of the wrong kind.
+an unknown key, a missing key or a value of the wrong kind or range.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .beamfem import simulate_measured, sweep_modulus
+from .beamfem import FemMesh, simulate_measured, sweep_modulus
 from .discovery import discover
 from .ensemble import run_ensemble
 from .errors import ParameterError, WeakbeamError
@@ -30,9 +30,9 @@ from .material import (
     CrossSection,
     modulus_from_alpha,
     natural_frequencies,
+    percent_error,
     smape,
 )
-from .beamfem import FemMesh
 from .pipeline import (
     CONFIG_EXIT_CODE,
     PipelineConfig,
@@ -42,7 +42,7 @@ from .pipeline import (
     write_json,
     write_sweep_csv,
 )
-from .preprocess import bandpass_time, subsample_time
+from .preprocess import condition
 from .synth import generate_beam_data
 
 __all__ = ["main"]
@@ -188,11 +188,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    data = load_field(args.infile)
-    if args.downsample != 1:
-        data = subsample_time(data, args.downsample, 1)
-    if args.band is not None:
-        data = bandpass_time(data, *args.band)
+    data = condition(load_field(args.infile), args.downsample, args.band)
     if args.window is not None:
         data = window_time(data, *args.window)
     save_field(data, args.out)
@@ -206,14 +202,7 @@ def _cmd_discover(args) -> int:
     report = result.as_report()
     if args.json_out:
         write_json(args.json_out, report)
-    _emit(
-        {
-            "pde": report["pde"],
-            "support": report["support"],
-            "lambda_hat": report["lambda_hat"],
-            "relative_residual": report["relative_residual"],
-        }
-    )
+    _emit({k: report[k] for k in ("pde", "support", "lambda_hat", "relative_residual")})
     return 0
 
 
@@ -234,10 +223,8 @@ def _cmd_modulus(args) -> int:
     modulus = modulus_from_alpha(args.alpha, beam)
     payload = {"alpha": args.alpha, "youngs_modulus": modulus}
     if args.nominal is not None:
-        if not (0 < args.nominal < np.inf):
-            raise ParameterError(f"--nominal must be finite and positive, got {args.nominal}")
         payload["nominal"] = args.nominal
-        payload["percent_error"] = 100.0 * abs(modulus - args.nominal) / args.nominal
+        payload["percent_error"] = percent_error(modulus, args.nominal)
     _emit(payload)
     return 0
 

@@ -84,6 +84,12 @@ class DiscoveryResult:
         return float(self.coefficients[TERM_NAMES.index(name)])
 
     @property
+    def alpha(self) -> float:
+        """The stiffness alpha of ``w_tt = -alpha w_xxxx``; ``0.0 - c``, as
+        ``-c`` would turn an inactive term's 0.0 into -0.0."""
+        return 0.0 - self.coefficient("w_xxxx")
+
+    @property
     def pde_text(self) -> str:
         return render_pde(self.coefficients)
 

@@ -20,6 +20,7 @@ __all__ = [
     "CrossSection",
     "BeamModel",
     "modulus_from_alpha",
+    "percent_error",
     "frequency_roots",
     "natural_frequencies",
     "smape",
@@ -124,6 +125,14 @@ def modulus_from_alpha(alpha: float, beam: BeamModel) -> float:
     if not 0 < modulus < math.inf:
         raise ParameterError(f"the modulus from alpha = {alpha:g} leaves the float range")
     return modulus
+
+
+def percent_error(modulus: float, nominal: float) -> float:
+    """``100 |modulus - nominal| / nominal``; a nominal that is not finite
+    and positive raises :class:`ParameterError`."""
+    if not 0 < nominal < math.inf:
+        raise ParameterError(f"nominal modulus must be finite and positive, got {nominal}")
+    return 100.0 * abs(modulus - nominal) / nominal
 
 
 def _sech(x: float) -> float:

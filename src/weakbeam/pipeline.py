@@ -23,9 +23,9 @@ from .beamfem import SweepResult, _replay_errors, _trial_moduli
 from .discovery import discover, render_pde
 from .ensemble import EnsembleResult, run_ensemble
 from .errors import DegenerateDataError, ParameterError, WeakbeamError
-from .grid import FieldGrid, load_field, window_time
-from .material import BeamModel, CrossSection, modulus_from_alpha
-from .preprocess import bandpass_time, subsample_time
+from .grid import load_field, window_time
+from .material import BeamModel, CrossSection, modulus_from_alpha, percent_error
+from .preprocess import condition
 from .weakform import TERM_NAMES
 
 __all__ = [
@@ -102,26 +102,22 @@ class PipelineConfig:
     sweep: tuple[float, float, int] | None = None  # e_lo, e_hi and a count >= 2
 
     def __post_init__(self):
-        # the material stage divides by it for the percent error
-        if self.nominal_modulus is not None and not 0 < self.nominal_modulus < math.inf:
-            raise ParameterError(
-                f"pipeline config key 'nominal_modulus' must be finite and positive, "
-                f"got {self.nominal_modulus}"
-            )
-        # checked here, so a bad count or range fails as a config error
-        # before any stage
+        # checked here, so a bad value fails as a config error before any
+        # stage; the nominal and the sweep by the rules their stages apply
         if self.max_ds < 0:
             raise ParameterError(
                 f"pipeline config key 'max_ds' must be >= 0 (0 skips the ensemble), "
                 f"got {self.max_ds}"
             )
-        if self.sweep is not None:
-            e_lo, e_hi, count = self.sweep
-            if not (isinstance(count, _INT) and count >= 2 and 0 < e_lo < e_hi < math.inf):
-                raise ParameterError(
-                    f"pipeline config key 'sweep' needs finite 0 < e_lo < e_hi and an "
-                    f"integer count >= 2, got {list(self.sweep)}"
-                )
+        for key, check in (
+            ("nominal_modulus", lambda nominal: percent_error(nominal, nominal)),
+            ("sweep", lambda sweep: _trial_moduli(*sweep)),
+        ):
+            if getattr(self, key) is not None:
+                try:
+                    check(getattr(self, key))
+                except ParameterError as exc:
+                    raise ParameterError(f"pipeline config key {key!r}: {exc}") from None
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
@@ -194,8 +190,7 @@ def write_ensemble_csv(path: str | Path, ensemble: EnsembleResult) -> None:
         path,
         ["d", "offset", "status", "alpha", "relative_residual"],
         (
-            # 0.0 - c, since -c turns an inactive term's 0.0 into -0.0
-            [r.d, r.offset, "ok", 0.0 - r.result.coefficient("w_xxxx"), r.result.relative_residual]
+            [r.d, r.offset, "ok", r.result.alpha, r.result.relative_residual]
             if r.ok
             else [r.d, r.offset, "failed", r.error, ""]
             for r in ensemble.runs
@@ -241,16 +236,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
         }
 
     with _stage(report, timing, "preprocess"):
-        processed = data
-        if config.downsample != 1:
-            processed = subsample_time(processed, config.downsample, 1)
-        if config.band is not None:
-            processed = bandpass_time(processed, *config.band)
-        windowed = (
-            processed
-            if config.window is None
-            else window_time(processed, *config.window)
-        )
+        processed = condition(data, config.downsample, config.band)
+        windowed = processed if config.window is None else window_time(processed, *config.window)
         report["preprocess"] = {
             "downsample": config.downsample,
             "band": list(config.band) if config.band else None,
@@ -283,15 +270,12 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
     if config.section is not None and config.density is not None and not degenerate:
         with _stage(report, timing, "material"):
             beam = BeamModel(section=config.section, density=config.density)
-            alpha = -result.coefficient("w_xxxx")
-            modulus = modulus_from_alpha(alpha, beam)
+            modulus = modulus_from_alpha(result.alpha, beam)
             beam = replace(beam, youngs_modulus=modulus)
-            material = {"alpha": alpha, "youngs_modulus": modulus}
+            material = {"alpha": result.alpha, "youngs_modulus": modulus}
             if config.nominal_modulus is not None:
                 material["nominal_modulus"] = config.nominal_modulus
-                material["percent_error"] = (
-                    100.0 * abs(modulus - config.nominal_modulus) / config.nominal_modulus
-                )
+                material["percent_error"] = percent_error(modulus, config.nominal_modulus)
             report["material"] = material
 
     sweep = None

@@ -7,7 +7,7 @@ import numpy as np
 from .errors import ParameterError
 from .grid import FieldGrid
 
-__all__ = ["subsample_time", "bandpass_time"]
+__all__ = ["subsample_time", "bandpass_time", "condition"]
 
 # Width of each raised-cosine flank of the band-pass, as a fraction of the band.
 _TAPER_FRAC = 0.1
@@ -66,3 +66,12 @@ def bandpass_time(grid: FieldGrid, f_lo: float, f_hi: float) -> FieldGrid:
     spectrum = np.fft.rfft(rows, axis=1)
     filtered = np.fft.irfft(spectrum * mask, n=n, axis=1)
     return FieldGrid(grid.x, grid.t, filtered)
+
+
+def condition(grid: FieldGrid, downsample: int = 1, band: tuple | None = None) -> FieldGrid:
+    """Every ``downsample``-th time sample from the first, then the band-pass
+    to ``band = (f_lo, f_hi)`` unless it is None: the one conditioning order
+    of the ``preprocess`` command and the pipeline, before either windows."""
+    if downsample != 1:
+        grid = subsample_time(grid, downsample, 1)
+    return grid if band is None else bandpass_time(grid, *band)

@@ -74,8 +74,7 @@ def generate_beam_data(
         )
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
-    if not (0 < fc < math.inf):
-        raise ParameterError(f"center frequency must be finite and positive, got {fc}")
+    burst(np.empty(0), fc)  # the burst's own check of fc, before 1 / fc / dt
     period_samples = 1.0 / fc / dt  # fc * dt may underflow to 0
     if period_samples < _MIN_SAMPLES_PER_PERIOD:
         raise ParameterError(

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -774,6 +775,21 @@ def test_float_range_errors_keep_their_messages(call, message):
         call()
     assert type(info.value) is DegenerateDataError
     assert str(info.value) == message
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("density", [3.6e305, 7.3e305])
+def test_overflowing_mass_names_the_mass_not_dt(density):
+    # rho A dx**3 leaves the float range while K and the loads (edges at
+    # rest) stay finite: no time step would help, so dt goes unnamed
+    beam = replace(make_beam(), density=density)
+    bc = BoundaryHistory(np.arange(200) * 1e-6, np.zeros((200, 2)))
+    with pytest.raises(DegenerateDataError) as info:
+        newmark_solve(FemMesh(9, 1000.0), beam, bc)
+    assert str(info.value) == (
+        f"the consistent mass overflows at density rho = {density:g}, "
+        f"area A = {beam.section.area:g} and spacing dx = 1000"
+    )
 
 
 def test_simulation_error_grows_with_wrong_modulus(edge_field):

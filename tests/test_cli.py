@@ -10,10 +10,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import AL_MODULUS
 from oracles import analytic_beam_frequencies
 from weakbeam.cli import main
+from weakbeam.discovery import discover
+from weakbeam.ensemble import run_ensemble
 from weakbeam.errors import ParameterError
 from weakbeam.grid import FieldGrid, load_field, save_field
 from weakbeam.material import CrossSection
 from weakbeam.pipeline import CONFIG_EXIT_CODE, STAGE_EXIT_CODES, PipelineConfig, run_pipeline
+from weakbeam.preprocess import condition
 
 SYNTH_FLAGS = [
     "--section", "circle:d=6.35e-3",
@@ -691,16 +694,63 @@ def test_huge_sweep_count_is_an_error(capsys, tiny_field):
     assert err.startswith("error:") and "trial moduli" in err and "Traceback" not in err
 
 
-def test_huge_pipeline_sweep_count_fails_its_stage(capsys, synth_file, tmp_path):
-    config = tmp_path / "huge.json"
+def test_huge_pipeline_sweep_count_is_a_config_error(capsys, synth_file, tmp_path):
+    # the sweep's own rule refuses the count before any stage runs
+    for count in (HUGE_COUNT, 2**63):
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({
+            "field_path": str(synth_file), "density": 2721.9,
+            "section": {"kind": "circle", "diameter": 6.35e-3},
+            "sweep": [6.5e10, 7.3e10, count],
+        }), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(["pipeline", "--config", str(config), "--out-dir", str(out_dir)]) == (
+            CONFIG_EXIT_CODE
+        )
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_dir.exists()
+        assert captured.err == f"error: pipeline config key 'sweep': cannot hold {count} trial moduli\n"
+
+
+def test_front_doors_share_the_owners_of_each_rule(capsys, synth_file, tmp_path):
+    # the command line and the pipeline give the same bits for alpha, the
+    # modulus, the percent error and the conditioned field
+    field = load_field(synth_file)
+    config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "field_path": str(synth_file), "density": 2721.9,
-        "section": {"kind": "circle", "diameter": 6.35e-3},
-        "sweep": [6.5e10, 7.3e10, HUGE_COUNT],
+        "field_path": str(synth_file), "max_ds": 2, "simulate": False,
+        "section": {"kind": "circle", "diameter": 6.35e-3}, "density": 2721.9,
+        "nominal_modulus": 6.9e10,
     }), encoding="utf-8")
-    assert main(["pipeline", "--config", str(config)]) == STAGE_EXIT_CODES["simulate"]
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "trial moduli" in err and "Traceback" not in err
+    material = run_json(
+        capsys, ["pipeline", "--config", str(config), "--out-dir", str(tmp_path / "out")]
+    )["material"]
+    assert material["alpha"] == discover(field).alpha
+    payload = run_json(capsys, [
+        "modulus", *as_argv(ROD), "--alpha", repr(material["alpha"]), "--nominal", "6.9e10",
+    ])
+    for key in ("youngs_modulus", "percent_error"):
+        assert repr(payload[key]) == repr(material[key]), key
+
+    # every ok row of ensemble.csv carries its run's alpha
+    with open(tmp_path / "out" / "ensemble.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    runs = run_ensemble(field, max_ds=2).runs
+    assert [(r["d"], r["offset"]) for r in rows] == [(str(r.d), str(r.offset)) for r in runs]
+    ok = [(row, run) for row, run in zip(rows, runs) if run.ok]
+    assert ok and all(row["status"] == "ok" for row, _ in ok)
+    assert all(row["alpha"] == repr(run.result.alpha) for row, run in ok)
+
+    # the preprocess command writes the conditioned grid
+    out = tmp_path / "pre.field"
+    run_json(capsys, [
+        "preprocess", "--in", str(synth_file), "--out", str(out),
+        "--downsample", "2", "--band", "2e3,4e4",
+    ])
+    written, expected = load_field(out), condition(field, 2, (2e3, 4e4))
+    for a, b in ((written.x, expected.x), (written.t, expected.t),
+                 (written.values, expected.values)):
+        assert a.tobytes() == b.tobytes()
 
 
 # Each subcommand's flags with one valid value; "{in}", "{config}" and
