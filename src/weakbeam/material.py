@@ -89,6 +89,12 @@ class CrossSection:
         return self.width * self.thickness**3 / 12.0
 
 
+def _require_positive(name: str, value: float) -> None:
+    """A beam's density and modulus are finite and positive."""
+    if not (0 < value < math.inf):
+        raise ParameterError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True, kw_only=True)
 class BeamModel:
     """Uniform prismatic beam: section, density, optional modulus.  The
@@ -99,12 +105,9 @@ class BeamModel:
     youngs_modulus: float | None = None
 
     def __post_init__(self):
-        named = {"density": self.density}
+        _require_positive("density", self.density)
         if self.youngs_modulus is not None:
-            named["youngs_modulus"] = self.youngs_modulus
-        for name, value in named.items():
-            if not (0 < value < math.inf):
-                raise ParameterError(f"{name} must be finite and positive, got {value}")
+            _require_positive("youngs_modulus", self.youngs_modulus)
 
     def require_modulus(self) -> float:
         if self.youngs_modulus is None:

@@ -24,7 +24,7 @@ from .discovery import discover, render_pde
 from .ensemble import EnsembleResult, run_ensemble
 from .errors import DegenerateDataError, ParameterError, WeakbeamError
 from .grid import load_field, window_time
-from .material import BeamModel, CrossSection, modulus_from_alpha, percent_error
+from .material import BeamModel, CrossSection, _require_positive, modulus_from_alpha, percent_error
 from .preprocess import condition
 from .weakform import TERM_NAMES
 
@@ -103,13 +103,15 @@ class PipelineConfig:
 
     def __post_init__(self):
         # checked here, so a bad value fails as a config error before any
-        # stage; the nominal and the sweep by the rules their stages apply
+        # stage; the density, the nominal and the sweep by the rules their
+        # stages apply
         if self.max_ds < 0:
             raise ParameterError(
                 f"pipeline config key 'max_ds' must be >= 0 (0 skips the ensemble), "
                 f"got {self.max_ds}"
             )
         for key, check in (
+            ("density", lambda density: _require_positive("density", density)),
             ("nominal_modulus", lambda nominal: percent_error(nominal, nominal)),
             ("sweep", lambda sweep: _trial_moduli(*sweep)),
         ):

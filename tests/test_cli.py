@@ -405,6 +405,9 @@ def test_modulus_flag_where_it_is_unused_is_a_usage_error(capsys, argv):
         # a nominal modulus is a finite positive number or absent
         *(('{"field_path": "x", "nominal_modulus": %s}' % v, "nominal_modulus")
           for v in ("NaN", "1e999", "-6.9e10", "0")),
+        # so is a density, by the rule the material stage's beam applies
+        *(('{"field_path": "x", "density": %s}' % v, "density")
+          for v in ("-1", "0", "NaN", "1e999")),
         # a sweep count is a JSON integer >= 2
         *(('{"field_path": "x", "sweep": [6.5e10, 7.3e10, %s]}' % v, "sweep")
           for v in ("NaN", "1e30", "2.7", "21.0", "1")),
@@ -568,6 +571,8 @@ def as_argv(flags: dict) -> list[str]:
         ["modes", *as_argv({**MODES, "--length": "1e100"})],
         ["modes", *as_argv({**MODES, "--length": "1e-300"})],
         ["modes", *as_argv({**MODES, "--modulus": "1e308", "--length": "1e-5"})],
+        # a span that is not finite and positive
+        ["modes", *as_argv({**MODES, "--length": "-0.097"})],
     ],
 )
 def test_non_finite_or_out_of_range_number_is_an_error(capsys, tmp_path, tiny_field, argv):
@@ -599,7 +604,8 @@ def test_flag_prefix_is_a_usage_error(capsys, tiny_field, argv):
 
 @pytest.fixture(scope="module")
 def ci_rod(tmp_path_factory):
-    """The 40x401 rod that CI synthesises: 40 points at 0.5 mm, dt 1e-6."""
+    """A 40x401 rod, 40 points at 0.5 mm and dt 1e-6; the console-script
+    check in CI runs each subcommand on the same rod."""
     path = tmp_path_factory.mktemp("rod") / "rod.field"
     argv = ["synth", *as_argv(ROD), "--modulus", "6.9e10", "--n-points", "40",
             "--dx", "5e-4", "--fc", "1e4", "--dt", "1e-6", "--t-end", "4e-4", "--out", str(path)]
@@ -620,6 +626,64 @@ def test_pair_flag_takes_a_negative_first_value_after_an_equals_sign(capsys, ci_
     # argparse reads "--window -1e-4,4e-4" as a flag with no value (exit 2)
     argv = [token.replace("{in}", str(ci_rod)) for token in argv]
     assert key in run_json(capsys, argv)
+
+
+def test_discover_finds_w_xxxx_on_the_downsampled_rod(capsys, ci_rod, tmp_path):
+    out = tmp_path / "ds2.field"
+    run_json(capsys, ["preprocess", "--in", str(ci_rod), "--out", str(out), "--downsample", "2"])
+    assert run_json(capsys, ["discover", "--in", str(out)])["support"] == ["w_xxxx"]
+
+
+def test_pipeline_replay_agrees_with_simulate_on_the_rod(capsys, ci_rod, tmp_path):
+    # the pipeline's error, from the modal march it shares with the sweep,
+    # is the banded simulate's at the discovered modulus
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "field_path": str(ci_rod), "density": 2721.9, "nominal_modulus": 6.9e10,
+        "section": {"kind": "circle", "diameter": 6.35e-3}, "sweep": [6.5e10, 7.3e10, 3],
+    }), encoding="utf-8")
+    run_json(capsys, ["pipeline", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert "best_modulus" in report["sweep"]
+    modulus = report["material"]["youngs_modulus"]
+    banded = run_json(capsys, [
+        "simulate", "--in", str(ci_rod), *as_argv(ROD), "--modulus", repr(modulus),
+    ])["frobenius_rel"]
+    assert abs(report["simulation"]["frobenius_rel"] - banded) <= 1e-6 * banded
+
+
+@pytest.mark.parametrize(
+    "n_x, window", [(10, []), (40, ["--window", "4e-4,4e-4"])], ids=["ten-points", "last-sample"]
+)
+def test_sweep_replays_the_rod(capsys, ci_rod, tmp_path, n_x, window):
+    # on 10 points the edge fit sizes itself from the field; a window at
+    # 4e-4, just past the last sample (3.9999999999999996e-4), snaps to it
+    rod = load_field(ci_rod)
+    path = tmp_path / "rod.field"
+    save_field(FieldGrid(rod.x[:n_x], rod.t, rod.values[:n_x]), path)
+    payload = run_json(capsys, ["sweep-e", "--in", str(path), *as_argv(ROD),
+                                "--e-lo", "6.5e10", "--e-hi", "7.3e10", "--n", "3", *window])
+    assert payload["n_values"] == 3 and np.isfinite(payload["best_error"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["discover"], ["simulate", *as_argv(ROD), "--modulus", "6.9e10"],
+     ["sweep-e", *as_argv(ROD), "--e-lo", "6.5e10", "--e-hi", "7.3e10", "--n", "3"]],
+    ids=["discover", "simulate", "sweep-e"],
+)
+def test_time_step_of_1e_200_is_an_error_naming_dt(capsys, tmp_path, argv):
+    # a 40x60 field: discovery's coefficients and the replays' dt**2 leave
+    # the float range
+    x = np.arange(40) * 5e-4
+    w = np.sin(2 * np.pi * x / 0.01)[:, None] * np.cos(2 * np.pi * np.arange(60) / 12)
+    w += 0.01 * np.random.default_rng(0).standard_normal(w.shape)
+    path = tmp_path / "fine.field"
+    save_field(FieldGrid(x, np.arange(60) * 1e-200, w), path)
+    assert main([argv[0], "--in", str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "dt = 1e-200" in captured.err
 
 
 @pytest.mark.parametrize("measured",[[], ["--measured", "100"]], ids=["bare", "measured"])
