@@ -8,7 +8,7 @@ files, 2 for a usage error, 9 for the ``pipeline`` ingest stage and 3
 to 7 for its stages preprocess to simulate
 (``pipeline.STAGE_EXIT_CODES``), and 8 (``pipeline.CONFIG_EXIT_CODE``)
 for a ``pipeline`` config that is missing, unreadable, not JSON, or has
-an unknown key, a missing key or a value of the wrong kind or range.
+an unknown, missing or unread key, or a value of the wrong kind or range.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import ParameterError, WeakbeamError
 from .grid import load_field, save_field, window_time
 from .material import (
     BOUNDARIES,
+    SECTION_DIMENSIONS,
     BeamModel,
     CrossSection,
     modulus_from_alpha,
@@ -48,23 +49,22 @@ from .synth import generate_beam_data
 __all__ = ["main"]
 
 
-def _parse_section(text: str) -> CrossSection:
-    """Parse ``circle:d=6.35e-3`` or ``rectangle:w=4.18e-3,t=2.84e-3``."""
-    try:
-        kind, _, body = text.partition(":")
-        fields = dict(item.split("=") for item in body.split(",") if item)
-        if kind in ("circle", "circ"):
-            return CrossSection.circle(float(fields["d"]))
-        if kind in ("rectangle", "rect"):
-            return CrossSection.rectangle(float(fields["w"]), float(fields["t"]))
-    except (KeyError, ValueError) as exc:
-        raise ParameterError(f"cannot parse section {text!r}: {exc}") from None
-    raise ParameterError(f"unknown section kind in {text!r}")
-
-
 def _beam(args, modulus: float | None = None) -> BeamModel:
-    """The beam of the ``--section`` and ``--density`` flags."""
-    section = _parse_section(args.section)
+    """The beam of the ``--section`` and ``--density`` flags.  A section is
+    a kind (``circ`` and ``rect`` are aliases), then each of its keys once,
+    as in ``circle:d=6.35e-3`` or ``rectangle:w=4.18e-3,t=2.84e-3``."""
+    kind, _, body = args.section.partition(":")
+    kind = {"circ": "circle", "rect": "rectangle"}.get(kind, kind)
+    if kind not in SECTION_DIMENSIONS:
+        raise ParameterError(f"unknown section kind in {args.section!r}")
+    keys = SECTION_DIMENSIONS[kind]
+    pairs = [item.partition("=") for item in body.split(",") if item]
+    try:
+        if sorted(key for key, _, _ in pairs) != sorted(keys):
+            raise ValueError(f"{kind} takes {' and '.join(keys)}, each exactly once")
+        section = CrossSection(kind=kind, **{keys[key]: float(value) for key, _, value in pairs})
+    except ValueError as exc:
+        raise ParameterError(f"cannot parse section {args.section!r}: {exc}") from None
     return BeamModel(section=section, density=args.density, youngs_modulus=modulus)
 
 

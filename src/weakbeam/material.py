@@ -29,6 +29,10 @@ __all__ = [
 BOUNDARIES = ("clamped-free", "pinned-pinned", "clamped-clamped")
 
 
+# the dimensions each section kind takes, by --section key; the others are NaN
+SECTION_DIMENSIONS = {"circle": {"d": "diameter"}, "rectangle": {"w": "width", "t": "thickness"}}
+
+
 @dataclass(frozen=True)
 class CrossSection:
     """Circular or rectangular solid cross section.
@@ -43,29 +47,28 @@ class CrossSection:
     thickness: float = math.nan
 
     def __post_init__(self):
-        if self.kind == "circle":
-            if not (0 < self.diameter < math.inf):
-                raise ParameterError(f"circle needs a finite diameter > 0, got {self.diameter}")
-        elif self.kind == "rectangle":
-            if not (0 < self.width < math.inf and 0 < self.thickness < math.inf):
-                raise ParameterError(
-                    f"rectangle needs finite width, thickness > 0, got "
-                    f"{self.width}, {self.thickness}"
-                )
-        else:
+        if not (isinstance(self.kind, str) and self.kind in SECTION_DIMENSIONS):
             raise ParameterError(f"unknown section kind {self.kind!r}")
+        dims = SECTION_DIMENSIONS[self.kind]
+        values = [getattr(self, name) for name in dims.values()]
+        if not all(0 < value < math.inf for value in values):
+            raise ParameterError(
+                f"{self.kind} needs {'a ' * (len(dims) == 1)}finite "
+                f"{', '.join(dims.values())} > 0, got {', '.join(map(str, values))}"
+            )
+        for name in ("diameter", "width", "thickness"):
+            value = getattr(self, name)
+            if name not in dims.values() and not math.isnan(value):
+                raise ParameterError(f"a {self.kind} section takes no {name}, got {value}")
         try:
             sizes = (self.area, self.second_moment)
         except OverflowError:  # a Python float power past the range
             sizes = (math.inf,)
         if not all(sys.float_info.min <= size < math.inf for size in sizes):
-            dims = (
-                f"d = {self.diameter:g}" if self.kind == "circle"
-                else f"w = {self.width:g}, t = {self.thickness:g}"
-            )
+            at = ", ".join(f"{key} = {value:g}" for key, value in zip(dims, values))
             raise ParameterError(
                 f"the {self.kind} section's area or second moment leaves the float "
-                f"range at {dims}"
+                f"range at {at}"
             )
 
     @classmethod
@@ -90,7 +93,7 @@ class CrossSection:
 
 
 def _require_positive(name: str, value: float) -> None:
-    """A beam's density and modulus are finite and positive."""
+    """Raise :class:`ParameterError` naming a value that is not finite and positive."""
     if not (0 < value < math.inf):
         raise ParameterError(f"{name} must be finite and positive, got {value}")
 
@@ -122,8 +125,7 @@ def modulus_from_alpha(alpha: float, beam: BeamModel) -> float:
     fourth-derivative coefficient had the wrong sign.  A modulus that
     overflows or underflows to 0 raises :class:`ParameterError`.
     """
-    if not (0 < alpha < math.inf):
-        raise ParameterError(f"alpha must be finite and positive, got {alpha}")
+    _require_positive("alpha", alpha)
     modulus = alpha * beam.density * beam.section.area / beam.section.second_moment
     if not 0 < modulus < math.inf:
         raise ParameterError(f"the modulus from alpha = {alpha:g} leaves the float range")
@@ -133,8 +135,7 @@ def modulus_from_alpha(alpha: float, beam: BeamModel) -> float:
 def percent_error(modulus: float, nominal: float) -> float:
     """``100 |modulus - nominal| / nominal``; a nominal that is not finite
     and positive raises :class:`ParameterError`."""
-    if not 0 < nominal < math.inf:
-        raise ParameterError(f"nominal modulus must be finite and positive, got {nominal}")
+    _require_positive("nominal modulus", nominal)
     return 100.0 * abs(modulus - nominal) / nominal
 
 
@@ -177,8 +178,7 @@ def natural_frequencies(
     ``sqrt(E I / (rho A L^4))`` or a frequency that is not a finite
     positive float (an extreme length or modulus), raises
     :class:`ParameterError`."""
-    if not (0 < length < math.inf):
-        raise ParameterError(f"length must be finite and positive, got {length}")
+    _require_positive("length", length)
     modulus = beam.require_modulus()
     section = beam.section
     roots = frequency_roots(boundary, n_modes)

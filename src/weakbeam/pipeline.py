@@ -120,6 +120,19 @@ class PipelineConfig:
                     check(getattr(self, key))
                 except ParameterError as exc:
                     raise ParameterError(f"pipeline config key {key!r}: {exc}") from None
+        # and a key no stage would read: the material stage needs the section
+        # and the density together, and the nominal and the sweep read its beam
+        material = self.section is not None and self.density is not None
+        for key, needs, read in (
+            ("section", "'density'", self.density is not None),
+            ("density", "'section'", self.section is not None),
+            ("nominal_modulus", "'section' and 'density'", material),
+            ("sweep", "'section', 'density' and a true 'simulate'", material and self.simulate),
+        ):
+            if getattr(self, key) is not None and not read:
+                raise ParameterError(
+                    f"pipeline config key {key!r} is read by no stage without {needs}"
+                )
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
@@ -269,7 +282,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
             ensemble = run_ensemble(windowed, max_ds=config.max_ds)
             report["ensemble"] = ensemble.as_report()
 
-    if config.section is not None and config.density is not None and not degenerate:
+    if config.section is not None and not degenerate:
         with _stage(report, timing, "material"):
             beam = BeamModel(section=config.section, density=config.density)
             modulus = modulus_from_alpha(result.alpha, beam)

@@ -17,7 +17,7 @@ import numpy as np
 from .beamfem import BoundaryHistory, FemMesh, newmark_solve
 from .errors import ParameterError, _allocate
 from .grid import FieldGrid
-from .material import BeamModel
+from .material import BeamModel, _require_positive
 
 __all__ = ["burst", "generate_beam_data"]
 
@@ -31,8 +31,7 @@ _CYCLES = 5
 def burst(t: np.ndarray, fc: float) -> np.ndarray:
     """A unit sine burst of 5 periods of the carrier ``fc`` (Hz) under a
     half-sine envelope; exactly zero outside ``(0, 5 / fc)``."""
-    if not (0 < fc < math.inf):
-        raise ParameterError(f"center frequency must be finite and positive, got {fc}")
+    _require_positive("center frequency", fc)
     t = np.asarray(t, dtype=float)
     inside = (t > 0.0) & (t < _CYCLES / fc)
     out = np.zeros_like(t)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -34,7 +35,8 @@ from weakbeam.errors import (
     WindowError,
 )
 from weakbeam.grid import FieldGrid
-from weakbeam.synth import generate_beam_data
+from weakbeam.material import CrossSection, modulus_from_alpha, natural_frequencies, percent_error
+from weakbeam.synth import burst, generate_beam_data
 
 
 def beam_frequencies(beam, length, boundary, n_modes):
@@ -696,31 +698,31 @@ def swept(data):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
-    "call, message",
+    "error, call, message",
     [
         pytest.param(
-            simulated(wave_field(1e-200)),
+            DegenerateDataError, simulated(wave_field(1e-200)),
             "time step dt = 1e-200 is outside the replay's range: dt**2 is 0",
             id="dt-squared-simulated",
         ),
         pytest.param(
-            swept(wave_field(1e155)),
+            DegenerateDataError, swept(wave_field(1e155)),
             "time step dt = 1e+155 is outside the replay's range: dt**2 is inf",
             id="dt-squared-swept",
         ),
         pytest.param(
-            simulated(wave_field(1e150)),
+            DegenerateDataError, simulated(wave_field(1e150)),
             "M + dt**2/4 K overflows at time step dt = 1e+150",
             id="effective-matrix",
         ),
         pytest.param(
-            simulated(noise_field(1e-100, 1e-150)),
+            DegenerateDataError, simulated(noise_field(1e-100, 1e-150)),
             "the simulated deflections are not finite at spacing dx = 1e-100 "
             "and time step dt = 1e-150",
             id="deflections-loads",
         ),
         pytest.param(
-            lambda: newmark_solve(
+            DegenerateDataError, lambda: newmark_solve(
                 FemMesh(9, 8e-103),
                 make_beam(),
                 BoundaryHistory(np.arange(200) * 1e-6, np.zeros((200, 4))),
@@ -730,50 +732,95 @@ def swept(data):
             id="deflections-stiffness",
         ),
         pytest.param(
-            simulated(noise_field(1e-100, 1e-100)),
+            DegenerateDataError, simulated(noise_field(1e-100, 1e-100)),
             "the simulated deflections are not finite at spacing dx = 1e-100 "
             "and time step dt = 1e-100",
             id="deflections-march",
         ),
         pytest.param(
-            simulated(noise_field(1e-36, 1e20)),
+            DegenerateDataError, simulated(noise_field(1e-36, 1e20)),
             "the simulation error is not finite at spacing dx = 1e-36 and time step dt = 1e+20",
             id="simulation-error",
         ),
         pytest.param(
+            DegenerateDataError,
             lambda: compare(noise_field(1.0, 1.0), noise_field(1.0, 1.0, 1e300)),
             "the simulation error is not finite",
             id="compare",
         ),
         pytest.param(
-            simulated(noise_field(1e-60, 1e-100, 2.0**1000)),
+            DegenerateDataError, simulated(noise_field(1e-60, 1e-100, 2.0**1000)),
             "the simulated deflections overflow the data's units",
             id="scale-back",
         ),
         pytest.param(
-            swept(noise_field(1e-76, 1e10)),
+            DegenerateDataError, swept(noise_field(1e-76, 1e10)),
             "the stiffest mode's q E lam overflows at spacing dx = 1e-76 and time step dt = 1e+10",
             id="q-e-lam",
         ),
         pytest.param(
-            swept(noise_field(1e-100, 1e-150)),
+            DegenerateDataError, swept(noise_field(1e-100, 1e-150)),
             "the modal rates overflow at spacing dx = 1e-100",
             id="modal-rates",
         ),
         pytest.param(
-            swept(noise_field(1e-76, 1e-150)),
+            DegenerateDataError, swept(noise_field(1e-76, 1e-150)),
             "the modal replay's simulation error is not finite at spacing dx = 1e-76 "
             "and time step dt = 1e-150",
             id="modal-replay",
         ),
+        # a value that is not finite and positive names itself
+        pytest.param(
+            ParameterError, lambda: modulus_from_alpha(0.0, make_beam(modulus=None)),
+            "alpha must be finite and positive, got 0.0",
+            id="alpha",
+        ),
+        pytest.param(
+            ParameterError, lambda: percent_error(1.0, -1.0),
+            "nominal modulus must be finite and positive, got -1.0",
+            id="nominal",
+        ),
+        pytest.param(
+            ParameterError, lambda: natural_frequencies(make_beam(), -0.1),
+            "length must be finite and positive, got -0.1",
+            id="length",
+        ),
+        pytest.param(
+            ParameterError, lambda: burst(np.zeros(3), np.nan),
+            "center frequency must be finite and positive, got nan",
+            id="burst-fc",
+        ),
+        # and a section's dimensions name their kind
+        pytest.param(
+            ParameterError, lambda: CrossSection.circle(0.0),
+            "circle needs a finite diameter > 0, got 0.0",
+            id="circle",
+        ),
+        pytest.param(
+            ParameterError, lambda: CrossSection.rectangle(1e-3, math.inf),
+            "rectangle needs finite width, thickness > 0, got 0.001, inf",
+            id="rectangle",
+        ),
+        pytest.param(
+            ParameterError, lambda: CrossSection.circle(1e-160),
+            "the circle section's area or second moment leaves the float range at d = 1e-160",
+            id="circle-float-range",
+        ),
+        pytest.param(
+            ParameterError, lambda: CrossSection.rectangle(1e200, 1e200),
+            "the rectangle section's area or second moment leaves the float range "
+            "at w = 1e+200, t = 1e+200",
+            id="rectangle-float-range",
+        ),
     ],
 )
-def test_float_range_errors_keep_their_messages(call, message):
+def test_float_range_errors_keep_their_messages(error, call, message):
     # each value that leaves the float range raises DegenerateDataError
-    # with this exact text, naming the grid where a replay meets it
-    with pytest.raises(DegenerateDataError) as info:
+    # with this exact text, naming the grid where a replay meets it; an
+    # input out of range raises ParameterError
+    with pytest.raises(error) as info:
         call()
-    assert type(info.value) is DegenerateDataError
+    assert type(info.value) is error
     assert str(info.value) == message
 
 

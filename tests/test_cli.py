@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import AL_MODULUS
 from oracles import analytic_beam_frequencies
-from weakbeam.cli import main
+from weakbeam.cli import _beam, main
 from weakbeam.discovery import discover
 from weakbeam.ensemble import run_ensemble
 from weakbeam.errors import ParameterError
@@ -150,6 +151,33 @@ def test_modulus_bad_section_is_an_error(capsys):
         ["modulus", "--alpha", "1.0", "--section", "hexagon:d=1", "--density", "1.0"]
     ) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec", ["circle:d=6.35e-3,d=1", "circle:d=6.35e-3,w=1", "rectangle:w=1,t=1,d=1"]
+)
+def test_section_spec_takes_each_of_its_own_keys_once(capsys, spec):
+    # each of the kind's own keys exactly once: a repeated key or another
+    # kind's key is an error, not a value kept or dropped without a word
+    assert main(["modulus", "--section", spec, "--density", "2721.9", "--alpha", "58.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: cannot parse section {spec!r}")
+
+
+@pytest.mark.parametrize(
+    "spec, area, second_moment",
+    [
+        (spec, "3.1669217443593606e-05", "7.981137627308144e-11")
+        for spec in ("circle:d=6.35e-3", "circ:d=6.35e-3", "circle:d=6.35e-3,")
+    ] + [
+        (spec, "1.1871199999999999e-05", "7.979029226666666e-12")
+        for spec in ("rectangle:w=4.18e-3,t=2.84e-3", "rect:w=4.18e-3,t=2.84e-3",
+                     "rectangle:t=2.84e-3,w=4.18e-3")
+    ],
+)
+def test_section_spec_builds_the_same_section(spec, area, second_moment):
+    section = _beam(argparse.Namespace(section=spec, density=1.0)).section
+    assert (repr(section.area), repr(section.second_moment)) == (area, second_moment)
 
 
 def test_modes_subcommand(capsys):
@@ -399,6 +427,18 @@ def test_modulus_flag_where_it_is_unused_is_a_usage_error(capsys, argv):
     [
         ('{"field_path": "x", "section": {"kind": "circle", "d": 1}}', "section"),
         ('{"field_path": "x", "max_ds": "3"}', "max_ds"),
+        # a section sets its kind's own dimensions and no other
+        *(('{"field_path": "x", "density": 2721.9, "section": '
+           '{"kind": "circle", "diameter": 6.35e-3, "width": %s}}' % v, "section")
+          for v in ("1.0", "null")),
+        # a key no stage reads: the material stage needs both the section and
+        # the density, the nominal its modulus, and the sweep the simulate stage
+        ('{"field_path": "x", "section": {"kind": "circle", "diameter": 6.35e-3}}', "section"),
+        ('{"field_path": "x", "density": 2721.9}', "density"),
+        ('{"field_path": "x", "nominal_modulus": 6.9e10}', "nominal_modulus"),
+        ('{"field_path": "x", "sweep": [6.5e10, 7.3e10, 3]}', "sweep"),
+        ('{"field_path": "x", "section": {"kind": "circle", "diameter": 6.35e-3}, '
+         '"density": 2721.9, "simulate": false, "sweep": [6.5e10, 7.3e10, 3]}', "sweep"),
         ('{"field_path": "x",', "config.json"),
         ('{"field_path": "x", "max-ds": 3}', "max-ds"),
         ('{"max_ds": 3}', "field_path"),

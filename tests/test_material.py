@@ -53,6 +53,11 @@ def test_section_validation():
         CrossSection.rectangle(1e-3, 0.0)
     with pytest.raises(ParameterError):
         CrossSection(kind="triangle")
+    # a dimension the kind does not take is left unset (NaN)
+    with pytest.raises(ParameterError, match="a circle section takes no width, got 1.0"):
+        CrossSection(kind="circle", diameter=6.35e-3, width=1.0)
+    with pytest.raises(ParameterError, match="a rectangle section takes no diameter"):
+        CrossSection(kind="rectangle", diameter=1.0, width=4.18e-3, thickness=2.84e-3)
     # an area or second moment that is not a finite normal float: I
     # underflows to 0, both underflow, d**2 overflows, A and t**3
     # overflow, A is subnormal

@@ -66,10 +66,13 @@ def test_config_rectangle_section_round_trips():
     from weakbeam.material import CrossSection
 
     cfg = PipelineConfig(
-        field_path="x.field", section=CrossSection.rectangle(4.18e-3, 2.84e-3)
+        field_path="x.field", section=CrossSection.rectangle(4.18e-3, 2.84e-3), density=1301.4
     )
     assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
-    json.dumps(cfg.to_dict(), allow_nan=False)  # the unset diameter is left out
+    # the unset diameter is left out
+    section = cfg.to_dict()["section"]
+    assert section == {"kind": "rectangle", "width": 4.18e-3, "thickness": 2.84e-3}
+    json.dumps(cfg.to_dict(), allow_nan=False)
 
 
 def test_config_rejects_unknown_keys():
@@ -97,6 +100,8 @@ def test_full_run_visits_every_stage(full_report):
         "material",
         "simulate",
     ]
+    # the report echoes the section's own dimensions and no other
+    assert full_report["config"]["section"] == {"kind": "circle", "diameter": 6.35e-3}
     assert full_report["ingest"]["n_x"] == 195
     assert full_report["discovery"]["support"] == ["w_xxxx"]
     assert full_report["discovery"]["degenerate"] is False
