@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateDataError, DimensionError, ParameterError, _allocate
+from .errors import _is_positive, _require_count, _require_positive
 from .grid import FieldGrid, _all_finite, _check_axis, _window_columns
 from .material import BeamModel
 from .weakform import mean_power_spectrum
@@ -67,18 +68,13 @@ class FemMesh:
     dx: float
 
     def __post_init__(self):
-        if self.n_elements < 2 or self.n_elements != int(self.n_elements):
-            raise ParameterError(
-                f"n_elements must be an integer >= 2, got {self.n_elements}"
-            )
-        # the element matrices scale as dx**-3 .. dx**3: both ends must be
-        # finite positive floats (this also rejects dx <= 0 and NaN)
+        _require_count("n_elements", self.n_elements, 2)
+        _require_positive("dx", self.dx)
+        # the element matrices scale as dx**-3 .. dx**3: both must be finite and positive
         with np.errstate(all="ignore"):
             powers = np.float64(self.dx) ** np.array([-3.0, 3.0])
         if not np.all((powers > 0) & (powers < np.inf)):
-            raise ParameterError(
-                f"dx must be positive with finite element matrices, got {self.dx}"
-            )
+            raise ParameterError(f"the element matrices leave the float range at dx = {self.dx:g}")
         try:
             finite = self.length < np.inf
         except OverflowError:  # an element count past the float range
@@ -458,10 +454,7 @@ def newmark_solve(
     """
     if n_nodes is None:
         n_nodes = mesh.n_nodes
-    if not isinstance(n_nodes, (int, np.integer)) or not 1 <= n_nodes <= mesh.n_nodes:
-        raise ParameterError(
-            f"n_nodes must be an integer in 1 .. {mesh.n_nodes}, got {n_nodes!r}"
-        )
+    _require_count("n_nodes", n_nodes, 1, mesh.n_nodes)
     # the interior dofs are contiguous: all but the first node's, and the
     # last node's unless the far end is free
     n_inner = mesh.n_dof - bc.displacement.shape[1]
@@ -580,6 +573,12 @@ class SweepResult:
     def best_error(self) -> float:
         return float(self.errors.min())
 
+    @property
+    def bracketed(self) -> bool:
+        """Whether the smallest error lies strictly inside the grid: an
+        optimum at either end may lie past it."""
+        return 0 < int(np.argmin(self.errors)) < len(self.errors) - 1
+
 
 def sweep_modulus(
     data: FieldGrid,
@@ -619,10 +618,9 @@ def sweep_modulus(
 def _trial_moduli(e_lo: float, e_hi: float, n_values: int) -> np.ndarray:
     """:func:`sweep_modulus`'s linear grid of trial moduli, checks first; a
     count NumPy cannot hold raises :class:`ParameterError`."""
-    if not (0 < e_lo < e_hi < np.inf):
+    if not (_is_positive(e_lo) and _is_positive(e_hi) and e_lo < e_hi):
         raise ParameterError(f"need finite 0 < e_lo < e_hi, got [{e_lo}, {e_hi}]")
-    if not (isinstance(n_values, (int, np.integer)) and n_values >= 2):
-        raise ParameterError(f"n_values must be an integer >= 2, got {n_values!r}")
+    _require_count("n_values", n_values, 2)
     return _allocate(lambda: np.linspace(e_lo, e_hi, n_values), f"{n_values} trial moduli")
 
 

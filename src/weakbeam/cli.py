@@ -263,6 +263,7 @@ def _cmd_sweep_e(args) -> int:
         {
             "best_modulus": result.best_modulus,
             "best_error": result.best_error,
+            "bracketed": result.bracketed,
             "n_values": len(result.moduli),
         }
     )

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .discovery import DiscoveryResult, discover
-from .errors import AggregationError, ParameterError, WeakbeamError
+from .errors import AggregationError, ParameterError, WeakbeamError, _require_count
 from .grid import FieldGrid
 from .preprocess import subsample_time
 from .weakform import TERM_NAMES, _line_power
@@ -112,16 +112,15 @@ def run_ensemble(grid: FieldGrid, max_ds: int = 10) -> EnsembleResult:
     time samples, which adds only empty subsets, raises
     :class:`ParameterError` before that transform.
     """
-    if max_ds < 1 or max_ds != int(max_ds):
-        raise ParameterError(f"max_ds must be a positive integer, got {max_ds}")
+    _require_count("max_ds", max_ds, 1)
     if max_ds > grid.n_t:
         raise ParameterError(
             f"max_ds = {max_ds} exceeds the field's n_t = {grid.n_t} time samples: "
             f"every subset past n_t is empty"
         )
-    x_spectra = _subset_x_spectra(grid, int(max_ds))
+    x_spectra = _subset_x_spectra(grid, max_ds)
     runs = []
-    for d in range(1, int(max_ds) + 1):
+    for d in range(1, max_ds + 1):
         for offset in range(1, d + 1):
             try:
                 result = discover(subsample_time(grid, d, offset), x_power=x_spectra[d, offset])

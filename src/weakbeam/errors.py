@@ -4,7 +4,11 @@ Every failure mode that callers are expected to branch on gets its own
 class; plain ValueError is reserved for programming errors.
 """
 
+import math
+import numbers
 from collections.abc import Callable
+
+import numpy as np
 
 __all__ = [
     "WeakbeamError",
@@ -67,3 +71,22 @@ def _allocate(build: Callable, what: str):
     if array is None or array.size == 0:
         raise ParameterError(f"cannot hold {what}")
     return array
+
+
+def _is_positive(value) -> bool:
+    """Whether ``value`` is a real number, never a ``bool``, finite and > 0."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
+
+
+def _require_positive(name: str, value: float) -> None:
+    """Raise :class:`ParameterError` naming a value that is not finite and positive."""
+    if not _is_positive(value):
+        raise ParameterError(f"{name} must be finite and positive, got {value}")
+
+
+def _require_count(name: str, value: int, lo: int, hi: float = math.inf) -> None:
+    """Raise :class:`ParameterError` naming a count that is not an ``int`` or
+    a NumPy integer (never a ``bool``) in ``lo .. hi``."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and lo <= value <= hi):
+        upper = f", <= {hi}" if hi < math.inf else ""
+        raise ParameterError(f"{name} must be an integer >= {lo}{upper}, got {value!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, _allocate
+from .errors import ParameterError, _allocate, _is_positive, _require_count, _require_positive
 
 __all__ = [
     "CrossSection",
@@ -51,14 +51,14 @@ class CrossSection:
             raise ParameterError(f"unknown section kind {self.kind!r}")
         dims = SECTION_DIMENSIONS[self.kind]
         values = [getattr(self, name) for name in dims.values()]
-        if not all(0 < value < math.inf for value in values):
+        if not all(map(_is_positive, values)):
             raise ParameterError(
                 f"{self.kind} needs {'a ' * (len(dims) == 1)}finite "
                 f"{', '.join(dims.values())} > 0, got {', '.join(map(str, values))}"
             )
         for name in ("diameter", "width", "thickness"):
             value = getattr(self, name)
-            if name not in dims.values() and not math.isnan(value):
+            if name not in dims.values() and not (isinstance(value, float) and math.isnan(value)):
                 raise ParameterError(f"a {self.kind} section takes no {name}, got {value}")
         try:
             sizes = (self.area, self.second_moment)
@@ -92,12 +92,6 @@ class CrossSection:
         return self.width * self.thickness**3 / 12.0
 
 
-def _require_positive(name: str, value: float) -> None:
-    """Raise :class:`ParameterError` naming a value that is not finite and positive."""
-    if not (0 < value < math.inf):
-        raise ParameterError(f"{name} must be finite and positive, got {value}")
-
-
 @dataclass(frozen=True, kw_only=True)
 class BeamModel:
     """Uniform prismatic beam: section, density, optional modulus.  The
@@ -127,7 +121,7 @@ def modulus_from_alpha(alpha: float, beam: BeamModel) -> float:
     """
     _require_positive("alpha", alpha)
     modulus = alpha * beam.density * beam.section.area / beam.section.second_moment
-    if not 0 < modulus < math.inf:
+    if not _is_positive(modulus):
         raise ParameterError(f"the modulus from alpha = {alpha:g} leaves the float range")
     return modulus
 
@@ -147,8 +141,7 @@ def _sech(x: float) -> float:
 
 def frequency_roots(boundary: str, n_modes: int) -> np.ndarray:
     """First ``n_modes`` roots beta_n L of the bending characteristic equation."""
-    if n_modes < 1:
-        raise ParameterError(f"n_modes must be >= 1, got {n_modes}")
+    _require_count("n_modes", n_modes, 1)
     if boundary not in BOUNDARIES:
         raise ParameterError(
             f"unknown boundary {boundary!r}, expected one of {BOUNDARIES}"
@@ -188,7 +181,7 @@ def natural_frequencies(
             / (beam.density * section.area * np.float64(length) ** 4)
         ) / (2.0 * math.pi)
         freqs = roots**2 * scale
-    if not (0 < scale < math.inf and np.all(np.isfinite(freqs))):
+    if not (_is_positive(scale) and np.all(np.isfinite(freqs))):
         raise ParameterError(
             f"the bending frequencies leave the float range at length {length:g} "
             f"and modulus {modulus:g}"

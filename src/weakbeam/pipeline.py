@@ -23,8 +23,9 @@ from .beamfem import SweepResult, _replay_errors, _trial_moduli
 from .discovery import discover, render_pde
 from .ensemble import EnsembleResult, run_ensemble
 from .errors import DegenerateDataError, ParameterError, WeakbeamError
+from .errors import _require_count, _require_positive
 from .grid import load_field, window_time
-from .material import BeamModel, CrossSection, _require_positive, modulus_from_alpha, percent_error
+from .material import BeamModel, CrossSection, modulus_from_alpha, percent_error
 from .preprocess import condition
 from .weakform import TERM_NAMES
 
@@ -104,12 +105,8 @@ class PipelineConfig:
     def __post_init__(self):
         # checked here, so a bad value fails as a config error before any
         # stage; the density, the nominal and the sweep by the rules their
-        # stages apply
-        if self.max_ds < 0:
-            raise ParameterError(
-                f"pipeline config key 'max_ds' must be >= 0 (0 skips the ensemble), "
-                f"got {self.max_ds}"
-            )
+        # stages apply.  A max_ds of 0 skips the ensemble
+        _require_count("pipeline config key 'max_ds'", self.max_ds, 0)
         for key, check in (
             ("density", lambda density: _require_positive("density", density)),
             ("nominal_modulus", lambda nominal: percent_error(nominal, nominal)),
@@ -311,6 +308,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
                     "errors": [float(e) for e in sweep.errors],
                     "best_modulus": sweep.best_modulus,
                     "best_error": sweep.best_error,
+                    "bracketed": sweep.bracketed,
                 }
 
     report["timing"] = timing

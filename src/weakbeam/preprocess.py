@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _require_count
 from .grid import FieldGrid
 
 __all__ = ["subsample_time", "bandpass_time", "condition"]
@@ -19,11 +19,9 @@ def subsample_time(grid: FieldGrid, d: int, offset: int) -> FieldGrid:
     The result's time step is ``d * dt``; no anti-alias filter is applied
     (pair with :func:`bandpass_time` when the band demands one).
     """
-    if d < 1 or d != int(d):
-        raise ParameterError(f"decimation step must be a positive integer, got {d}")
-    if not (1 <= offset <= d) or offset != int(offset):
-        raise ParameterError(f"offset must lie in [1, {d}], got {offset}")
-    sl = slice(int(offset) - 1, None, int(d))
+    _require_count("d", d, 1)
+    _require_count("offset", offset, 1, d)
+    sl = slice(offset - 1, None, d)
     return FieldGrid(grid.x, grid.t[sl], grid.values[:, sl])
 
 

@@ -15,9 +15,9 @@ import math
 import numpy as np
 
 from .beamfem import BoundaryHistory, FemMesh, newmark_solve
-from .errors import ParameterError, _allocate
+from .errors import ParameterError, _allocate, _is_positive, _require_count, _require_positive
 from .grid import FieldGrid
-from .material import BeamModel, _require_positive
+from .material import BeamModel
 
 __all__ = ["burst", "generate_beam_data"]
 
@@ -64,15 +64,14 @@ def generate_beam_data(
     ``numpy.random.default_rng(seed)`` so fields are reproducible across
     platforms.
     """
-    if not (0 < dt < t_end < math.inf):
+    if not (_is_positive(dt) and _is_positive(t_end) and dt < t_end):
         raise ParameterError(f"need finite 0 < dt < t_end, got dt={dt}, t_end={t_end}")
     if not (0 <= sigma_rel < math.inf and 0 <= margin_frac < math.inf):
         raise ParameterError(
             f"sigma_rel and margin_frac must be finite and non-negative, "
             f"got {sigma_rel}, {margin_frac}"
         )
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    _require_count("seed", seed, 0)
     burst(np.empty(0), fc)  # the burst's own check of fc, before 1 / fc / dt
     period_samples = 1.0 / fc / dt  # fc * dt may underflow to 0
     if period_samples < _MIN_SAMPLES_PER_PERIOD:

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import polynomial as poly
 
-from .errors import DegenerateDataError, ParameterError, SelectionError
+from .errors import DegenerateDataError, ParameterError, SelectionError, _require_count
 from .grid import FieldGrid, _all_finite
 
 __all__ = [
@@ -112,9 +112,7 @@ class TestFunctionBasis:
 
     def __post_init__(self):
         for name in ("p_x", "p_t", "m_x", "m_t", "s_x", "s_t"):
-            v = getattr(self, name)
-            if v < 1 or v != int(v):
-                raise ParameterError(f"{name} must be a positive integer, got {v}")
+            _require_count(name, getattr(self, name), 1)
 
 
 @dataclass(frozen=True)

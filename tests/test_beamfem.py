@@ -852,6 +852,18 @@ def test_sweep_prefers_the_true_modulus(edge_field):
     assert int(np.argmin(sweep.errors)) == 1
     assert sweep.best_modulus == pytest.approx(true_e, rel=1e-12)
     assert sweep.best_error == sweep.errors.min()
+    assert sweep.bracketed
+
+
+@pytest.mark.parametrize("side", [0.9, 1.1])
+def test_sweep_on_one_side_of_the_modulus_is_not_bracketed(edge_field, side):
+    # the smallest error sits at the grid's end nearest the true modulus,
+    # which the grid does not reach
+    true_e = 6.9e10
+    lo, hi = sorted((side * true_e, (2 * side - 1) * true_e))
+    sweep = sweep_modulus(edge_field, make_beam(), lo, hi, 3)
+    assert int(np.argmin(sweep.errors)) == (2 if side < 1 else 0)
+    assert not sweep.bracketed
 
 
 def test_sweep_validation(edge_field):

@@ -261,6 +261,7 @@ def test_sweep_subcommand(capsys, synth_file, tmp_path):
     )
     assert payload["n_values"] == 3
     assert payload["best_modulus"] == pytest.approx(AL_MODULUS, rel=1e-12)
+    assert payload["bracketed"] is True
     lines = csv_path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "youngs_modulus,frobenius_rel"
     assert len(lines) == 4
@@ -431,6 +432,10 @@ def test_modulus_flag_where_it_is_unused_is_a_usage_error(capsys, argv):
         *(('{"field_path": "x", "density": 2721.9, "section": '
            '{"kind": "circle", "diameter": 6.35e-3, "width": %s}}' % v, "section")
           for v in ("1.0", "null")),
+        # and each of them is a finite positive number: never true, text or null
+        *(('{"field_path": "x", "density": 2721.9, "section": '
+           '{"kind": "circle", "diameter": %s}}' % v, "diameter")
+          for v in ("true", '"x"', "null")),
         # a key no stage reads: the material stage needs both the section and
         # the density, the nominal its modulus, and the sweep the simulate stage
         ('{"field_path": "x", "section": {"kind": "circle", "diameter": 6.35e-3}}', "section"),

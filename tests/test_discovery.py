@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import AL_DENSITY, AL_MODULUS, make_beam
+from weakbeam.beamfem import FemMesh
 from weakbeam.discovery import discover, render_pde
 from weakbeam.grid import FieldGrid
-from weakbeam.weakform import TERM_NAMES
+from weakbeam.preprocess import condition
+from weakbeam.synth import generate_beam_data
+from weakbeam.weakform import TERM_NAMES, mean_power_spectrum
 
 
 # ------------------------------------------------------------------ rendering
@@ -116,6 +119,24 @@ def test_reported_tau_hat_reproduces_the_selected_basis(edge_field):
     assert np.array_equal(pinned.coefficients, auto.coefficients)
     # a pinned corner is not a measured one, so none is reported
     assert pinned.as_report()["corner"] == {"x": None, "t": None}
+
+
+def test_band_passed_rod_takes_the_changepoint_corner_over_the_peak_floor():
+    # on the noise-free 100-point rod band-passed to 2-40 kHz the
+    # changepoint finds corners above the peak floor min(4 k_peak, n_bins - 1),
+    # and discovery is right there; pinned to the floor's bins it adds a constant
+    rod = generate_beam_data(make_beam(), FemMesh(99, 5e-4), 5e3, 1e-6, 2e-3, margin_frac=4)
+    band = condition(rod, 1, (2e3, 4e4))
+    floor = []
+    for axis in (0, 1):
+        power = mean_power_spectrum(band, axis)
+        floor.append(min(4 * (int(np.argmax(power)) + 1), power.size - 1))
+    assert floor == [4, 32]
+    result = discover(band)
+    assert (result.corner_x.corner_bin, result.corner_t.corner_bin) == (5, 86)
+    assert result.support == ("w_xxxx",)
+    pinned = discover(band, tau_hat=tuple(np.log10(floor)))
+    assert pinned.support == ("w_xxxx", "1")
 
 
 def test_discovery_rejects_identically_zero_field():

@@ -1,0 +1,111 @@
+"""The one rule for scalar inputs, at every call that takes a count or a
+physical number: a count is an ``int`` or a NumPy integer, never a
+``bool`` and never ``3.0``; a physical number is a finite, positive real
+number, never a ``bool``.  Anything else raises :class:`ParameterError`
+and no other exception, and NumPy scalars give the same results as
+Python ones."""
+
+import math
+
+import numpy as np
+import pytest
+
+from conftest import AL_DENSITY, AL_FC, AL_SECTION, make_beam
+from weakbeam.beamfem import BoundaryHistory, FemMesh, newmark_solve, sweep_modulus
+from weakbeam.ensemble import run_ensemble
+from weakbeam.errors import ParameterError
+from weakbeam.material import (
+    BeamModel,
+    CrossSection,
+    frequency_roots,
+    modulus_from_alpha,
+    natural_frequencies,
+    percent_error,
+)
+from weakbeam.pipeline import PipelineConfig
+from weakbeam.preprocess import subsample_time
+from weakbeam.synth import burst, generate_beam_data
+from weakbeam.weakform import TestFunctionBasis
+
+BASIS = dict(p_x=2, p_t=2, m_x=3, m_t=3, s_x=1, s_t=1)
+REST = BoundaryHistory(np.arange(10) * 1e-6, np.zeros((10, 2)))
+
+
+def synth(**kwargs):
+    kwargs = dict(dt=1e-6, t_end=2e-5, sigma_rel=0.01) | kwargs
+    return generate_beam_data(make_beam(), FemMesh(4, 5e-4), AL_FC, **kwargs).values
+
+
+# each call as a function of (field, value), and a valid value
+COUNTS = {
+    "n_elements": (lambda f, n: FemMesh(n, 5e-4).node_positions, 4),
+    "n_nodes": (lambda f, n: newmark_solve(FemMesh(4, 5e-4), make_beam(), REST, n).values, 3),
+    "n_values": (lambda f, n: sweep_modulus(f, make_beam(), 6.5e10, 7.3e10, n).errors, 3),
+    "max_ds": (lambda f, n: run_ensemble(f, n).as_report(), 1),
+    "d": (lambda f, n: subsample_time(f, n, 1).values, 2),
+    "offset": (lambda f, n: subsample_time(f, 3, n).values, 2),
+    **{
+        name: (lambda f, n, name=name: TestFunctionBasis(**BASIS | {name: n}), 2)
+        for name in BASIS
+    },
+    "n_modes": (lambda f, n: frequency_roots("clamped-free", n), 3),
+    "frequencies-n_modes": (lambda f, n: natural_frequencies(make_beam(), 0.1, n_modes=n), 3),
+    "seed": (lambda f, n: synth(seed=n), 3),
+    "config-max_ds": (lambda f, n: PipelineConfig(field_path="x", max_ds=n).to_dict(), 2),
+}
+
+NUMBERS = {
+    "density": (lambda f, v: modulus_from_alpha(1.0, BeamModel(section=AL_SECTION, density=v)),
+                AL_DENSITY),
+    "youngs_modulus": (lambda f, v: natural_frequencies(make_beam(v), 0.1), 6.9e10),
+    "alpha": (lambda f, v: modulus_from_alpha(v, make_beam()), 1.0),
+    "nominal": (lambda f, v: percent_error(7e10, v), 6.9e10),
+    "length": (lambda f, v: natural_frequencies(make_beam(), v), 0.1),
+    "fc": (lambda f, v: burst(np.arange(50) * 1e-6, v), AL_FC),
+    "config-density": (
+        lambda f, v: PipelineConfig(field_path="x", section=AL_SECTION, density=v).to_dict(),
+        AL_DENSITY,
+    ),
+    "diameter": (lambda f, v: CrossSection.circle(v).second_moment, 6.35e-3),
+    "width": (lambda f, v: CrossSection.rectangle(v, 2.84e-3).second_moment, 4.18e-3),
+    "thickness": (lambda f, v: CrossSection.rectangle(4.18e-3, v).second_moment, 2.84e-3),
+    "dx": (lambda f, v: FemMesh(4, v).node_positions, 5e-4),
+    "e_lo": (lambda f, v: sweep_modulus(f, make_beam(), v, 7.3e10, 3).errors, 6.5e10),
+    "e_hi": (lambda f, v: sweep_modulus(f, make_beam(), 6.5e10, v, 3).errors, 7.3e10),
+    "dt": (lambda f, v: synth(dt=v), 1e-6),
+    "t_end": (lambda f, v: synth(t_end=v), 2e-5),
+}
+
+NOT_NUMBERS = [math.nan, math.inf, -math.inf, True, "3", None]
+NOT_COUNTS = NOT_NUMBERS + [2.5, 3.0]
+
+
+def _same(a, b) -> bool:
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    # newmark_solve reads n_nodes=None as every node
+    [(call, v) for call in COUNTS for v in NOT_COUNTS if not (call == "n_nodes" and v is None)],
+    ids=lambda v: v if isinstance(v, str) and v in COUNTS else repr(v),
+)
+def test_a_count_is_an_integer_and_nothing_else(edge_field, call, value):
+    with pytest.raises(ParameterError):
+        COUNTS[call][0](edge_field, value)
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("call", NUMBERS)
+def test_a_physical_number_is_finite_positive_and_real(edge_field, call, value):
+    with pytest.raises(ParameterError):
+        NUMBERS[call][0](edge_field, value)
+
+
+@pytest.mark.parametrize(
+    "call, numpy_type",
+    [*((call, np.int64) for call in COUNTS), *((call, np.float64) for call in NUMBERS)],
+)
+def test_numpy_scalars_give_the_same_results(edge_field, call, numpy_type):
+    compute, valid = (COUNTS | NUMBERS)[call]
+    assert _same(compute(edge_field, numpy_type(valid)), compute(edge_field, valid))

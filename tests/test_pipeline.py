@@ -121,6 +121,7 @@ def test_full_run_visits_every_stage(full_report):
     sweep = full_report["sweep"]
     assert len(sweep["moduli"]) == 3 and len(sweep["errors"]) == 3
     assert sweep["best_error"] == min(sweep["errors"])
+    assert sweep["bracketed"] is True  # the grid straddles the true modulus
 
 
 # the bound of test_replay_sweep_stays_within_the_per_trial_gap: the modal
