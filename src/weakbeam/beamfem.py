@@ -343,8 +343,7 @@ def newmark_march(
     band = (_HALF_BANDWIDTH + 1, n)
     if np.shape(M) != band or np.shape(K) != band:
         raise ParameterError(f"M and K must be banded {band}, got {np.shape(M)}, {np.shape(K)}")
-    if not (dt > 0):
-        raise ParameterError(f"dt must be positive, got {dt}")
+    _require_positive("dt", dt)
     if not isinstance(record, slice):
         raise ParameterError(f"record must be a slice of dofs, got {type(record).__name__}")
     if isinstance(loaded, slice):

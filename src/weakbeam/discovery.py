@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDataError, ParameterError
+from .errors import DegenerateDataError, ParameterError, _require_pair
 from .grid import FieldGrid
 from .sparse import SparseSolution, optimize_lambda
 from .weakform import (
@@ -125,11 +125,7 @@ class DiscoveryResult:
 def _tau_hat_bins(grid: FieldGrid, tau_hat) -> tuple[int, int]:
     """Corner bins ``round(10 ** tau_hat)`` per axis, clamped to [1, n // 2];
     a scalar ``tau_hat`` serves both axes."""
-    pair = (tau_hat, tau_hat) if np.isscalar(tau_hat) else tuple(tau_hat)
-    if len(pair) != 2:
-        raise ParameterError("tau_hat must be a scalar or a pair")
-    if np.isnan(pair).any():
-        raise ParameterError(f"tau_hat must not be NaN, got {tau_hat}")
+    pair = _require_pair("tau_hat", (tau_hat, tau_hat) if np.isscalar(tau_hat) else tau_hat)
     return tuple(
         # capping the exponent keeps 10 ** th finite and changes no bin
         min(max(1, int(round(10.0 ** min(th, 300.0)))), max(1, n // 2))

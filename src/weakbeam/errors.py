@@ -6,6 +6,7 @@ class; plain ValueError is reserved for programming errors.
 
 import math
 import numbers
+import sys
 from collections.abc import Callable
 
 import numpy as np
@@ -73,9 +74,18 @@ def _allocate(build: Callable, what: str):
     return array
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number a float holds, never a ``bool`` (nor
+    an integer past the float range, such as ``10**400``)."""
+    big = sys.float_info.max
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+        isinstance(value, (float, np.floating)) or -big <= value <= big
+    )
+
+
 def _is_positive(value) -> bool:
     """Whether ``value`` is a real number, never a ``bool``, finite and > 0."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf
+    return _is_real(value) and 0 < value < math.inf
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -84,9 +94,42 @@ def _require_positive(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be finite and positive, got {value}")
 
 
+def _require_kind(name: str, value, kind: type) -> None:
+    """Raise :class:`ParameterError` naming a value that is not a ``kind``."""
+    if not isinstance(value, kind):
+        raise ParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 def _require_count(name: str, value: int, lo: int, hi: float = math.inf) -> None:
     """Raise :class:`ParameterError` naming a count that is not an ``int`` or
     a NumPy integer (never a ``bool``) in ``lo .. hi``."""
     if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and lo <= value <= hi):
         upper = f", <= {hi}" if hi < math.inf else ""
         raise ParameterError(f"{name} must be an integer >= {lo}{upper}, got {value!r}")
+
+
+def _require_real(name: str, value: float, lo: float = -math.inf) -> None:
+    """Raise :class:`ParameterError` naming a value that is not a finite real number >= ``lo``."""
+    if not (_is_real(value) and -math.inf < value < math.inf and value >= lo):
+        bound = f" >= {lo}" if lo > -math.inf else ""
+        raise ParameterError(f"{name} must be a finite real number{bound}, got {value!r}")
+
+
+# each pair's range short of what needs the data (the band's Nyquist, the window's
+# t axis), as a test and its words; an infinite tau_hat clamps its bin to an end
+_PAIRS = {
+    "band": (lambda lo, hi: 0 <= lo < hi, "with 0 <= f_lo < f_hi"),
+    "window": (lambda lo, hi: -math.inf < lo <= hi < math.inf, "finite, with t_lo <= t_hi"),
+    "tau_hat": (lambda x, t: not (math.isnan(x) or math.isnan(t)), "not NaN"),
+}
+
+
+def _require_pair(name: str, pair, error: type[WeakbeamError] = ParameterError) -> tuple:
+    """``pair`` as two real numbers in ``_PAIRS[name]``'s range, else raise ``error``."""
+    try:
+        a, b = pair
+    except (TypeError, ValueError):
+        a = b = None
+    if not (_is_real(a) and _is_real(b) and _PAIRS[name][0](a, b)):
+        raise error(f"{name} must be two real numbers, {_PAIRS[name][1]}, got {pair!r}")
+    return a, b

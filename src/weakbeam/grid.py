@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldFormatError, GridError, WindowError
+from .errors import FieldFormatError, GridError, WindowError, _require_pair
 
 __all__ = ["FieldGrid", "load_field", "save_field", "window_time"]
 
@@ -164,10 +164,7 @@ def window_time(grid: FieldGrid, t_lo: float, t_hi: float) -> FieldGrid:
 
 def _window_columns(t: np.ndarray, t_lo: float, t_hi: float) -> slice:
     """The slice of the time axis ``t`` that :func:`window_time` keeps."""
-    if not np.isfinite([t_lo, t_hi]).all():
-        raise WindowError(f"window bounds must be finite, got [{t_lo}, {t_hi}]")
-    if t_hi < t_lo:
-        raise WindowError(f"empty window: t_lo={t_lo} > t_hi={t_hi}")
+    _require_pair("window", (t_lo, t_hi), WindowError)
     half = (t[-1] - t[0]) / (t.size - 1) / 2 if t.size > 1 else 0.0
     if t_hi < t[0] - half or t_lo > t[-1] + half:
         raise WindowError(

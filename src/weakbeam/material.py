@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, _allocate, _is_positive, _require_count, _require_positive
+from .errors import _require_real
 
 __all__ = [
     "CrossSection",
@@ -192,10 +193,9 @@ def natural_frequencies(
 def smape(values: np.ndarray, nominal: float) -> float:
     """Symmetric mean absolute percentage error against one nominal value."""
     values = np.atleast_1d(np.asarray(values, dtype=float))
-    if values.size == 0:
-        raise ParameterError("smape needs at least one value")
-    if not (np.isfinite(values).all() and math.isfinite(nominal)):
-        raise ParameterError("smape needs finite values and a finite nominal")
+    if not (values.size and np.isfinite(values).all()):
+        raise ParameterError("smape needs at least one value, all finite")
+    _require_real("smape's nominal", nominal)
     denom = (np.abs(values) + abs(nominal)) / 2.0
     terms = np.where(denom > 0, np.abs(values - nominal) / np.maximum(denom, 1e-300), 0.0)
     return float(100.0 * terms.mean())

@@ -11,10 +11,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .beamfem import SweepResult, _replay_errors, _trial_moduli
 from .discovery import discover, render_pde
 from .ensemble import EnsembleResult, run_ensemble
 from .errors import DegenerateDataError, ParameterError, WeakbeamError
-from .errors import _require_count, _require_positive
+from .errors import _require_count, _require_kind, _require_pair, _require_positive
 from .grid import load_field, window_time
 from .material import BeamModel, CrossSection, modulus_from_alpha, percent_error
 from .preprocess import condition
@@ -68,24 +68,6 @@ class StageError(WeakbeamError):
         return STAGE_EXIT_CODES[self.stage]
 
 
-_REAL, _INT = numbers.Real, numbers.Integral
-
-# JSON kind of every config key: a type, or n for a list of n numbers
-_CONFIG_KINDS = dict(
-    field_path=str, downsample=_INT, band=2, window=2, tau_hat=2, max_ds=_INT,
-    section=(dict, CrossSection), density=_REAL, nominal_modulus=_REAL, simulate=bool, sweep=3,
-)
-
-
-def _has_kind(value, kind) -> bool:
-    if isinstance(kind, int):
-        return isinstance(value, (list, tuple)) and len(value) == kind and all(
-            _has_kind(v, _REAL) for v in value
-        )
-    # true/false is an int to Python, but never a number in a config
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything one measured-data run needs, JSON round-trippable."""
@@ -103,19 +85,21 @@ class PipelineConfig:
     sweep: tuple[float, float, int] | None = None  # e_lo, e_hi and a count >= 2
 
     def __post_init__(self):
-        # checked here, so a bad value fails as a config error before any
-        # stage; the density, the nominal and the sweep by the rules their
-        # stages apply.  A max_ds of 0 skips the ensemble
-        _require_count("pipeline config key 'max_ds'", self.max_ds, 0)
-        for key, check in (
-            ("density", lambda density: _require_positive("density", density)),
-            ("nominal_modulus", lambda nominal: percent_error(nominal, nominal)),
-            ("sweep", lambda sweep: _trial_moduli(*sweep)),
-        ):
-            if getattr(self, key) is not None:
+        # every key by its stage's rule, a Python-built config's too, before any
+        # stage; only the band's Nyquist and the window's t axis wait for the data
+        rules = dict(
+            field_path=partial(_require_kind, kind=str), max_ds=partial(_require_count, lo=0),
+            simulate=partial(_require_kind, kind=bool), downsample=partial(_require_count, lo=1),
+            section=partial(_require_kind, kind=CrossSection), density=_require_positive,
+            band=_require_pair, window=_require_pair, tau_hat=_require_pair,
+            nominal_modulus=lambda _, e: percent_error(e, e), sweep=lambda _, s: _trial_moduli(*s),
+        )
+        for key, spec in self.__dataclass_fields__.items():
+            value = getattr(self, key)  # None skips an optional stage setting
+            if value is not None or spec.default is not None:
                 try:
-                    check(getattr(self, key))
-                except ParameterError as exc:
+                    rules[key](key, value)
+                except (WeakbeamError, TypeError) as exc:  # TypeError: a sweep not of 3 values
                     raise ParameterError(f"pipeline config key {key!r}: {exc}") from None
         # and a key no stage would read: the material stage needs the section
         # and the density together, and the nominal and the sweep read its beam
@@ -151,13 +135,7 @@ class PipelineConfig:
         missing = [k for k, f in fields.items() if f.default is MISSING and k not in raw]
         if missing:
             raise ParameterError(f"pipeline config needs the keys {missing}")
-        for key, value in raw.items():
-            nullable = fields[key].default is None
-            if not (value is None and nullable or _has_kind(value, _CONFIG_KINDS[key])):
-                raise ParameterError(
-                    f"pipeline config key {key!r} has invalid value {value!r}"
-                )
-        # only the numeric pairs and the sweep triple can be lists here
+        # JSON gives the pairs and the sweep triple as lists
         raw = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
         if isinstance(raw.get("section"), dict):
             try:

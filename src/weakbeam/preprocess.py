@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, _require_count
+from .errors import ParameterError, _require_count, _require_pair
 from .grid import FieldGrid
 
 __all__ = ["subsample_time", "bandpass_time", "condition"]
@@ -41,8 +41,7 @@ def bandpass_time(grid: FieldGrid, f_lo: float, f_hi: float) -> FieldGrid:
         If the band is empty, non-positive, or ``f_hi`` exceeds the
         Nyquist frequency ``1 / (2 dt)``.
     """
-    if not (0.0 <= f_lo < f_hi):
-        raise ParameterError(f"need 0 <= f_lo < f_hi, got [{f_lo}, {f_hi}]")
+    _require_pair("band", (f_lo, f_hi))
     dt = grid.dt
     nyquist = 0.5 / dt
     if f_hi > nyquist:
@@ -70,6 +69,5 @@ def condition(grid: FieldGrid, downsample: int = 1, band: tuple | None = None) -
     """Every ``downsample``-th time sample from the first, then the band-pass
     to ``band = (f_lo, f_hi)`` unless it is None: the one conditioning order
     of the ``preprocess`` command and the pipeline, before either windows."""
-    if downsample != 1:
-        grid = subsample_time(grid, downsample, 1)
+    grid = subsample_time(grid, downsample, 1)
     return grid if band is None else bandpass_time(grid, *band)

@@ -11,11 +11,13 @@ Gaussian noise scaled to the clean field's peak.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .beamfem import BoundaryHistory, FemMesh, newmark_solve
-from .errors import ParameterError, _allocate, _is_positive, _require_count, _require_positive
+from .errors import GridError, ParameterError, _allocate, _is_positive, _require_count
+from .errors import _require_positive, _require_real
 from .grid import FieldGrid
 from .material import BeamModel
 
@@ -66,11 +68,8 @@ def generate_beam_data(
     """
     if not (_is_positive(dt) and _is_positive(t_end) and dt < t_end):
         raise ParameterError(f"need finite 0 < dt < t_end, got dt={dt}, t_end={t_end}")
-    if not (0 <= sigma_rel < math.inf and 0 <= margin_frac < math.inf):
-        raise ParameterError(
-            f"sigma_rel and margin_frac must be finite and non-negative, "
-            f"got {sigma_rel}, {margin_frac}"
-        )
+    _require_real("sigma_rel", sigma_rel, 0)
+    _require_real("margin_frac", margin_frac, 0)
     _require_count("seed", seed, 0)
     burst(np.empty(0), fc)  # the burst's own check of fc, before 1 / fc / dt
     period_samples = 1.0 / fc / dt  # fc * dt may underflow to 0
@@ -84,13 +83,21 @@ def generate_beam_data(
         lambda: np.arange(int(round(t_end / dt)) + 1) * dt,
         f"{t_end / dt:g} time steps of dt={dt}",
     )
-    n_margin = int(math.ceil(margin_frac * mesh.n_elements))
-    extended = FemMesh(mesh.n_elements + n_margin, mesh.dx)
+    # a margin count past the float range, inf in Python floats, is capped to
+    # one that no array can hold, which fails as a margin of 1e300 does
+    n_margin = math.ceil(min(float(margin_frac) * float(mesh.n_elements), sys.float_info.max))
+    extended = FemMesh(int(mesh.n_elements) + n_margin, mesh.dx)
 
     bc = BoundaryHistory(t, np.column_stack([burst(t, fc), np.zeros_like(t)]))
     clean = newmark_solve(extended, beam, bc, n_nodes=mesh.n_nodes)
     if sigma_rel == 0:
         return clean
     rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, sigma_rel * clean.peak, size=clean.values.shape)
-    return FieldGrid(clean.x, clean.t, clean.values + noise)
+    # as a Python float, a scale past the float range is inf, with no warning
+    noise = rng.normal(0.0, float(sigma_rel) * clean.peak, size=clean.values.shape)
+    try:
+        return FieldGrid(clean.x, clean.t, clean.values + noise)
+    except GridError:  # the clean field is finite, so the noise is not
+        raise ParameterError(
+            f"the noise of sigma_rel = {sigma_rel:g} leaves the float range"
+        ) from None

@@ -790,6 +790,15 @@ def swept(data):
             "center frequency must be finite and positive, got nan",
             id="burst-fc",
         ),
+        # noise past the float range names its scale
+        pytest.param(
+            ParameterError,
+            lambda: generate_beam_data(
+                make_beam(), FemMesh(4, 5e-4), AL_FC, dt=1e-6, t_end=3e-4, sigma_rel=1e308
+            ),
+            "the noise of sigma_rel = 1e+308 leaves the float range",
+            id="noise",
+        ),
         # and a section's dimensions name their kind
         pytest.param(
             ParameterError, lambda: CrossSection.circle(0.0),

@@ -480,6 +480,49 @@ def test_bad_pipeline_config_is_an_error(capsys, tmp_path, text, culprit):
 
 
 @pytest.mark.parametrize(
+    "key, value",
+    [
+        ("field_path", 3),
+        *(("downsample", v) for v in (0, 2.5, True)),
+        *(("band", v) for v in ((None, 1e5), (5e4, 1e3))),
+        *(("window", v) for v in (("a", "b"), (1e-4, 0))),
+        *(("tau_hat", v) for v in ((True, 1.0), ("x", 1))),
+        ("simulate", "no"),
+        ("section", 5),
+    ],
+    ids=repr,
+)
+def test_a_bad_config_value_fails_at_both_front_doors(capsys, tmp_path, key, value):
+    # the same rule in Python and in JSON, and before ingest: the field is
+    # absent, so a run that got to ingest would exit 9.  A section comes
+    # with a density, which the material stage reads with it
+    config = {"field_path": str(tmp_path / "absent.field"), key: value}
+    if key == "section":
+        config["density"] = 2721.9
+    with pytest.raises(ParameterError, match=f"'{key}'"):
+        PipelineConfig(**config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with pytest.raises(ParameterError, match=f"'{key}'"):
+        PipelineConfig.from_json(path)
+    assert main(["pipeline", "--config", str(path)]) == CONFIG_EXIT_CODE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{key}'" in err and "Traceback" not in err
+
+
+def test_a_json_integer_past_the_float_range_is_a_config_error(capsys, tmp_path):
+    # JSON reads the density 1e400 written out in digits as a Python int
+    path = tmp_path / "config.json"
+    path.write_text(
+        '{"field_path": "x", "section": {"kind": "circle", "diameter": 6.35e-3}, '
+        f'"density": 1{"0" * 400}}}', encoding="utf-8"
+    )
+    assert main(["pipeline", "--config", str(path)]) == CONFIG_EXIT_CODE
+    err = capsys.readouterr().err
+    assert err.startswith("error: pipeline config key 'density'") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["discover", "--in", "x.field", "--tau", "1e-9"], "--tau"),
@@ -618,6 +661,8 @@ def as_argv(flags: dict) -> list[str]:
         ["modes", *as_argv({**MODES, "--modulus": "1e308", "--length": "1e-5"})],
         # a span that is not finite and positive
         ["modes", *as_argv({**MODES, "--length": "-0.097"})],
+        # a margin whose element count leaves the float range
+        ["synth", *SYNTH_FLAGS, "--margin-frac", "1e308"],
     ],
 )
 def test_non_finite_or_out_of_range_number_is_an_error(capsys, tmp_path, tiny_field, argv):

@@ -3,7 +3,9 @@ physical number: a count is an ``int`` or a NumPy integer, never a
 ``bool`` and never ``3.0``; a physical number is a finite, positive real
 number, never a ``bool``.  Anything else raises :class:`ParameterError`
 and no other exception, and NumPy scalars give the same results as
-Python ones."""
+Python ones.  The same holds for the finite real numbers that may be 0 or
+less, and for the pairs of real numbers (the window's refusal is a
+:class:`WindowError`)."""
 
 import math
 
@@ -12,8 +14,10 @@ import pytest
 
 from conftest import AL_DENSITY, AL_FC, AL_SECTION, make_beam
 from weakbeam.beamfem import BoundaryHistory, FemMesh, newmark_solve, sweep_modulus
+from weakbeam.discovery import discover
 from weakbeam.ensemble import run_ensemble
-from weakbeam.errors import ParameterError
+from weakbeam.errors import ParameterError, WindowError
+from weakbeam.grid import window_time
 from weakbeam.material import (
     BeamModel,
     CrossSection,
@@ -21,9 +25,10 @@ from weakbeam.material import (
     modulus_from_alpha,
     natural_frequencies,
     percent_error,
+    smape,
 )
 from weakbeam.pipeline import PipelineConfig
-from weakbeam.preprocess import subsample_time
+from weakbeam.preprocess import bandpass_time, subsample_time
 from weakbeam.synth import burst, generate_beam_data
 from weakbeam.weakform import TestFunctionBasis
 
@@ -109,3 +114,73 @@ def test_a_physical_number_is_finite_positive_and_real(edge_field, call, value):
 def test_numpy_scalars_give_the_same_results(edge_field, call, numpy_type):
     compute, valid = (COUNTS | NUMBERS)[call]
     assert _same(compute(edge_field, numpy_type(valid)), compute(edge_field, valid))
+
+
+# each call that takes a finite real number with a lower bound, a function
+# of (field, value), and a valid value; sigma_rel and margin_frac may be 0
+REALS = {
+    "sigma_rel": (lambda f, v: synth(sigma_rel=v), 0.01),
+    "margin_frac": (lambda f, v: synth(margin_frac=v), 0.5),
+    "smape-nominal": (lambda f, v: smape([1.0, 3.0], v), 2.0),
+}
+
+# each call that takes a pair of real numbers, a function of (field, pair),
+# a valid pair, the error a bad one raises, and real pairs out of its range
+PAIRS = {
+    "band": (lambda f, p: bandpass_time(f, *p).values, (1e3, 1e5), ParameterError,
+             [(-1.0, 1e5), (5e4, 1e3), (1e3, 1e3)]),
+    "window": (lambda f, p: window_time(f, *p).values, (1e-4, 4e-4), WindowError,
+               [(1e-4, 0.0), (0.0, math.inf), (-math.inf, 1e-4)]),
+    "tau_hat": (lambda f, p: discover(f, tau_hat=p).coefficients, (0.8, 2.0), ParameterError,
+                ["x", True, (1, None), (1.0, 2.0, 3.0), math.nan]),
+}
+NOT_PAIR_PARTS = [math.nan, True, "x", None]
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("call", REALS)
+def test_a_finite_real_is_finite_and_real(edge_field, call, value):
+    with pytest.raises(ParameterError, match=call.split("-")[-1]):
+        REALS[call][0](edge_field, value)
+
+
+@pytest.mark.parametrize(
+    "call, pair",
+    [
+        *((call, bad) for call, (_, _, _, extra) in PAIRS.items() for bad in extra),
+        # a value no real number can stand for, in either place
+        *((call, pair) for call, (_, valid, _, _) in PAIRS.items() for v in NOT_PAIR_PARTS
+          for pair in ((v, valid[1]), (valid[0], v))),
+    ],
+    ids=repr,
+)
+def test_a_pair_is_two_real_numbers_in_its_range(edge_field, call, pair):
+    compute, _, error, _ = PAIRS[call]
+    with pytest.raises(error, match=call) as info:
+        compute(edge_field, pair)
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize("call", [*REALS, *PAIRS])
+def test_numpy_reals_and_pairs_give_the_same_results(edge_field, call):
+    if call in REALS:
+        compute, valid = REALS[call]
+        numpy_valid = np.float64(valid)
+    else:
+        compute, valid = PAIRS[call][:2]
+        numpy_valid = np.array(valid)
+    assert _same(compute(edge_field, numpy_valid), compute(edge_field, valid))
+
+
+@pytest.mark.parametrize("call", [*NUMBERS, *REALS, *PAIRS])
+def test_an_integer_past_the_float_range_is_no_real_number(edge_field, call):
+    # 10**400 is an int to Python, and JSON reads 1 and 400 zeros as one
+    big = 10**400
+    if call in PAIRS:
+        compute, valid, error, _ = PAIRS[call]
+        value = (valid[0], big)
+    else:
+        compute, error, value = (NUMBERS | REALS)[call][0], ParameterError, big
+    with pytest.raises(error) as info:
+        compute(edge_field, value)
+    assert type(info.value) is error

@@ -242,12 +242,10 @@ def test_bad_band_fails_at_preprocess(edge_field_file):
 
 
 @pytest.mark.parametrize("factor", [0, -1])
-def test_non_positive_downsample_fails_at_preprocess(edge_field_file, factor):
-    cfg = PipelineConfig(field_path=str(edge_field_file), downsample=factor)
-    with pytest.raises(StageError) as err:
-        run_pipeline(cfg)
-    assert err.value.stage == "preprocess"
-    assert err.value.exit_code == 3
+def test_non_positive_downsample_is_a_config_error(edge_field_file, factor):
+    # the preprocess stage's count rule, applied by the config before ingest
+    with pytest.raises(ParameterError, match=f"'downsample'.* >= 1, got {factor}$"):
+        PipelineConfig(field_path=str(edge_field_file), downsample=factor)
 
 
 def test_structureless_data_fails_at_material(tmp_path):
