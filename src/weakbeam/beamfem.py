@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateDataError, DimensionError, ParameterError, _allocate
-from .errors import _is_positive, _require_count, _require_positive
+from .errors import _require_count, _require_pair, _require_positive
 from .grid import FieldGrid, _all_finite, _check_axis, _window_columns
 from .material import BeamModel
 from .weakform import mean_power_spectrum
@@ -617,8 +617,7 @@ def sweep_modulus(
 def _trial_moduli(e_lo: float, e_hi: float, n_values: int) -> np.ndarray:
     """:func:`sweep_modulus`'s linear grid of trial moduli, checks first; a
     count NumPy cannot hold raises :class:`ParameterError`."""
-    if not (_is_positive(e_lo) and _is_positive(e_hi) and e_lo < e_hi):
-        raise ParameterError(f"need finite 0 < e_lo < e_hi, got [{e_lo}, {e_hi}]")
+    _require_pair("e_lo, e_hi", (e_lo, e_hi))
     _require_count("n_values", n_values, 2)
     return _allocate(lambda: np.linspace(e_lo, e_hi, n_values), f"{n_values} trial moduli")
 

@@ -121,6 +121,8 @@ _PAIRS = {
     "band": (lambda lo, hi: 0 <= lo < hi, "with 0 <= f_lo < f_hi"),
     "window": (lambda lo, hi: -math.inf < lo <= hi < math.inf, "finite, with t_lo <= t_hi"),
     "tau_hat": (lambda x, t: not (math.isnan(x) or math.isnan(t)), "not NaN"),
+    "e_lo, e_hi": (lambda lo, hi: 0 < lo < hi < math.inf, "finite, with 0 < e_lo < e_hi"),
+    "dt, t_end": (lambda dt, t_end: 0 < dt < t_end < math.inf, "finite, with 0 < dt < t_end"),
 }
 
 

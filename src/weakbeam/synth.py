@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .beamfem import BoundaryHistory, FemMesh, newmark_solve
-from .errors import GridError, ParameterError, _allocate, _is_positive, _require_count
+from .errors import GridError, ParameterError, _allocate, _require_count, _require_pair
 from .errors import _require_positive, _require_real
 from .grid import FieldGrid
 from .material import BeamModel
@@ -66,8 +66,7 @@ def generate_beam_data(
     ``numpy.random.default_rng(seed)`` so fields are reproducible across
     platforms.
     """
-    if not (_is_positive(dt) and _is_positive(t_end) and dt < t_end):
-        raise ParameterError(f"need finite 0 < dt < t_end, got dt={dt}, t_end={t_end}")
+    _require_pair("dt, t_end", (dt, t_end))
     _require_real("sigma_rel", sigma_rel, 0)
     _require_real("margin_frac", margin_frac, 0)
     _require_count("seed", seed, 0)
