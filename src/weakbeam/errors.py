@@ -110,7 +110,7 @@ def _require_count(name: str, value: int, lo: int, hi: float = math.inf) -> None
 
 def _require_real(name: str, value: float, lo: float = -math.inf) -> None:
     """Raise :class:`ParameterError` naming a value that is not a finite real number >= ``lo``."""
-    if not (_is_real(value) and -math.inf < value < math.inf and value >= lo):
+    if not (_is_real(value) and math.isfinite(value) and value >= lo):
         bound = f" >= {lo}" if lo > -math.inf else ""
         raise ParameterError(f"{name} must be a finite real number{bound}, got {value!r}")
 
