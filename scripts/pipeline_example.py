@@ -15,13 +15,12 @@ Example:
 """
 
 import argparse
-import json
 from pathlib import Path
 
 from weakbeam.beamfem import FemMesh
 from weakbeam.grid import save_field
 from weakbeam.material import BeamModel, CrossSection
-from weakbeam.pipeline import PipelineConfig, run_pipeline
+from weakbeam.pipeline import PipelineConfig, run_pipeline, write_json
 from weakbeam.synth import generate_beam_data
 
 SECTION = CrossSection.circle(6.35e-3)
@@ -53,10 +52,7 @@ def main() -> int:
         nominal_modulus=MODULUS,
         sweep=(0.95 * MODULUS, 1.05 * MODULUS, 11),
     )
-    config_path = args.out / "config.json"
-    config_path.write_text(
-        json.dumps(config.to_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(args.out / "config.json", config.to_dict())
 
     report = run_pipeline(config, out_dir=args.out)
 

@@ -35,6 +35,7 @@ from .material import (
     BeamModel,
     CrossSection,
     modulus_from_alpha,
+    modulus_report,
     natural_frequencies,
     percent_error,
     smape,

@@ -578,6 +578,16 @@ class SweepResult:
         optimum at either end may lie past it."""
         return 0 < int(np.argmin(self.errors)) < len(self.errors) - 1
 
+    def as_report(self) -> dict:
+        """JSON-ready summary: every trial, the best one, and whether it is bracketed."""
+        return {
+            "moduli": self.moduli.tolist(),
+            "errors": self.errors.tolist(),
+            "best_modulus": self.best_modulus,
+            "best_error": self.best_error,
+            "bracketed": self.bracketed,
+        }
+
 
 def sweep_modulus(
     data: FieldGrid,

@@ -14,7 +14,6 @@ an unknown, missing or unread key, or a value of the wrong kind or range.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -29,15 +28,15 @@ from .material import (
     SECTION_DIMENSIONS,
     BeamModel,
     CrossSection,
-    modulus_from_alpha,
+    modulus_report,
     natural_frequencies,
-    percent_error,
     smape,
 )
 from .pipeline import (
     CONFIG_EXIT_CODE,
     PipelineConfig,
     StageError,
+    _json_text,
     run_pipeline,
     write_ensemble_csv,
     write_json,
@@ -77,7 +76,7 @@ def _parse_pair(text: str) -> tuple[float, float]:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
 
 
 def _beam_args(p: argparse.ArgumentParser) -> None:
@@ -219,13 +218,7 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_modulus(args) -> int:
-    beam = _beam(args)
-    modulus = modulus_from_alpha(args.alpha, beam)
-    payload = {"alpha": args.alpha, "youngs_modulus": modulus}
-    if args.nominal is not None:
-        payload["nominal"] = args.nominal
-        payload["percent_error"] = percent_error(modulus, args.nominal)
-    _emit(payload)
+    _emit(modulus_report(args.alpha, _beam(args), args.nominal))
     return 0
 
 
@@ -259,14 +252,9 @@ def _cmd_sweep_e(args) -> int:
     result = sweep_modulus(data, beam, args.e_lo, args.e_hi, args.n, window=args.window)
     if args.csv_out:
         write_sweep_csv(args.csv_out, result)
-    _emit(
-        {
-            "best_modulus": result.best_modulus,
-            "best_error": result.best_error,
-            "bracketed": result.bracketed,
-            "n_values": len(result.moduli),
-        }
-    )
+    # the per-trial lists go to --csv
+    summary = {k: v for k, v in result.as_report().items() if k not in ("moduli", "errors")}
+    _emit(summary | {"n_values": len(result.moduli)})
     return 0
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "BeamModel",
     "modulus_from_alpha",
     "percent_error",
+    "modulus_report",
     "frequency_roots",
     "natural_frequencies",
     "smape",
@@ -134,6 +135,15 @@ def percent_error(modulus: float, nominal: float) -> float:
     return 100.0 * abs(modulus - nominal) / nominal
 
 
+def modulus_report(alpha: float, beam: BeamModel, nominal: float | None = None) -> dict:
+    """JSON-ready modulus from alpha, and its percent error against a given nominal."""
+    modulus = modulus_from_alpha(alpha, beam)
+    report = {"alpha": alpha, "youngs_modulus": modulus}
+    if nominal is not None:
+        report |= {"nominal_modulus": nominal, "percent_error": percent_error(modulus, nominal)}
+    return report
+
+
 def _sech(x: float) -> float:
     # overflow-free 1 / cosh
     e = math.exp(-abs(x))
@@ -191,10 +201,17 @@ def natural_frequencies(
 
 
 def smape(values: np.ndarray, nominal: float) -> float:
-    """Symmetric mean absolute percentage error against one nominal value."""
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    if not (values.size and np.isfinite(values).all()):
-        raise ParameterError("smape needs at least one value, all finite")
+    """Symmetric mean absolute percentage error against one nominal value.
+    ``values`` is one or more finite real numbers, as a scalar or an array."""
+    try:
+        values = np.asarray(values, dtype=object).ravel().tolist()  # ragged lists too
+    except ValueError:  # arrays of shapes NumPy cannot stack
+        values = [values]
+    if not values:
+        raise ParameterError("smape's values must hold at least one number")
+    for value in values:
+        _require_real("each of smape's values", value)
+    values = np.array(values, dtype=float)
     _require_real("smape's nominal", nominal)
     denom = (np.abs(values) + abs(nominal)) / 2.0
     terms = np.where(denom > 0, np.abs(values - nominal) / np.maximum(denom, 1e-300), 0.0)

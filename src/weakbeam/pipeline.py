@@ -25,7 +25,7 @@ from .ensemble import EnsembleResult, run_ensemble
 from .errors import DegenerateDataError, ParameterError, WeakbeamError
 from .errors import _require_count, _require_kind, _require_pair, _require_positive
 from .grid import load_field, window_time
-from .material import BeamModel, CrossSection, modulus_from_alpha, percent_error
+from .material import BeamModel, CrossSection, modulus_report, percent_error
 from .preprocess import condition
 from .weakform import TERM_NAMES
 
@@ -68,6 +68,21 @@ class StageError(WeakbeamError):
         return STAGE_EXIT_CODES[self.stage]
 
 
+def _plain(value):
+    """A NumPy integer or float as a Python one, a section of them as one of
+    Python numbers, and a list, tuple or array (JSON's pairs and sweep triple
+    are lists) as a tuple of plain values."""
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, CrossSection):
+        return replace(value, **{k: _plain(v) for k, v in asdict(value).items()})
+    if isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim:
+        return tuple(map(_plain, value))
+    return value
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything one measured-data run needs, JSON round-trippable."""
@@ -85,6 +100,8 @@ class PipelineConfig:
     sweep: tuple[float, float, int] | None = None  # e_lo, e_hi and a count >= 2
 
     def __post_init__(self):
+        for key in self.__dataclass_fields__:  # plain values, so the report dumps
+            object.__setattr__(self, key, _plain(getattr(self, key)))
         # every key by its stage's rule, a Python-built config's too, before any
         # stage; only the band's Nyquist and the window's t axis wait for the data
         rules = dict(
@@ -135,8 +152,6 @@ class PipelineConfig:
         missing = [k for k, f in fields.items() if f.default is MISSING and k not in raw]
         if missing:
             raise ParameterError(f"pipeline config needs the keys {missing}")
-        # JSON gives the pairs and the sweep triple as lists
-        raw = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
         if isinstance(raw.get("section"), dict):
             try:
                 raw["section"] = CrossSection(**raw["section"])
@@ -155,11 +170,14 @@ class PipelineConfig:
         return out
 
 
+def _json_text(payload: dict) -> str:
+    """Indented, key-sorted JSON text: every JSON file and printed summary."""
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
 def write_json(path: str | Path, payload: dict) -> None:
-    """Indented, key-sorted JSON file with a trailing newline."""
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    """:func:`_json_text` in a file, with a trailing newline."""
+    Path(path).write_text(_json_text(payload) + "\n", encoding="utf-8")
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
@@ -215,7 +233,6 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
     """
     report: dict = {"config": config.to_dict(), "stages": []}
     timing: dict[str, float] = {}
-    beam: BeamModel | None = None
 
     with _stage(report, timing, "ingest", OSError):
         data = load_field(config.field_path)
@@ -237,14 +254,12 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
             "dt": windowed.dt if windowed.n_t > 1 else None,
         }
 
-    degenerate = False
-    result = None
+    result = None  # stays None on a degenerate field, which ends the run
     with _stage(report, timing, "discover"):
         try:
             result = discover(windowed, tau_hat=config.tau_hat)
             report["discovery"] = result.as_report() | {"degenerate": False}
         except DegenerateDataError as exc:
-            degenerate = True
             report["discovery"] = {
                 "pde": render_pde(np.zeros(len(TERM_NAMES))),
                 "degenerate": True,
@@ -252,24 +267,20 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
             }
 
     ensemble = None
-    if config.max_ds >= 1 and not degenerate:
+    if config.max_ds >= 1 and result is not None:
         with _stage(report, timing, "ensemble"):
             ensemble = run_ensemble(windowed, max_ds=config.max_ds)
             report["ensemble"] = ensemble.as_report()
 
-    if config.section is not None and not degenerate:
+    beam = None
+    if config.section is not None and result is not None:
         with _stage(report, timing, "material"):
             beam = BeamModel(section=config.section, density=config.density)
-            modulus = modulus_from_alpha(result.alpha, beam)
-            beam = replace(beam, youngs_modulus=modulus)
-            material = {"alpha": result.alpha, "youngs_modulus": modulus}
-            if config.nominal_modulus is not None:
-                material["nominal_modulus"] = config.nominal_modulus
-                material["percent_error"] = percent_error(modulus, config.nominal_modulus)
-            report["material"] = material
+            report["material"] = modulus_report(result.alpha, beam, config.nominal_modulus)
+            beam = replace(beam, youngs_modulus=report["material"]["youngs_modulus"])
 
     sweep = None
-    if config.simulate and beam is not None and not degenerate:
+    if config.simulate and beam is not None:
         with _stage(report, timing, "simulate"):
             # one modal march replays the discovered modulus and the sweep's
             grid = np.empty(0) if config.sweep is None else _trial_moduli(*config.sweep)
@@ -281,13 +292,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path | None = None) -> d
             }
             if config.sweep is not None:
                 sweep = SweepResult(moduli=grid, errors=errors[1:])
-                report["sweep"] = {
-                    "moduli": [float(e) for e in sweep.moduli],
-                    "errors": [float(e) for e in sweep.errors],
-                    "best_modulus": sweep.best_modulus,
-                    "best_error": sweep.best_error,
-                    "bracketed": sweep.bracketed,
-                }
+                report["sweep"] = sweep.as_report()
 
     report["timing"] = timing
 

@@ -8,15 +8,22 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import AL_MODULUS
+from conftest import AL_DENSITY, AL_MODULUS, AL_SECTION, make_beam
 from oracles import analytic_beam_frequencies
+from weakbeam.beamfem import sweep_modulus
 from weakbeam.cli import _beam, main
 from weakbeam.discovery import discover
 from weakbeam.ensemble import run_ensemble
 from weakbeam.errors import ParameterError
 from weakbeam.grid import FieldGrid, load_field, save_field
 from weakbeam.material import CrossSection
-from weakbeam.pipeline import CONFIG_EXIT_CODE, STAGE_EXIT_CODES, PipelineConfig, run_pipeline
+from weakbeam.pipeline import (
+    CONFIG_EXIT_CODE,
+    STAGE_EXIT_CODES,
+    PipelineConfig,
+    _json_text,
+    run_pipeline,
+)
 from weakbeam.preprocess import condition
 
 SYNTH_FLAGS = [
@@ -144,6 +151,7 @@ def test_modulus_table_row(capsys):
     )
     assert payload["youngs_modulus"] == pytest.approx(6.3206e10, rel=1e-4)
     assert payload["percent_error"] == pytest.approx(8.3967, abs=0.01)
+    assert payload["nominal_modulus"] == 6.9e10
 
 
 def test_modulus_bad_section_is_an_error(capsys):
@@ -742,6 +750,27 @@ def test_pipeline_replay_agrees_with_simulate_on_the_rod(capsys, ci_rod, tmp_pat
     assert abs(report["simulation"]["frobenius_rel"] - banded) <= 1e-6 * banded
 
 
+def test_sweep_e_prints_the_sweep_report_the_pipeline_writes(capsys, synth_file):
+    # one sweep report, SweepResult.as_report: sweep-e prints it without
+    # the per-trial lists, which --csv writes, and with the trial count
+    grid = (0.95 * AL_MODULUS, 1.05 * AL_MODULUS, 3)
+    printed = run_json(capsys, ["sweep-e", "--in", str(synth_file), *as_argv(ROD), "--e-lo",
+                                repr(grid[0]), "--e-hi", repr(grid[1]), "--n", str(grid[2])])
+    report = sweep_modulus(load_field(synth_file), make_beam(), *grid).as_report()
+    lists = ("moduli", "errors")
+    assert printed == {k: v for k, v in report.items() if k not in lists} | {"n_values": 3}
+    # the pipeline's sweep section is the same report; its march also carries
+    # the discovered modulus, which changes its chunking and so its rounding
+    section = run_pipeline(PipelineConfig(
+        field_path=str(synth_file), section=AL_SECTION, density=AL_DENSITY, sweep=grid,
+    ))["sweep"]
+    assert section.keys() == report.keys()
+    assert section["moduli"] == report["moduli"]
+    assert section["best_modulus"] == report["best_modulus"]
+    assert section["bracketed"] is report["bracketed"] is True
+    assert abs(section["best_error"] - report["best_error"]) <= 1e-12 * report["best_error"]
+
+
 @pytest.mark.parametrize(
     "n_x, window", [(10, []), (40, ["--window", "4e-4,4e-4"])], ids=["ten-points", "last-sample"]
 )
@@ -880,11 +909,11 @@ def test_front_doors_share_the_owners_of_each_rule(capsys, synth_file, tmp_path)
         capsys, ["pipeline", "--config", str(config), "--out-dir", str(tmp_path / "out")]
     )["material"]
     assert material["alpha"] == discover(field).alpha
-    payload = run_json(capsys, [
+    # one modulus report: the modulus command prints the material section
+    assert main([
         "modulus", *as_argv(ROD), "--alpha", repr(material["alpha"]), "--nominal", "6.9e10",
-    ])
-    for key in ("youngs_modulus", "percent_error"):
-        assert repr(payload[key]) == repr(material[key]), key
+    ]) == 0
+    assert capsys.readouterr().out == _json_text(material) + "\n"
 
     # every ok row of ensemble.csv carries its run's alpha
     with open(tmp_path / "out" / "ensemble.csv", encoding="utf-8") as fh:

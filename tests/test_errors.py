@@ -122,6 +122,9 @@ REALS = {
     "sigma_rel": (lambda f, v: synth(sigma_rel=v), 0.01),
     "margin_frac": (lambda f, v: synth(margin_frac=v), 0.5),
     "smape-nominal": (lambda f, v: smape([1.0, 3.0], v), 2.0),
+    # smape's values, one in a list and one alone
+    "smape-values": (lambda f, v: smape([1.0, v], 2.0), 3.0),
+    "smape-value": (lambda f, v: smape(v, 2.0), 3.0),
 }
 
 # each call that takes a pair of real numbers, a function of (field, pair),

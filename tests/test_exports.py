@@ -64,3 +64,16 @@ print(json.dumps(frequency_roots("clamped-free", 3).tolist()))
     assert loaded == []
     assert np.array_equal(march, short_march())
     assert np.allclose(roots, [BETA_L["clamped-free"](n) for n in (1, 2, 3)], rtol=1e-12, atol=0)
+
+
+def test_every_name_the_benchmark_tracer_patches_resolves(monkeypatch):
+    # perfbench/tracer.py swaps each (module, name) of CALL_SITES for a traced
+    # wrapper, so a name renamed or deleted here would crash every traced run.
+    # Imported the way perfbench's own tests do: by path alone, its
+    # @dataclass cannot find the module it was loaded as
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    sites = [(module, name) for module, name, *_ in tracer.CALL_SITES]
+    assert sites
+    missing = [site for site in sites if not hasattr(importlib.import_module(site[0]), site[1])]
+    assert missing == []

@@ -9,6 +9,7 @@ from weakbeam import beamfem
 from weakbeam.beamfem import simulate_measured, sweep_modulus
 from weakbeam.errors import ParameterError
 from weakbeam.grid import FieldGrid, load_field, save_field
+from weakbeam.material import CrossSection
 from weakbeam.pipeline import (
     CONFIG_EXIT_CODE,
     STAGE_EXIT_CODES,
@@ -62,9 +63,28 @@ def test_config_round_trips_through_json(tmp_path, full_config):
     assert PipelineConfig.from_json(path) == full_config
 
 
-def test_config_rectangle_section_round_trips():
-    from weakbeam.material import CrossSection
+def test_a_config_of_numpy_values_writes_the_report_of_plain_ones(tmp_path, edge_field_file):
+    # the config holds Python numbers and tuples, however it was built, so
+    # its report dumps as JSON and is the report of the plain config
+    common = dict(field_path=str(edge_field_file), simulate=False)
+    diameter = np.float32(AL_SECTION.diameter)
+    plain = PipelineConfig(**common, max_ds=1, section=CrossSection.circle(float(diameter)),
+                           density=AL_DENSITY, nominal_modulus=AL_MODULUS, band=(2e3, 4e4))
+    numpy = PipelineConfig(**common, max_ds=np.int64(1), section=CrossSection.circle(diameter),
+                           density=np.float64(AL_DENSITY), nominal_modulus=np.float64(AL_MODULUS),
+                           band=np.array([2e3, 4e4]))
+    assert numpy == plain
+    assert json.dumps(numpy.to_dict()) == json.dumps(plain.to_dict())
+    reports = []
+    for name, config in (("plain", plain), ("numpy", numpy)):
+        run_pipeline(config, out_dir=tmp_path / name)
+        report = json.loads((tmp_path / name / "report.json").read_text(encoding="utf-8"))
+        reports.append({k: v for k, v in report.items() if k != "timing"})
+    assert reports[0] == reports[1]
+    assert reports[0]["stages"][-1] == "material"
 
+
+def test_config_rectangle_section_round_trips():
     cfg = PipelineConfig(
         field_path="x.field", section=CrossSection.rectangle(4.18e-3, 2.84e-3), density=1301.4
     )
