@@ -70,7 +70,7 @@ def main() -> int:
             rows.append([seed, run.d, run.offset, "ok", alpha, e_run])
         moduli = np.array(moduli)
         stats = ens.stats.get("w_xxxx")
-        summaries[str(seed)] = {
+        summary = summaries[str(seed)] = {
             "modal_support": list(ens.modal_support),
             "support_agreement": ens.support_agreement,
             "n_success": ens.n_success,
@@ -80,10 +80,12 @@ def main() -> int:
             "modulus_std": float(moduli.std(ddof=1)) if moduli.size > 1 else 0.0,
             "modulus_smape_vs_nominal": smape(moduli, MODULUS) if moduli.size else None,
         }
+        spread = "n/a" if summary["modulus_mean"] is None else (
+            f"{summary['modulus_mean']:.4e} +/- {summary['modulus_std']:.2e}"
+        )
         print(
             f"seed {seed}: {ens.n_success}/{len(ens.runs)} ok, "
-            f"modal {ens.modal_support}, "
-            f"E = {moduli.mean():.4e} +/- {moduli.std(ddof=1):.2e}"
+            f"modal {ens.modal_support}, E = {spread}"
         )
 
     header = ["seed", "d", "offset", "status", "alpha", "youngs_modulus"]

@@ -85,7 +85,7 @@ class EnsembleResult:
 
 def _subset_x_spectra(grid: FieldGrid, max_ds: int) -> dict[tuple[int, int], np.ndarray]:
     """``mean_power_spectrum(subset, 0)`` of every (d, offset) subset, keyed
-    by (d, offset), from one real FFT of the whole field along x.
+    by (d, offset) in run order, from one real FFT of the whole field along x.
 
     The x transform acts on each column alone, so a subset's spectrum is
     the mean of the whole field's per-column power over the subset's
@@ -106,11 +106,12 @@ def run_ensemble(grid: FieldGrid, max_ds: int = 10) -> EnsembleResult:
 
     Hyperparameters (corner, supports, strides, threshold) are selected
     independently per subset, so the ensemble probes the full selection
-    pipeline, not just the regression.  The subsets' x spectra come from
-    one transform of the whole field (:func:`_subset_x_spectra`), which is
-    freed before the first discovery.  A ``max_ds`` above the number of
-    time samples, which adds only empty subsets, raises
-    :class:`ParameterError` before that transform.
+    pipeline, not just the regression.  The subsets and their x spectra
+    come from one transform of the whole field (:func:`_subset_x_spectra`),
+    which is freed before the first discovery; the runs take its keys in
+    order, d from 1 to ``max_ds`` and each d's offsets 1 .. d.  A
+    ``max_ds`` above the number of time samples, which adds only empty
+    subsets, raises :class:`ParameterError` before that transform.
     """
     _require_count("max_ds", max_ds, 1)
     if max_ds > grid.n_t:
@@ -118,17 +119,13 @@ def run_ensemble(grid: FieldGrid, max_ds: int = 10) -> EnsembleResult:
             f"max_ds = {max_ds} exceeds the field's n_t = {grid.n_t} time samples: "
             f"every subset past n_t is empty"
         )
-    x_spectra = _subset_x_spectra(grid, max_ds)
     runs = []
-    for d in range(1, max_ds + 1):
-        for offset in range(1, d + 1):
-            try:
-                result = discover(subsample_time(grid, d, offset), x_power=x_spectra[d, offset])
-                runs.append(EnsembleRun(d=d, offset=offset, result=result))
-            except WeakbeamError as exc:
-                runs.append(
-                    EnsembleRun(d=d, offset=offset, error=f"{type(exc).__name__}: {exc}")
-                )
+    for (d, offset), x_power in _subset_x_spectra(grid, max_ds).items():
+        try:
+            result = discover(subsample_time(grid, d, offset), x_power=x_power)
+            runs.append(EnsembleRun(d=d, offset=offset, result=result))
+        except WeakbeamError as exc:
+            runs.append(EnsembleRun(d=d, offset=offset, error=f"{type(exc).__name__}: {exc}"))
     return aggregate(tuple(runs))
 
 

@@ -58,6 +58,8 @@ class CrossSection:
                 f"{self.kind} needs {'a ' * (len(dims) == 1)}finite "
                 f"{', '.join(dims.values())} > 0, got {', '.join(map(str, values))}"
             )
+        for name in dims.values():  # Python floats, so sizes and moduli are too
+            object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("diameter", "width", "thickness"):
             value = getattr(self, name)
             if name not in dims.values() and not (isinstance(value, float) and math.isnan(value)):
@@ -105,8 +107,10 @@ class BeamModel:
 
     def __post_init__(self):
         _require_positive("density", self.density)
+        object.__setattr__(self, "density", float(self.density))  # Python floats, as a section holds
         if self.youngs_modulus is not None:
             _require_positive("youngs_modulus", self.youngs_modulus)
+            object.__setattr__(self, "youngs_modulus", float(self.youngs_modulus))
 
     def require_modulus(self) -> float:
         if self.youngs_modulus is None:

@@ -69,15 +69,13 @@ class StageError(WeakbeamError):
 
 
 def _plain(value):
-    """A NumPy integer or float as a Python one, a section of them as one of
-    Python numbers, and a list, tuple or array (JSON's pairs and sweep triple
-    are lists) as a tuple of plain values."""
+    """A NumPy integer or float as a Python one, and a list, tuple or array
+    (JSON's pairs and sweep triple are lists) as a tuple of plain values; a
+    section holds Python floats already."""
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):
         return float(value)
-    if isinstance(value, CrossSection):
-        return replace(value, **{k: _plain(v) for k, v in asdict(value).items()})
     if isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim:
         return tuple(map(_plain, value))
     return value

@@ -56,9 +56,6 @@ P_MAX = 16
 # Queries per axis the default stride rule aims for.
 _TARGET_QUERIES_PER_AXIS = 44
 
-# cap on corner-refinement passes; every observed case fixes within ~6
-_CORNER_MAX_ZOOMS = 32
-
 # Test-function tolerance: the largest spectral magnitude a test function
 # may keep at the corner, and the decay at the ends of its support.
 _TAU = 1e-9
@@ -230,8 +227,10 @@ def spectral_corner(power: np.ndarray) -> CornerDiagnostic:
     gradually instead of hitting the floor at a cliff: the long floor
     dominates the fit and drags the breakpoint into it.  The fit is
     therefore repeated on the window [1, 2 b] around the previous answer
-    until the breakpoint reproduces itself; a sharp knee is its own fixed
-    point, while a drawn-out tail collapses onto the curvature maximum.
+    and stops at the first breakpoint it has met before, which it keeps;
+    a sharp knee is its own fixed point, while a drawn-out tail collapses
+    onto the curvature maximum.  Each breakpoint is a bin in 1 .. n_bins,
+    so one repeats within n_bins + 1 fits.
     Every window starts at bin 1, so one table of left-prefix SSRs over
     [1, n_bins], built once, serves every pass; each pass recomputes only
     the right segments' SSRs over its window.
@@ -256,15 +255,10 @@ def spectral_corner(power: np.ndarray) -> CornerDiagnostic:
     y = np.cumsum(np.log10(floored))
     k = np.arange(1, n_bins + 1, dtype=float)
     ssr_left = _segment_ssr_prefix(k, y)
-    b = _changepoint(y, n_bins, ssr_left)
-    seen = {b}
-    for _ in range(_CORNER_MAX_ZOOMS):
-        b_next = _changepoint(y, min(n_bins, 2 * b), ssr_left)
-        if b_next == b or b_next in seen:
-            b = b_next
-            break
-        seen.add(b_next)
-        b = b_next
+    b, seen = _changepoint(y, n_bins, ssr_left), set()
+    while b not in seen:
+        seen.add(b)
+        b = _changepoint(y, min(n_bins, 2 * b), ssr_left)
     k_peak = int(np.argmax(power)) + 1
     b = max(b, min(4 * k_peak, n_bins - 1))
     return CornerDiagnostic(b, n_bins)

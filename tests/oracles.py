@@ -144,15 +144,10 @@ def reference_spectral_corner(values, axis):
     if n_bins < 3:
         corner = max(1, n_bins // 2)
         return CornerDiagnostic(corner, n_bins)
-    b = reference_changepoint(y, n_bins)
-    seen = {b}
-    for _ in range(32):
-        b_next = reference_changepoint(y, min(n_bins, 2 * b))
-        if b_next == b or b_next in seen:
-            b = b_next
-            break
-        seen.add(b_next)
-        b = b_next
+    b, seen = reference_changepoint(y, n_bins), set()
+    while b not in seen:
+        seen.add(b)
+        b = reference_changepoint(y, min(n_bins, 2 * b))
     k_peak = int(np.argmax(power)) + 1
     b = max(b, min(4 * k_peak, n_bins - 1))
     return CornerDiagnostic(b, n_bins)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,9 +13,11 @@ from weakbeam.material import (
     CrossSection,
     frequency_roots,
     modulus_from_alpha,
+    modulus_report,
     natural_frequencies,
     smape,
 )
+from weakbeam.pipeline import _json_text
 
 
 # ------------------------------------------------------------- cross sections
@@ -122,6 +125,23 @@ def test_modulus_and_alpha_are_inverse_maps(alpha, diameter, density):
     beam = BeamModel(section=CrossSection.circle(diameter), density=density)
     e = modulus_from_alpha(alpha, beam)
     assert alpha_from_modulus(e, beam) == pytest.approx(alpha, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["circle", "rectangle"])
+def test_float32_sizes_and_density_give_a_python_float_modulus(kind):
+    # sections and beams hold Python floats, so no float32 sum or power runs
+    dims = {"circle": (6.35e-3,), "rectangle": (4.18e-3, 2.84e-3)}[kind]
+    narrow = [np.float32(v) for v in dims]
+    beam = BeamModel(section=getattr(CrossSection, kind)(*narrow), density=np.float32(2721.9),
+                     youngs_modulus=np.float32(6.9e10))
+    wide = BeamModel(section=getattr(CrossSection, kind)(*map(float, narrow)),
+                     density=float(np.float32(2721.9)), youngs_modulus=float(np.float32(6.9e10)))
+    assert beam == wide
+    assert all(type(v) is float for v in (beam.density, beam.youngs_modulus))
+    modulus = modulus_from_alpha(58.5, beam)
+    assert type(modulus) is float and modulus == modulus_from_alpha(58.5, wide)
+    report = modulus_report(58.5, beam, nominal=6.9e10)
+    assert json.loads(_json_text(report)) == report
 
 
 def test_modulus_rejects_nonpositive_alpha():

@@ -12,6 +12,7 @@ from oracles import (
     reference_testfn_1d,
 )
 from oracles import testfn_poly as poly_oracle
+from weakbeam import weakform
 from weakbeam.discovery import discover
 from weakbeam.ensemble import subsample_time
 from weakbeam.errors import DegenerateDataError, ParameterError, SelectionError
@@ -455,6 +456,16 @@ def test_one_or_two_bin_spectrum_has_corner_one(power):
     # too short for two segments: the changepoint, its zoom and the peak
     # floor all stay at bin 1
     assert spectral_corner(np.array(power)) == CornerDiagnostic(1, len(power))
+
+
+def test_corner_zoom_runs_until_a_breakpoint_repeats(monkeypatch):
+    # 40 distinct breakpoints, then the 11th again: the zoom keeps that bin
+    # however long the cycle, and the peak floor (bin 4 here) stays below it
+    script = iter([*range(50, 90), 60])
+    monkeypatch.setattr(weakform, "_changepoint", lambda y, hi, ssr_left: next(script))
+    power = 1.0 / np.arange(1, 101) ** 2
+    assert spectral_corner(power) == CornerDiagnostic(60, 100)
+    assert next(script, None) is None
 
 
 def test_corner_rejects_zero_and_bad_axis():
