@@ -325,15 +325,12 @@ def newmark_march(
     whose square is not a finite normal float, or an ``M + dt**2/4 K``
     that overflows, raises :class:`DegenerateDataError` naming dt.
 
-    The state is carried as the predictor ``p = d + dt v + q a`` with
-    ``q = dt**2 / 4`` and its increment ``s``, which advances by
-    ``dt**2 a`` each step, so one step costs a scatter of the loaded
-    columns into one zeroed load vector, one banded product (BLAS
-    ``dsbmv``, which adds into a copy of that vector), one banded solve
-    with the factor of ``M + q K`` (LAPACK ``dpbtrs``, in place on the
-    product) and five in-place vector operations; nothing but the
-    product is allocated.  A step writes ``q a[record] + p[record]`` into
-    its row of the history.
+    One step costs a scatter of the loaded columns into one zeroed load
+    vector, one banded product (BLAS ``dsbmv``, which adds into a copy of
+    that vector), one banded solve with the factor of ``M + q K`` (LAPACK
+    ``dpbtrs``, in place on the product; ``q = dt**2 / 4``) and the
+    in-place update of :func:`_newmark_step`; nothing but the product is
+    allocated.
     """
     forces = np.asarray(forces, dtype=float)
     if forces.ndim != 2 or forces.shape[0] < 1:
@@ -383,7 +380,6 @@ def newmark_march(
 
     d_hist = np.empty((n_steps + 1, len(range(n)[record])))
     d_hist[0] = d[record]
-    # d' = p + q a', s' = s + dt^2 a', p' = p + s'
     p = d + dt * v + q * a
     s = dt * v + 0.5 * dt2 * a
     for k in range(n_steps):
@@ -395,12 +391,21 @@ def newmark_march(
             overwrite_b=1,
         )
         _check_info(info)
-        row = np.multiply(a[record], q, out=d_hist[k + 1])
-        row += p[record]
-        a *= dt2
-        s += a
-        p += s
+        _newmark_step(a, p, s, d_hist[k + 1], q, dt2, record)
     return d_hist
+
+
+def _newmark_step(a, p, s, d, q, dt2, record=slice(None)):
+    """One average-acceleration step, in place, given the new acceleration
+    ``a``: the predictor ``p = d + dt v + q a`` (``q = dt2 / 4``) and its
+    increment ``s = dt v + dt2 a / 2`` give ``d' = p + q a'``, written into
+    ``d`` on the entries ``record`` selects, ``s' = s + dt2 a'`` and
+    ``p' = p + s'``; ``a`` is left scaled by ``dt2``."""
+    np.multiply(a[record], q, out=d)
+    d += p[record]
+    a *= dt2
+    s += a
+    p += s
 
 
 def _edge_loads(bc: BoundaryHistory, me: np.ndarray, ke: np.ndarray, n_inner: int):
@@ -766,9 +771,9 @@ def _march_modes(lam, phi_loaded, f_mass, f_stiff, moduli, dt2, n_steps, chunk):
     holds the modal deflections of steps ``k0, k0 + 1, ...``, shape
     ``(n_chunk_steps, n_trials, n_modes)``, up to step ``n_steps``.
 
-    Mode ``i`` of trial ``E`` obeys ``y'' + E lam_i y = phi_i' f(E)``.  The
-    rule and its recurrence are those of :func:`newmark_march`, one mode
-    at a time: ``a' = (phi' f' - E lam p) / (1 + q E lam)``.  One product
+    Mode ``i`` of trial ``E`` obeys ``y'' + E lam_i y = phi_i' f(E)``: each
+    step takes ``a' = (phi' f' - E lam p) / (1 + q E lam)`` and advances by
+    :func:`_newmark_step`, as :func:`newmark_march` does.  One product
     of ``[f_M | f_K]`` with a pattern that holds ``phi' gain`` and
     ``E phi' gain`` forms a chunk's ``gain phi' f'`` for every trial, so
     no ``(n_steps, n_modes)`` array is held.  ``dt2`` is ``dt**2``
@@ -790,12 +795,8 @@ def _march_modes(lam, phi_loaded, f_mass, f_stiff, moduli, dt2, n_steps, chunk):
         k1 = min(k0 + chunk, n_steps + 1)
         y = (forces[k0:k1] @ pattern).reshape((k1 - k0,) + gain.shape)
         for row in y:
-            # a' = gain phi' f' - stiff p, then the row becomes d' = p + q a'
+            # a' = gain phi' f' - stiff p, then the row becomes d'
             np.multiply(stiff, p, out=a)
             np.subtract(row, a, out=a)
-            np.multiply(a, q, out=row)
-            row += p
-            a *= dt2
-            s += a
-            p += s
+            _newmark_step(a, p, s, row, q, dt2)
         yield k0, y

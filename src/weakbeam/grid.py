@@ -165,16 +165,15 @@ def window_time(grid: FieldGrid, t_lo: float, t_hi: float) -> FieldGrid:
 def _window_columns(t: np.ndarray, t_lo: float, t_hi: float) -> slice:
     """The slice of the time axis ``t`` that :func:`window_time` keeps."""
     _require_pair("window", (t_lo, t_hi), WindowError)
-    half = (t[-1] - t[0]) / (t.size - 1) / 2 if t.size > 1 else 0.0
-    if t_hi < t[0] - half or t_lo > t[-1] + half:
+    first, last = float(t[0]), float(t[-1])  # Python floats: inf past the range, no warning
+    half = (last - first) / (t.size - 1) / 2 if t.size > 1 else 0.0
+    if t_hi < first - half or t_lo > last + half:
         raise WindowError(
             f"window [{t_lo}, {t_hi}] does not intersect grid span "
             f"[{t[0]}, {t[-1]}]"
         )
-    i_lo = int(np.argmin(np.abs(t - t_lo)))
-    i_hi = int(np.argmin(np.abs(t - t_hi)))
-    if i_hi < i_lo:
-        raise WindowError(f"window [{t_lo}, {t_hi}] snaps to no samples")
+    # clipped to the span, no distance overflows or ties past the nearest sample
+    i_lo, i_hi = (int(np.argmin(np.abs(t - b))) for b in np.clip((t_lo, t_hi), first, last))
     return slice(i_lo, i_hi + 1)
 
 

@@ -311,6 +311,25 @@ def test_newmark_march_loads_every_dof_by_default():
     assert np.array_equal(newmark_march(M, K, forces, dt, loaded=None), every)
 
 
+def test_banded_and_modal_marches_agree_on_a_diagonal_system():
+    # M = I and K = diag(k) are their own modal basis (phi = I, lam = k), so
+    # at E = 1 the sweep's modal march and the banded march step the same
+    # system through the same update and differ only in how each forms a'
+    n, n_steps, dt = 12, 600, 1e-6
+    k = np.geomspace(1e8, 4e12, n)  # q k from 2.5e-5 to 1
+    M, K = np.zeros((2, beamfem._HALF_BANDWIDTH + 1, n))
+    M[-1], K[-1] = 1.0, k
+    t = np.arange(n_steps + 1)[:, None] * dt
+    forces = driven_loads(n_steps, n, dt) + np.sin(2e5 * t) * np.linspace(1.0, 3.0, n)
+    banded = newmark_march(M, K, forces, dt)
+    chunks = beamfem._march_modes(
+        k, np.eye(n), forces, np.zeros_like(forces), np.ones(1), dt**2, n_steps, chunk=7
+    )
+    modal = np.concatenate([y[:, 0] for _, y in chunks])
+    assert modal.shape == banded.shape
+    assert np.linalg.norm(modal - banded) <= 1e-12 * np.linalg.norm(banded)
+
+
 def test_newmark_validation():
     beam = make_beam()
     M, K = reduced_free_vibration(beam, n_elements=4)

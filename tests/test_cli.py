@@ -475,6 +475,8 @@ def test_modulus_flag_where_it_is_unused_is_a_usage_error(capsys, argv):
         # so is the edge fit of the replay
         ('{"field_path": "x", "n_fit": 25}', "n_fit"),
         ('{"field_path": "x", "fourier_order": 3}', "fourier_order"),
+        # the config is one JSON object, not a list of them
+        ('[{"field_path": "x"}]', "must be a JSON object"),
     ],
 )
 def test_bad_pipeline_config_is_an_error(capsys, tmp_path, text, culprit):

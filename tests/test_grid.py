@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from weakbeam import grid
 from weakbeam.errors import FieldFormatError, GridError, WindowError
@@ -34,6 +34,15 @@ def test_al_like_spatial_axis():
     assert g.n_x == 195
     assert g.dx == pytest.approx(5e-4, rel=1e-12)
     assert g.x_extent == pytest.approx(0.097, rel=1e-12)
+
+
+@pytest.mark.parametrize("axis", ["x", "t"])
+def test_a_single_sample_axis_has_no_spacing(axis):
+    one, two = np.array([2.0]), np.array([0.0, 1.0])
+    x, t = (one, two) if axis == "x" else (two, one)
+    g = FieldGrid(x, t, np.ones((x.size, t.size)))
+    with pytest.raises(GridError, match=f"d{axis} undefined for a single-sample {axis} axis"):
+        getattr(g, "d" + axis)
 
 
 def test_values_are_immutable():
@@ -194,6 +203,18 @@ def test_wrong_row_count_rejected(tmp_path):
         path.write_text("# fieldgrid v1\nx: 0 1 2\nt: 0 1\n" + rows)
         with pytest.raises(FieldFormatError):
             load_field(path)
+
+
+@pytest.mark.parametrize(
+    "axes, message",
+    [("x:\nt: 0 1\n", "line 2: empty x axis"), ("x: 0 1\nt: 0 1 abc\n", "line 3: bad t value")],
+    ids=["empty-axis", "bad-axis-value"],
+)
+def test_bad_axis_line_names_its_line(tmp_path, axes, message):
+    path = tmp_path / "bad.field"
+    path.write_text("# fieldgrid v1\n" + axes + "1 2\n3 4\n")
+    with pytest.raises(FieldFormatError, match=f"^{message}"):
+        load_field(path)
 
 
 def test_non_numeric_token_rejected(tmp_path):
@@ -422,3 +443,44 @@ def test_empty_window_rejected():
     for bounds in ((nan, nan), (nan, 1e-7), (0.0, nan), (0.0, inf), (-inf, inf)):
         with pytest.raises(WindowError):
             window_time(g, *bounds)  # every comparison with NaN is false
+
+
+def test_a_bound_far_past_an_end_snaps_to_that_end():
+    # such a bound's distances to the samples round to one value or
+    # overflow; it still snaps to the end it passes, without a warning
+    g = FieldGrid(np.array([0.0, 1.0]), np.arange(10.0), np.arange(20.0).reshape(2, 10))
+    assert np.array_equal(window_time(g, 0.0, 1e300).values, g.values)
+    assert window_time(g, 2.4, 1e17).t.tolist() == list(range(2, 10))
+    assert window_time(g, -1e300, 6.6).t.tolist() == list(range(8))
+    far = FieldGrid(np.array([0.0]), np.linspace(-1e308, -0.9e308, 5), np.ones((1, 5)))
+    assert window_time(far, far.t[-1], 1e308).t.tolist() == [far.t[-1]]
+    assert window_time(far, -1.7e308, far.t[0]).t.tolist() == [far.t[0]]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500)
+@given(data=st.data())
+def test_every_window_that_meets_the_grid_keeps_a_sample(data):
+    # a bound's nearest sample cannot fall as the bound grows: the bounds
+    # are clipped to the span, where no distance overflows, subtraction
+    # rounds monotonically and argmin breaks ties to the lower index
+    t0, dt = data.draw(FINITE), data.draw(st.floats(1e-300, 1e300))
+    n = data.draw(st.integers(1, 30))
+    with np.errstate(all="ignore"):
+        t = t0 + dt * np.arange(n)
+    try:
+        g = FieldGrid(np.zeros(1), t, np.zeros((1, n)))
+    except GridError:
+        assume(False)
+    # bounds anywhere in the float range, or near the axis
+    span = float(t[-1]) - float(t[0]) + dt
+    near = st.floats(-2.0, 3.0).map(lambda u: float(t[0]) + u * span).filter(np.isfinite)
+    t_lo, t_hi = sorted(data.draw(st.one_of(FINITE, near)) for _ in range(2))
+    try:
+        w = window_time(g, t_lo, t_hi)
+    except WindowError as exc:
+        assert "does not intersect" in str(exc)
+    else:
+        assert w.n_t >= 1

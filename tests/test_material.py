@@ -260,6 +260,11 @@ def test_smape_scalar_input_and_empty_rejection():
         smape(np.array([]), 1.0)
 
 
+def test_smape_refuses_arrays_numpy_cannot_stack():
+    with pytest.raises(ParameterError, match="each of smape's values must be a finite real"):
+        smape([np.ones((2, 3)), np.ones((2, 4))], 1.0)
+
+
 @given(
     value=st.floats(0.1, 1e6),
     nominal=st.floats(0.1, 1e6),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -529,6 +531,12 @@ def test_select_support_rejects_small_grids():
         select_support(small, corners(small))
 
 
+@pytest.mark.parametrize("corner_bins", [(0, 3), (3,), (3, 4, 5)], ids=repr)
+def test_select_support_refuses_bad_corner_bins(corner_bins):
+    with pytest.raises(ParameterError, match="corner_bins must be two positive bins"):
+        select_support(random_field(100, 300, seed=12), corner_bins)
+
+
 # ------------------------------------------------------------------ scaling
 
 def test_rescale_factors():
@@ -584,3 +592,29 @@ def test_coefficients_invariant_under_rescaling(edge_field):
     assert c_scaled[j] != 0.0
     assert abs(c_scaled[j] - c_raw[j]) <= 1e-8 * abs(c_scaled[j])
     assert np.linalg.norm(c_scaled - c_raw) <= 1e-8 * np.linalg.norm(c_scaled)
+
+
+def small_system():
+    return assemble(random_field(40, 50, seed=5), TestFunctionBasis(p_x=6, p_t=5, m_x=8, m_t=10))
+
+
+def test_unscale_refuses_a_vector_not_of_the_library():
+    system = small_system()
+    with pytest.raises(ParameterError, match="coefficient vector length"):
+        unscale_coefficients(system, np.ones(len(TERMS) - 1))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda G, b: (G, b[:-1]), r"G must be \(K, J\) with b of length K"),
+        (lambda G, b: (G[:, :-1], b), "G column count must match the library"),
+        (lambda G, b: (np.where(G == G[0, 0], np.nan, G), b), "non-finite entries"),
+    ],
+    ids=["b-length", "six-columns", "nan-in-G"],
+)
+def test_weak_system_refuses_a_bad_system(change, message):
+    system = small_system()
+    G, b = change(system.G, system.b)
+    with pytest.raises(ParameterError, match=message):
+        replace(system, G=G, b=b)
