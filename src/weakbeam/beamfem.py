@@ -175,9 +175,9 @@ def assemble_matrices(mesh: FemMesh, beam: BeamModel) -> tuple[np.ndarray, np.nd
 class BoundaryHistory:
     """Prescribed edge motion: deflections and rotations over ``t``.
 
-    ``displacement`` holds one row per sample of ``t`` and one column per
-    boundary dof, ordered as the mesh numbers them: left w, left w_x,
-    then right w, right w_x.  Two columns mean the far end is free.
+    ``displacement`` holds finite values, one row per sample of ``t`` and
+    one column per boundary dof, ordered as the mesh numbers them: left w,
+    left w_x, then right w, right w_x.  Two columns mean the far end is free.
     ``t`` obeys the axis rule of :class:`FieldGrid`.
     """
 
@@ -194,6 +194,8 @@ class BoundaryHistory:
             raise ParameterError(
                 f"displacement must be ({t.size}, 2) or ({t.size}, 4), got {d.shape}"
             )
+        if not _all_finite(d):
+            raise ParameterError("displacement must be finite")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "displacement", d)
 

@@ -133,9 +133,10 @@ def modulus_from_alpha(alpha: float, beam: BeamModel) -> float:
 
 
 def percent_error(modulus: float, nominal: float) -> float:
-    """``100 |modulus - nominal| / nominal``; a nominal that is not finite
-    and positive raises :class:`ParameterError`."""
+    """``100 |modulus - nominal| / nominal``; a modulus or nominal that is
+    not finite and positive raises :class:`ParameterError`."""
     _require_positive("nominal modulus", nominal)
+    _require_positive("modulus", modulus)
     return 100.0 * abs(modulus - nominal) / nominal
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _require_positive
+from .grid import _all_finite
 
 __all__ = [
     "SparseSolution",
@@ -34,13 +35,21 @@ _LAMBDA_GRID = np.logspace(-10, 0, 100)
 _LAMBDA_GRID.setflags(write=False)
 
 
-def least_squares(G: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least squares; a rank-deficient ``G`` is not an error."""
-    G = np.asarray(G, dtype=float)
-    b = np.asarray(b, dtype=float)
+def _system(G: np.ndarray, b: np.ndarray, finite: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """``(G, b)`` as float arrays, a 2-d ``G`` with one row per entry of a
+    1-d ``b`` and, if ``finite``, no NaN or inf; else :class:`ParameterError`."""
+    G, b = np.asarray(G, dtype=float), np.asarray(b, dtype=float)
     if G.ndim != 2 or b.ndim != 1 or G.shape[0] != b.size:
         raise ParameterError(f"incompatible shapes {G.shape} and {b.shape}")
-    return np.linalg.lstsq(G, b, rcond=None)[0]
+    if finite and not (_all_finite(G) and _all_finite(b)):
+        raise ParameterError("G and b must be finite")
+    return G, b
+
+
+def least_squares(G: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least squares; a rank-deficient ``G`` is not an error, and
+    its finiteness is not checked (the sweep passes columns of a checked one)."""
+    return np.linalg.lstsq(*_system(G, b, finite=False), rcond=None)[0]
 
 
 class _Sweep:
@@ -91,13 +100,12 @@ def mstls(
     bitmask, and each column is tested as
     ``lam * lo[j] <= |c_j| <= (1 / lam) * hi[j]`` against the bounds and
     fits held by a :class:`_Sweep`.  :func:`optimize_lambda` passes
-    ``_sweep`` to share them across its thresholds; without it a fresh
-    one is built.  Returns a new array.
+    ``_sweep`` to share them across its thresholds; without it ``lam``
+    and ``(G, b)`` are checked and a fresh one is built.  Returns a new array.
     """
-    if not (0.0 < lam):
-        raise ParameterError(f"lam must be positive, got {lam}")
     if _sweep is None:
-        _sweep = _Sweep(np.asarray(G, dtype=float), np.asarray(b, dtype=float))
+        _require_positive("lam", lam)
+        _sweep = _Sweep(*_system(G, b))
     n = _sweep.n
     lam, inv = float(lam), 1.0 / lam
     lo, hi = _sweep.lo, _sweep.hi
@@ -141,8 +149,7 @@ def optimize_lambda(G: np.ndarray, b: np.ndarray) -> SparseSolution:
     One :class:`_Sweep` serves every threshold, and the loss of each
     distinct solution is computed once.
     """
-    G = np.asarray(G, dtype=float)
-    b = np.asarray(b, dtype=float)
+    G, b = _system(G, b)
     n = G.shape[1]
 
     if np.linalg.norm(b) == 0.0:

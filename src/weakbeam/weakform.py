@@ -30,6 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import polynomial as poly
 
 from .errors import DegenerateDataError, ParameterError, SelectionError, _require_count
+from .errors import _require_positive
 from .grid import FieldGrid, _all_finite
 
 __all__ = [
@@ -209,6 +210,7 @@ def mean_power_spectrum(grid: FieldGrid, axis: int) -> np.ndarray:
     over the other axis, for bins 1 .. n // 2 (the mean, bin 0, is
     dropped); a field far outside unit scale is first scaled by a power
     of two (:func:`_line_power`)."""
+    _require_count("axis", axis, 0, 1)
     return _line_power(grid, axis).mean(axis=1 - axis)
 
 
@@ -300,6 +302,8 @@ def default_query_strides(n_x: int, n_t: int, m_x: int, m_t: int) -> tuple[int, 
     can fall short, and then :class:`SelectionError` is raised, as it is
     for a support that leaves an axis no interior (x checked first).
     """
+    for name, size in (("n_x", n_x), ("n_t", n_t), ("m_x", m_x), ("m_t", m_t)):
+        _require_count(name, size, 1)
     strides, total = [], 1
     for n, m in ((n_x, m_x), (n_t, m_t)):
         interior = n - 2 * m
@@ -324,8 +328,10 @@ def select_support(grid: FieldGrid, corner_bins: tuple[int, int]) -> TestFunctio
     ``_TAU = 1e-9`` at the corner, and the degree p follows from the same
     tolerance through the endpoint decay condition.
     """
-    if len(corner_bins) != 2 or min(corner_bins) < 1:
+    if len(corner_bins) != 2:
         raise ParameterError(f"corner_bins must be two positive bins, got {corner_bins}")
+    for axis, corner_bin, n in zip("xt", corner_bins, (grid.n_x, grid.n_t)):
+        _require_count(f"the {axis} corner bin", corner_bin, 1, max(1, n // 2))
     m_x, p_x = _support_for_axis(grid.n_x, corner_bins[0], _MAX_DX + 1)
     m_t, p_t = _support_for_axis(grid.n_t, corner_bins[1], _MAX_DT + 1)
     s_x, s_t = default_query_strides(grid.n_x, grid.n_t, m_x, m_t)
@@ -410,17 +416,13 @@ def assemble(
     axes before assembly; pass :func:`rescale` output for conditioning,
     or leave the default for raw units.
     """
+    if len(scales) != 3:
+        raise ParameterError(f"scales must be (gamma_w, gamma_x, gamma_t), got {scales}")
+    for name, scale in zip(("gamma_w", "gamma_x", "gamma_t"), scales):
+        _require_positive(name, scale)
     gw, gx, gt = scales
-    if gw <= 0 or gx <= 0 or gt <= 0:
-        raise ParameterError(f"scale factors must be positive, got {scales}")
-    if basis.p_x < _MAX_DX + 1:
-        raise ParameterError(
-            f"p_x={basis.p_x} too low for spatial order {_MAX_DX} (need >= {_MAX_DX + 1})"
-        )
-    if basis.p_t < _MAX_DT + 1:
-        raise ParameterError(
-            f"p_t={basis.p_t} too low for temporal order {_MAX_DT} (need >= {_MAX_DT + 1})"
-        )
+    _require_count(f"p_x for spatial order {_MAX_DX}", basis.p_x, _MAX_DX + 1)
+    _require_count(f"p_t for temporal order {_MAX_DT}", basis.p_t, _MAX_DT + 1)
     n_x, n_t = grid.n_x, grid.n_t
     m_x, m_t = basis.m_x, basis.m_t
     if 2 * m_x + 1 > n_x or 2 * m_t + 1 > n_t:

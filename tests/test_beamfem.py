@@ -545,6 +545,16 @@ def test_boundary_history_validation():
     assert both.dt == pytest.approx(1e-6, rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+def test_a_non_finite_edge_history_is_refused_before_the_march(bad):
+    # the march would run and then blame the grid's spacing and time step
+    t = np.arange(10) * 1e-6
+    displacement = np.zeros((t.size, 2))
+    displacement[4, 0] = bad
+    with pytest.raises(ParameterError, match="displacement must be finite"):
+        BoundaryHistory(t, displacement)
+
+
 def test_extract_constant_field_has_flat_edges():
     g = FieldGrid(np.arange(30) * 1e-3, np.arange(40) * 1e-6, np.full((30, 40), 2.5))
     bc = extract_boundaries(g)

@@ -29,11 +29,22 @@ from weakbeam.material import (
 )
 from weakbeam.pipeline import PipelineConfig
 from weakbeam.preprocess import bandpass_time, subsample_time
+from weakbeam.sparse import mstls
 from weakbeam.synth import burst, generate_beam_data
-from weakbeam.weakform import TestFunctionBasis
+from weakbeam.weakform import (
+    TestFunctionBasis,
+    assemble,
+    default_query_strides,
+    mean_power_spectrum,
+    select_support,
+)
 
 BASIS = dict(p_x=2, p_t=2, m_x=3, m_t=3, s_x=1, s_t=1)
 REST = BoundaryHistory(np.arange(10) * 1e-6, np.zeros((10, 2)))
+# a basis the edge field hosts at a few hundred query points
+CHEAP = TestFunctionBasis(p_x=6, p_t=5, m_x=8, m_t=10, s_x=8, s_t=100)
+SYSTEM = (np.eye(7) + 0.1, np.arange(1.0, 8.0))
+STRIDES = dict(n_x=195, n_t=2501, m_x=8, m_t=10)
 
 
 def synth(**kwargs):
@@ -57,6 +68,16 @@ COUNTS = {
     "frequencies-n_modes": (lambda f, n: natural_frequencies(make_beam(), 0.1, n_modes=n), 3),
     "seed": (lambda f, n: synth(seed=n), 3),
     "config-max_ds": (lambda f, n: PipelineConfig(field_path="x", max_ds=n).to_dict(), 2),
+    # a corner bin lies in 1 .. n // 2 of its axis
+    "x corner bin": (lambda f, n: select_support(f, (n, 60)), 10),
+    "t corner bin": (lambda f, n: select_support(f, (10, n)), 60),
+    "axis": (lambda f, n: mean_power_spectrum(f, n), 1),
+    **{
+        f"strides-{name}": (
+            lambda f, n, name=name: default_query_strides(**STRIDES | {name: n}), STRIDES[name]
+        )
+        for name in STRIDES
+    },
 }
 
 NUMBERS = {
@@ -79,6 +100,12 @@ NUMBERS = {
     "e_hi": (lambda f, v: sweep_modulus(f, make_beam(), 6.5e10, v, 3).errors, 7.3e10),
     "dt": (lambda f, v: synth(dt=v), 1e-6),
     "t_end": (lambda f, v: synth(t_end=v), 2e-5),
+    "lam": (lambda f, v: mstls(*SYSTEM, v), 0.1),
+    **{
+        name: (lambda f, v, i=i: assemble(f, CHEAP, (1.0,) * i + (v,) + (1.0,) * (2 - i)).G, 2.0)
+        for i, name in enumerate(("gamma_w", "gamma_x", "gamma_t"))
+    },
+    "modulus": (lambda f, v: percent_error(v, 6.9e10), 7e10),
 }
 
 NOT_NUMBERS = [math.nan, math.inf, -math.inf, True, "3", None]

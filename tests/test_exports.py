@@ -66,14 +66,49 @@ print(json.dumps(frequency_roots("clamped-free", 3).tolist()))
     assert np.allclose(roots, [BETA_L["clamped-free"](n) for n in (1, 2, 3)], rtol=1e-12, atol=0)
 
 
-def test_every_name_the_benchmark_tracer_patches_resolves(monkeypatch):
-    # perfbench/tracer.py swaps each (module, name) of CALL_SITES for a traced
-    # wrapper, so a name renamed or deleted here would crash every traced run.
-    # Imported the way perfbench's own tests do: by path alone, its
+def import_tracer(monkeypatch):
+    # imported the way perfbench's own tests do: by path alone, its
     # @dataclass cannot find the module it was loaded as
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    tracer = importlib.import_module("tracer")
+    return importlib.import_module("tracer")
+
+
+def test_every_name_the_benchmark_tracer_patches_resolves(monkeypatch):
+    # perfbench/tracer.py swaps each (module, name) of CALL_SITES for a traced
+    # wrapper, so a name renamed or deleted here would crash every traced run
+    tracer = import_tracer(monkeypatch)
     sites = [(module, name) for module, name, *_ in tracer.CALL_SITES]
     assert sites
     missing = [site for site in sites if not hasattr(importlib.import_module(site[0]), site[1])]
     assert missing == []
+
+
+def test_every_counted_span_of_a_traced_run_gets_its_counts(monkeypatch, capsys, tmp_path):
+    # the tracer's count functions read parameters by name (path, grid, basis,
+    # forces, mesh), so a renamed parameter breaks the benchmark's counts
+    # even though every patched name still resolves.  A tiny synth, ensemble
+    # and pipeline on the 40x401 rod pass every counted call site
+    from weakbeam.cli import main
+
+    tracer = import_tracer(monkeypatch)
+    rod = ["--section", "circle:d=6.35e-3", "--density", "2721.9"]
+    field, config = tmp_path / "rod.field", tmp_path / "pipeline.json"
+    config.write_text(json.dumps({
+        "field_path": str(field), "density": 2721.9, "nominal_modulus": 6.9e10,
+        "section": {"kind": "circle", "diameter": 6.35e-3}, "sweep": [6.5e10, 7.3e10, 3],
+    }), encoding="utf-8")
+    runs = [
+        ["synth", *rod, "--modulus", "6.9e10", "--n-points", "40", "--dx", "5e-4",
+         "--fc", "1e4", "--dt", "1e-6", "--t-end", "4e-4", "--out", str(field)],
+        ["ensemble", "--in", str(field), "--max-ds", "2"],
+        ["pipeline", "--config", str(config), "--out-dir", str(tmp_path / "pipeline")],
+    ]
+    with tracer.Tracer().installed(tracer.CALL_SITES) as traced:
+        assert [main(argv) for argv in runs] == [0, 0, 0], capsys.readouterr().err
+    counted = {name for _, _, name, count in tracer.CALL_SITES if count}
+    spans = [span for span in traced.spans if span.name in counted]
+    assert {span.name for span in spans} == counted
+    assert [span.name for span in spans if not span.counts] == []
+    metrics = tracer.layer_metrics(traced.spans, 1, [])
+    assert metrics["beamfem.assemble_matrices.dof"] > 0
+    assert metrics["sparse.mstls.distinct_frac"] > 0

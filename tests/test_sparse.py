@@ -82,6 +82,27 @@ def test_mstls_rejects_nonpositive_lambda():
         mstls(G, b, -0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+@pytest.mark.parametrize("where", ["G", "b"])
+@pytest.mark.parametrize("solve", [optimize_lambda, lambda G, b: mstls(G, b, 0.1)],
+                         ids=["optimize_lambda", "mstls"])
+def test_a_non_finite_system_is_refused_before_lapack(capfd, solve, where, bad):
+    # LAPACK would print "On entry to DLASCL ..." on stderr and fit NaNs
+    G, b = np.eye(7), np.ones(7)
+    (G if where == "G" else b)[3] = bad
+    with pytest.raises(ParameterError, match="must be finite"):
+        solve(G, b)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("G, b", [(np.ones(7), np.ones(7)), (np.eye(7), np.ones(6)),
+                                  (np.eye(7), np.ones((7, 1)))], ids=["1-d G", "short b", "2-d b"])
+def test_a_misshaped_system_is_refused(G, b):
+    for solve in (optimize_lambda, lambda G, b: mstls(G, b, 0.1)):
+        with pytest.raises(ParameterError, match="incompatible shapes"):
+            solve(G, b)
+
+
 def test_mstls_zero_rhs_gives_zero_model():
     G, _, _ = planted_system(0)
     assert np.array_equal(mstls(G, np.zeros(G.shape[0]), 1e-3), np.zeros(7))

@@ -323,6 +323,8 @@ def test_assemble_validation():
     with pytest.raises(ParameterError):
         assemble(g, TestFunctionBasis(p_x=6, p_t=5, m_x=5, m_t=5),
                  scales=(0.0, 1.0, 1.0))
+    with pytest.raises(ParameterError, match="scales must be"):
+        assemble(g, TestFunctionBasis(p_x=6, p_t=5, m_x=5, m_t=5), scales=(1.0, 1.0))
 
 
 # ------------------------------------------------------------- query strides
@@ -504,6 +506,12 @@ def test_smooth_field_needs_wider_support_than_broadband():
     assert bs.m_t > br.m_t
 
 
+@pytest.mark.parametrize("axis", [-1, 2])
+def test_mean_power_spectrum_takes_axis_0_or_1(axis):
+    with pytest.raises(ParameterError, match="axis must be an integer >= 0, <= 1"):
+        mean_power_spectrum(random_field(20, 30, seed=1), axis)
+
+
 def test_tau_hat_bypasses_the_spectrum():
     # a zero field has no spectrum to fit, but explicit corners never look
     g = FieldGrid(np.arange(64) * 1e-3, np.arange(128) * 1e-6, np.zeros((64, 128)))
@@ -531,9 +539,17 @@ def test_select_support_rejects_small_grids():
         select_support(small, corners(small))
 
 
-@pytest.mark.parametrize("corner_bins", [(0, 3), (3,), (3, 4, 5)], ids=repr)
-def test_select_support_refuses_bad_corner_bins(corner_bins):
-    with pytest.raises(ParameterError, match="corner_bins must be two positive bins"):
+@pytest.mark.parametrize("corner_bins, message", [
+    pytest.param(bins, message, id=repr(bins)) for bins, message in [
+        ((0, 3), "the x corner bin must be an integer >= 1, <= 50, got 0"),
+        ((51, 3), "the x corner bin must be an integer >= 1, <= 50, got 51"),
+        ((3, 151), "the t corner bin must be an integer >= 1, <= 150, got 151"),
+        ((3,), "corner_bins must be two positive bins"),
+        ((3, 4, 5), "corner_bins must be two positive bins"),
+    ]
+])
+def test_select_support_refuses_bad_corner_bins(corner_bins, message):
+    with pytest.raises(ParameterError, match=message):
         select_support(random_field(100, 300, seed=12), corner_bins)
 
 
